@@ -24,7 +24,10 @@ from .lattice import (
     pair_expectation,
 )
 from .linalg import (
+    CommutatorCheck,
+    NonzeroTraceError,
     SingularProfile,
+    certify,
     commutator,
     hs_norm,
     is_normal,
@@ -66,6 +69,9 @@ __all__ = [
     "optimize_configuration",
     "leading_term_fit",
     "SingularProfile",
+    "CommutatorCheck",
+    "NonzeroTraceError",
+    "certify",
     "commutator",
     "operator_norm",
     "hs_norm",

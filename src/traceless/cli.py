@@ -3,16 +3,19 @@
 All commands are deterministic functions of their arguments and input
 files; wall-clock timings go to stderr so repeated runs produce
 byte-identical files and stdout.  The default seed comes from the
-TRACELESS_SEED environment variable (0 when unset) and every tolerance is
-overridable by flag.
+TRACELESS_SEED environment variable (0 when unset; anything but an integer
+is a usage error) and every tolerance is overridable by flag.
 
 Exit codes: 0 success, 1 verification failed, 2 parse/usage error,
-3 nonzero trace, 4 numerical failure.
+3 nonzero trace, 4 numerical failure or an invalid certificate.  ``main``
+maps ``NonzeroTraceError`` to 3, any other ``ValueError`` to 2 and
+``LinAlgError`` to 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +27,7 @@ import numpy as np
 from . import lattice as lattice_mod
 from .factorizer import factor
 from .filtration import build_filtration, verify_filtration_structure
-from .linalg import commutator, hs_norm, operator_norm
+from .linalg import NonzeroTraceError, certify
 from .lowerbound import lower_bound_report
 from .matio import MatrixFormatError, read_matrix, write_matrix, write_points
 
@@ -36,10 +39,12 @@ EXIT_NUMERICAL = 4
 
 
 def _default_seed() -> int:
+    value = os.environ.get("TRACELESS_SEED", "0")
     try:
-        return int(os.environ.get("TRACELESS_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        print(f"error: TRACELESS_SEED must be an integer, got {value!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -49,6 +54,15 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _pick(obj, *names) -> dict:
+    """The named attributes of a result object, as a JSON payload."""
+    return {name: getattr(obj, name) for name in names}
+
+
+def _partial_sums(records) -> list[dict]:
+    return [{"l": r.l, "sum": r.partial_sum, "bound": r.bound, "passed": r.passed} for r in records]
 
 
 def _read_matrix_or_exit(path: str) -> np.ndarray:
@@ -69,41 +83,15 @@ def _random_trace_zero(m: int, seed: int) -> np.ndarray:
 
 def cmd_factor(args) -> int:
     a = _read_matrix_or_exit(args.input)
-    if a.shape[0] != a.shape[1]:
-        print("error: input matrix is not square", file=sys.stderr)
-        return EXIT_PARSE
-    if abs(np.trace(a)) > 1e-10 * max(1.0, hs_norm(a)):
-        print(f"error: trace {np.trace(a):.6e} is not zero", file=sys.stderr)
-        return EXIT_TRACE
-    try:
-        cert = factor(a, trials=args.trials, seed=args.seed,
-                      optimize_assignment=args.optimize_assignment, tol=args.tol)
-    except np.linalg.LinAlgError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    cert = factor(a, trials=args.trials, seed=args.seed,
+                  optimize_assignment=args.optimize_assignment, tol=args.tol)
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = {name: os.path.join(args.out_dir, f"{name}.txt") for name in ("B", "C", "Q")}
-    write_matrix(paths["B"], cert.b)
-    write_matrix(paths["C"], cert.c)
-    write_matrix(paths["Q"], cert.q)
-    payload = {
-        "m": cert.m,
-        "residual": cert.residual,
-        "op_norm_b": cert.op_norm_b,
-        "hs_norm_c": cert.hs_norm_c,
-        "hs_norm_a": cert.hs_norm_a,
-        "ratio": cert.ratio,
-        "bound": cert.bound,
-        "seed": cert.seed,
-        "trials": cert.trials,
-        "valid": cert.valid,
-        "rng": cert.rng,
-        "diag_residual": cert.diag_residual,
-        # references relative to the certificate's own directory
-        "b_path": "B.txt",
-        "c_path": "C.txt",
-        "q_path": "Q.txt",
-    }
+    for name, mat in (("B", cert.b), ("C", cert.c), ("Q", cert.q)):
+        write_matrix(os.path.join(args.out_dir, f"{name}.txt"), mat)
+    payload = _pick(cert, "m", "residual", "op_norm_b", "hs_norm_c", "hs_norm_a", "ratio", "bound",
+                    "seed", "trials", "valid", "rng", "diag_residual")
+    # references relative to the certificate's own directory
+    payload.update(b_path="B.txt", c_path="C.txt", q_path="Q.txt")
     _emit_json(payload, os.path.join(args.out_dir, "certificate.json"))
     print(f"ratio={cert.ratio:.17g} bound={cert.bound:.17g} valid={cert.valid}")
     return EXIT_OK if cert.valid else EXIT_NUMERICAL
@@ -116,88 +104,27 @@ def cmd_verify(args) -> int:
     if not (a.shape == b.shape == c.shape) or a.shape[0] != a.shape[1]:
         print("error: matrices must be square and of equal dimension", file=sys.stderr)
         return EXIT_PARSE
-    residual = hs_norm(a - commutator(b, c))
-    op_b = operator_norm(b)
-    hs_c = hs_norm(c)
-    hs_a = hs_norm(a)
-    ratio = op_b * hs_c / hs_a if hs_a > 0.0 else 0.0
-    residual_ok = residual <= args.tol * max(1.0, op_b * hs_c)
-    sanity_ok = hs_a <= 2.0 * op_b * hs_c + args.tol * max(1.0, op_b * hs_c)
-    _emit_json(
-        {
-            "residual": residual,
-            "op_norm_b": op_b,
-            "hs_norm_c": hs_c,
-            "hs_norm_a": hs_a,
-            "ratio": ratio,
-            "residual_ok": residual_ok,
-            "sanity_hs_le_2_opb_hsc": sanity_ok,
-        },
-        None,
-    )
-    return EXIT_OK if residual_ok and sanity_ok else EXIT_FAIL
+    check = certify(a, b, c, tol=args.tol)
+    scale = check.op_norm_b * check.hs_norm_c
+    sanity_ok = check.hs_norm_a <= 2.0 * scale + args.tol * scale
+    _emit_json({**dataclasses.asdict(check), "sanity_hs_le_2_opb_hsc": sanity_ok}, None)
+    return EXIT_OK if check.residual_ok and sanity_ok else EXIT_FAIL
 
 
 def cmd_lowerbound(args) -> int:
     if args.m < 2:
         print("error: m must be >= 2", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        report = lower_bound_report(args.m, trials=args.trials, seed=args.seed,
-                                    rank_tol=args.rank_tol)
-    except np.linalg.LinAlgError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    payload = {
-        "m": report.m,
-        "normalization": report.normalization,
-        "dims": report.dims,
-        "dims_ok": report.dims_ok,
-        "filtration_complete": report.filtration_complete,
-        "block_residual": report.block_residual,
-        "block_tol": report.block_tol,
-        "trace_inequality": [
-            {
-                "n": r.n,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "slack": r.slack,
-                "passed": r.passed,
-                "rank_cum": r.rank_cum,
-                "normbd_bound": r.normbd_bound,
-                "normbd_passed": r.normbd_passed,
-            }
-            for r in report.trace_records
-        ],
-        "partial_sums": [
-            {"l": r.l, "sum": r.partial_sum, "bound": r.bound, "passed": r.passed}
-            for r in report.partial_sums.records
-        ],
-        "partial_sums_triangular": [
-            {"l": r.l, "sum": r.partial_sum, "bound": r.bound, "passed": r.passed}
-            for r in report.partial_sums.triangular_records
-        ],
-        "quarter_log_sum": report.quarter_log_sum,
-        "iso_residual_v": report.iso_residual_v,
-        "iso_residual_w": report.iso_residual_w,
-        "v_norm": report.v_norm,
-        "w_norm": report.w_norm,
-        "hs_lower_pass": report.hs_lower_pass,
-        "hs_lower": [
-            {
-                "m": r.m,
-                "ratio": r.ratio,
-                "ratio_sq": r.ratio_sq,
-                "log_m": r.log_m,
-                "window_lower": r.window_lower,
-                "passed": r.passed,
-                "c_prime_empirical": r.c_prime_empirical,
-                "o1_empirical": r.o1_empirical,
-            }
-            for r in report.hs_lower.records
-        ],
-        "all_strict_passed": report.all_strict_passed,
-    }
+    report = lower_bound_report(args.m, trials=args.trials, seed=args.seed, rank_tol=args.rank_tol)
+    payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
+                    "block_residual", "block_tol", "quarter_log_sum", "iso_residual_v",
+                    "iso_residual_w", "v_norm", "w_norm", "hs_lower_pass", "all_strict_passed")
+    payload.update(
+        trace_inequality=[dataclasses.asdict(r) for r in report.trace_records],
+        partial_sums=_partial_sums(report.partial_sums.records),
+        partial_sums_triangular=_partial_sums(report.partial_sums.triangular_records),
+        hs_lower=[dataclasses.asdict(r) for r in report.hs_lower.records],
+    )
     _emit_json(payload, args.out)
     return EXIT_OK if report.all_strict_passed else EXIT_FAIL
 
@@ -205,18 +132,18 @@ def cmd_lowerbound(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     records = []
+    invalid = []
     for m in sorted(set(args.m)):
         if m < 2:
             print("error: all m must be >= 2", file=sys.stderr)
             return EXIT_PARSE
         for seed in sorted(set(args.seeds)):
-            t_rec = time.perf_counter()
-            a = _random_trace_zero(m, seed)
-            cert = factor(a, trials=args.trials, seed=seed)
-            wall_ms = 1000.0 * (time.perf_counter() - t_rec)
-            records.append((m, seed, cert.ratio, cert.ratio**2 - math.log(m), wall_ms))
+            cert = factor(_random_trace_zero(m, seed), trials=args.trials, seed=seed)
+            if not cert.valid:
+                invalid.append((m, seed))
+            records.append((m, seed, cert.ratio, cert.ratio**2 - math.log(m)))
     lines = ["m,seed,ratio,ratio_sq_minus_log_m"]
-    for m, seed, ratio, excess, _ in records:
+    for m, seed, ratio, excess in records:
         lines.append(f"{m},{seed},{ratio:.17g},{excess:.17g}")
     text = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -236,7 +163,9 @@ def cmd_sweep(args) -> int:
     else:
         print("records=0")
     print(f"wall_ms={1000.0 * (time.perf_counter() - t0):.1f}", file=sys.stderr)
-    return EXIT_OK
+    for m, seed in invalid:
+        print(f"error: certificate for m={m} seed={seed} is not valid", file=sys.stderr)
+    return EXIT_NUMERICAL if invalid else EXIT_OK
 
 
 def cmd_lattice(args) -> int:
@@ -275,31 +204,10 @@ def cmd_filtration(args) -> int:
     except ValueError:
         print(f"error: bad --lam value {args.lam!r}, expected re,im", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        filt = build_filtration(s, t, mb, rank_tol=args.rank_tol)
-        report = verify_filtration_structure(filt, s, t, complex(lam_re, lam_im), mb)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except np.linalg.LinAlgError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    payload = {
-        "dims": report.dims,
-        "dims_ok": report.dims_ok,
-        "rank_tolerance": filt.rank_tolerance,
-        "hypothesis_residual": report.hypothesis_residual,
-        "hypothesis_tol": report.hypothesis_tol,
-        "hypothesis_ok": report.hypothesis_ok,
-        "structure_residual_s": report.structure_residual_s,
-        "structure_residual_t": report.structure_residual_t,
-        "structure_tol": report.structure_tol,
-        "structure_ok": report.structure_ok,
-        "invariance_residual": report.invariance_residual,
-        "invariance_tol": report.invariance_tol,
-        "invariance_ok": report.invariance_ok,
-        "all_ok": report.all_ok,
-    }
+    filt = build_filtration(s, t, mb, rank_tol=args.rank_tol)
+    report = verify_filtration_structure(filt, s, t, complex(lam_re, lam_im), mb)
+    payload = dataclasses.asdict(report)
+    payload.update(rank_tolerance=filt.rank_tolerance, all_ok=report.all_ok)
     _emit_json(payload, args.out)
     return EXIT_OK if report.all_ok else EXIT_FAIL
 
@@ -366,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code is not None else EXIT_PARSE
@@ -377,11 +284,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_PARSE
     except ValueError as exc:
-        msg = str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        if "trace" in msg:
-            return EXIT_TRACE
-        return EXIT_PARSE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRACE if isinstance(exc, NonzeroTraceError) else EXIT_PARSE
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

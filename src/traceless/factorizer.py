@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticePointSet, gaussian_points, pair_expectation
-from .linalg import as_matrix, commutator, hs_norm, operator_norm
+from .linalg import as_matrix, certify, hs_norm
 from .reduction import zero_diagonal_reduce
 
 __all__ = [
@@ -70,7 +70,7 @@ class FactorizationCertificate:
 
 def _check_zero_diagonal(atilde: np.ndarray) -> None:
     dmax = float(np.max(np.abs(np.diag(atilde)))) if atilde.size else 0.0
-    if dmax > 1e-8 * max(1.0, hs_norm(atilde)):
+    if dmax > 1e-8 * hs_norm(atilde):
         raise ValueError(f"matrix diagonal is not zero (max |a_ii| = {dmax:.3e})")
 
 
@@ -122,16 +122,13 @@ def factor(
     at ``seed + trial`` and keeps the assignment with minimal ||C||_2 (ties
     resolved by lowest trial index).  ``optimize_assignment`` follows up
     with deterministic pairwise-swap descent on the winning assignment.
-    ``tol`` is the zero-diagonal tolerance passed to the reduction.
+    ``tol`` is the zero-diagonal tolerance passed to the reduction, which
+    raises ``NonzeroTraceError`` for a matrix of nonzero trace.
     """
     a = as_matrix(a, square=True)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = a.shape[0]
-    hs_a = hs_norm(a)
-    if abs(np.trace(a)) > 1e-10 * max(1.0, hs_a):
-        raise ValueError(f"matrix trace {np.trace(a):.3e} is not zero")
-
     red = zero_diagonal_reduce(a, tol=tol)
     atilde = red.atilde.copy()
     np.fill_diagonal(atilde, 0.0)  # residual diagonal is certified separately
@@ -162,17 +159,15 @@ def factor(
     q = red.q
     b = q @ (bvec[:, None] * q.conj().T)  # Q diag(b) Q*
     c = q @ ctilde @ q.conj().T
-    residual = hs_norm(a - commutator(b, c))
-    op_b = operator_norm(b)
-    hs_c = hs_norm(c)
-    ratio = op_b * hs_c / hs_a if hs_a > 0.0 else 0.0
+    check = certify(a, b, c)
+    op_b = check.op_norm_b
     bound = math.sqrt(RATIO_WINDOW + math.log(m)) if m > 1 else math.sqrt(RATIO_WINDOW)
 
     defect = hs_norm(b @ b.conj().T - b.conj().T @ b)
     valid = (
         red.converged
-        and residual <= 1e-10 * max(1.0, op_b * hs_c)
-        and defect <= 1e-10 * max(1.0, op_b**2)
+        and check.residual_ok
+        and defect <= 1e-10 * op_b**2
         and op_b <= 1.0 + math.sqrt(m / math.pi) + 1e-9
     )
     return FactorizationCertificate(
@@ -180,11 +175,11 @@ def factor(
         b=b,
         c=c,
         q=q,
-        residual=residual,
+        residual=check.residual,
         op_norm_b=op_b,
-        hs_norm_c=hs_c,
-        hs_norm_a=hs_a,
-        ratio=ratio,
+        hs_norm_c=check.hs_norm_c,
+        hs_norm_a=check.hs_norm_a,
+        ratio=check.ratio,
         bound=bound,
         seed=seed,
         trials=trials,

@@ -33,6 +33,8 @@ class Filtration:
     block_residual_s: float
     block_residual_t: float
     invariance_residual: float
+    norm_s: float  # ||S|| and ||T|| of the generators the chain was built from
+    norm_t: float
 
     @property
     def total_dim(self) -> int:
@@ -52,23 +54,32 @@ def _project_out(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs - basis @ (basis.conj().T @ vecs)
 
 
-def _structure_residuals(blocks, s, t):
-    res_s = res_t = 0.0
-    for i in range(len(blocks)):
-        for j in range(len(blocks)):
-            if i > j + 1:
-                res_s = max(res_s, hs_norm(blocks[i].conj().T @ s @ blocks[j]))
-                res_t = max(res_t, hs_norm(blocks[i].conj().T @ t @ blocks[j]))
-    return res_s, res_t
+def _compression_residuals(basis, starts, op) -> tuple[float, float]:
+    """Block-tridiagonality and invariance residuals of ``op`` on the chain.
+
+    One image op*basis and one compression G = basis* op basis give both:
+    block (i, j) of G (blocks start at column ``starts``) is P_i op P_j, so
+    the first residual is the largest ||P_i op P_j||_2 over i > j + 1; the
+    second is ||op basis - basis G||_2, the part of the image outside the
+    span (zero when the span is everything).
+    """
+    image = op @ basis
+    comp = basis.conj().T @ image
+    block_res = 0.0
+    if len(starts) > 2:
+        sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
+        block_res = float(np.sqrt(np.max(sq[np.tril_indices(len(starts), -2)])))
+    outside = 0.0 if basis.shape[1] == basis.shape[0] else hs_norm(image - basis @ comp)
+    return block_res, outside
 
 
-def _invariance_residual(basis, s, t, m):
-    if basis.shape[1] == m:
-        pi = np.eye(m)
-    else:
-        pi = basis @ basis.conj().T
-    comp = np.eye(m) - pi
-    return hs_norm(comp @ s @ pi) + hs_norm(comp @ t @ pi)
+def _chain_residuals(blocks, s, t) -> tuple[float, float, float]:
+    """Block residuals of S and T, and the summed invariance residual."""
+    basis = np.column_stack(blocks)
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    block_s, outside_s = _compression_residuals(basis, starts, s)
+    block_t, outside_t = _compression_residuals(basis, starts, t)
+    return block_s, block_t, outside_s + outside_t
 
 
 def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration:
@@ -97,9 +108,8 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     if rank_tol is None:
         rank_tol = 1e-8 * m
 
-    ns = operator_norm(s) or 1.0
-    nt = operator_norm(t) or 1.0
-    s_unit, t_unit = s / ns, t / nt
+    norm_s, norm_t = operator_norm(s), operator_norm(t)
+    s_unit, t_unit = s / (norm_s or 1.0), t / (norm_t or 1.0)
 
     blocks = [mb.copy()]
     basis = mb.copy()
@@ -130,7 +140,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         basis = np.column_stack([basis, block])
         prev = imgs
 
-    res_s, res_t = _structure_residuals(blocks, s, t)
+    res_s, res_t, inv_res = _chain_residuals(blocks, s, t)
     return Filtration(
         blocks=blocks,
         dims=[b.shape[1] for b in blocks],
@@ -138,7 +148,9 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         rank_tolerance=rank_tol,
         block_residual_s=res_s,
         block_residual_t=res_t,
-        invariance_residual=_invariance_residual(basis, s, t, m),
+        invariance_residual=inv_res,
+        norm_s=norm_s,
+        norm_t=norm_t,
     )
 
 
@@ -205,13 +217,11 @@ def verify_filtration_structure(
     hyp_op = s @ t - t @ s + lam * np.eye(m)
     proj_m = mb @ mb.conj().T
     hypothesis_residual = hs_norm(hyp_op - proj_m @ hyp_op)
-    hypothesis_tol = tol * max(1.0, hs_norm(hyp_op))
+    hypothesis_tol = tol * hs_norm(hyp_op)
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 
-    structure_tol = tol * max(1.0, op_scale)
-    invariance_tol = tol * max(1.0, op_scale)
-    res_s, res_t = _structure_residuals(filt.blocks, s, t)
-    inv_res = _invariance_residual(filt.basis(), s, t, m)
+    structure_tol = invariance_tol = tol * op_scale
+    res_s, res_t, inv_res = _chain_residuals(filt.blocks, s, t)
     dims_ok = all(d <= (n + 1) * filt.dim_m for n, d in enumerate(filt.dims))
 
     return StructureReport(

@@ -6,11 +6,14 @@ pure; tolerances are relative to the scale of the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "CommutatorCheck",
+    "NonzeroTraceError",
     "SingularProfile",
     "as_matrix",
     "commutator",
@@ -20,7 +23,13 @@ __all__ = [
     "singular_profile",
     "polar_decompose",
     "is_normal",
+    "require_trace_zero",
+    "residual_ok",
+    "certify",
 ]
+
+TRACE_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -53,8 +62,20 @@ def operator_norm(m) -> float:
 
 
 def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of |entry|^2."""
-    return float(np.linalg.norm(as_matrix(m)))
+    """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of |entry|^2.
+
+    The squares under- or overflow for entries beyond about 1e+-154; such
+    matrices are rescaled by their largest modulus first.
+    """
+    m = as_matrix(m)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if norm < 1e-150 or norm == math.inf:
+        moduli = np.abs(m)
+        peak = float(np.max(moduli, initial=0.0))
+        if peak > 0.0:
+            norm = peak * float(np.linalg.norm(moduli / peak))
+    return norm
 
 
 def nuclear_norm(m) -> float:
@@ -109,7 +130,55 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_normal(m, tol: float = 1e-10) -> bool:
-    """True iff ||M M* - M* M||_2 <= tol * max(1, ||M||^2)."""
+    """True iff ||M M* - M* M||_2 <= tol * ||M||^2."""
     m = as_matrix(m, square=True)
     defect = hs_norm(m @ m.conj().T - m.conj().T @ m)
-    return defect <= tol * max(1.0, operator_norm(m) ** 2)
+    return defect <= tol * operator_norm(m) ** 2
+
+
+class NonzeroTraceError(ValueError):
+    """The matrix has nonzero trace, so it is no commutator."""
+
+
+def require_trace_zero(a: np.ndarray, hs_a: float) -> None:
+    """Raise ``NonzeroTraceError`` unless |trace A| <= TRACE_TOL * ||A||_2 (``hs_a``)."""
+    trace = np.trace(a)
+    if abs(trace) > TRACE_TOL * hs_a:
+        raise NonzeroTraceError(
+            f"matrix trace {trace:.3e} is not zero; "
+            "only trace-zero matrices have a zero-diagonal unitary conjugate"
+        )
+
+
+def residual_ok(residual: float, op_norm_b: float, hs_norm_c: float, tol: float = RESIDUAL_TOL) -> bool:
+    """The A = [B, C] rule: ||A - [B, C]||_2 <= tol * ||B|| * ||C||_2."""
+    return residual <= tol * (op_norm_b * hs_norm_c)
+
+
+@dataclass(frozen=True)
+class CommutatorCheck:
+    """The numbers that certify A = [B, C], and the residual verdict."""
+
+    residual: float
+    op_norm_b: float
+    hs_norm_c: float
+    hs_norm_a: float
+    ratio: float  # ||B|| ||C||_2 / ||A||_2, 0 for A = 0
+    residual_ok: bool
+
+
+def certify(a, b, c, tol: float = RESIDUAL_TOL) -> CommutatorCheck:
+    """Measure ||A - [B, C]||_2, ||B||, ||C||_2, ||A||_2 and the ratio once."""
+    a = as_matrix(a, square=True)
+    residual = hs_norm(a - commutator(b, c))
+    op_b = operator_norm(b)
+    hs_c = hs_norm(c)
+    hs_a = hs_norm(a)
+    return CommutatorCheck(
+        residual=residual,
+        op_norm_b=op_b,
+        hs_norm_c=hs_c,
+        hs_norm_a=hs_a,
+        ratio=op_b * hs_c / hs_a if hs_a > 0.0 else 0.0,
+        residual_ok=residual_ok(residual, op_b, hs_c, tol),
+    )

@@ -26,10 +26,12 @@ from .factorizer import FactorizationCertificate, factor
 from .filtration import Filtration, build_filtration
 from .linalg import (
     as_matrix,
+    certify,
     commutator,
     hs_norm,
     nuclear_norm,
     operator_norm,
+    residual_ok,
     singular_profile,
 )
 
@@ -55,6 +57,7 @@ __all__ = [
 HS_LOWER_WINDOW = 10.0
 
 TRACE_TOL = 1e-8
+WITNESS_RESIDUAL_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
 PARTIAL_SUM_TOL = 1e-9
 
@@ -138,12 +141,13 @@ def verify_trace_inequality(
     lhs <= 0 and the record passes trivially.
     """
     b = as_matrix(b, square=True)
-    c = as_matrix(c, square=True)
     m = b.shape[0]
-    if abs(operator_norm(b) - 1.0) > 1e-10:
+    check = certify(extremal_matrix(m), b, c, tol=WITNESS_RESIDUAL_TOL)
+    if abs(check.op_norm_b - 1.0) > 1e-10:
         raise ValueError("B is not normalized to unit operator norm")
-    if hs_norm(commutator(b, c) - extremal_matrix(m)) > 1e-9 * max(1.0, operator_norm(b) * hs_norm(c)):
+    if not check.residual_ok:
         raise ValueError("[B, C] does not reproduce the witness matrix")
+    c = as_matrix(c, square=True)
     blocks = filt.blocks
     records = []
     rank_cum = 0
@@ -296,9 +300,8 @@ def verify_hs_lower_bound(certificates) -> HsLowerBoundReport:
     """
     records = []
     for cert in certificates:
-        witness = extremal_matrix(cert.m)
-        gap = hs_norm(commutator(cert.b, cert.c) - witness)
-        if gap > 1e-9 * max(1.0, cert.op_norm_b * cert.hs_norm_c):
+        gap = hs_norm(extremal_matrix(cert.m) - commutator(cert.b, cert.c))
+        if not residual_ok(gap, cert.op_norm_b, cert.hs_norm_c, WITNESS_RESIDUAL_TOL):
             raise ValueError(
                 f"certificate (m={cert.m}) does not factor the witness matrix: "
                 f"residual {gap:.3e}"
@@ -402,7 +405,7 @@ def lower_bound_report(
     hs_lower = verify_hs_lower_bound([cert])
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
-    op_scale = operator_norm(b_unit) + operator_norm(c_scaled)
+    op_scale = filt.norm_s + filt.norm_t
     return LowerBoundReport(
         m=m,
         normalization=norm_b,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hs_norm
+from .linalg import as_matrix, hs_norm, require_trace_zero
 
 __all__ = ["DiagonalizationResult", "zero_diagonal_reduce", "apply_conjugation"]
 
@@ -79,13 +79,13 @@ def _conjugate_inplace(w: np.ndarray, q: np.ndarray, i: int, j: int, rot: np.nda
 
 
 def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) -> DiagonalizationResult:
-    """Unitary Q such that Q* A Q has diagonal entries below tol in magnitude.
+    """Unitary Q such that Q* A Q has diagonal entries below tol * ||A||_2.
 
-    Requires trace(A) ~ 0 (no zero-diagonal unitary conjugate exists
-    otherwise).  Each sweep sorts the diagonal by real part (imaginary part
-    on alternate sweeps), pairs extremes, and replaces both entries of each
-    pair with their midpoint; the sum is conserved at 0, so the diagonal
-    contracts to zero.  A closing pass rotates entries to exact zeros where
+    Requires trace(A) ~ 0 and raises ``NonzeroTraceError`` otherwise (no
+    zero-diagonal unitary conjugate exists).  Each sweep sorts the diagonal
+    by real part (imaginary part on alternate sweeps), pairs extremes, and
+    replaces both entries of each pair with their midpoint; the sum is
+    conserved at 0, so the diagonal contracts to zero.  A closing pass rotates entries to exact zeros where
     the local 2x2 numerical range allows, dumping the leftovers onto
     not-yet-visited partners.
 
@@ -95,17 +95,12 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
     a = as_matrix(a, square=True)
     m = a.shape[0]
     scale = hs_norm(a)
-    if abs(np.trace(a)) > 1e-10 * max(1.0, scale):
-        raise ValueError(
-            f"matrix trace {np.trace(a):.3e} is not zero; "
-            "only trace-zero matrices have a zero-diagonal unitary conjugate"
-        )
+    require_trace_zero(a, scale)
     w = a.copy()
     q = np.eye(m, dtype=complex)
     if scale == 0.0 or m == 1:
-        # m == 1 with zero trace means the single entry is already ~0
-        resid = float(np.max(np.abs(np.diag(w)))) if m else 0.0
-        return DiagonalizationResult(q, w, resid, resid <= tol * max(1.0, scale), 0)
+        # a 1x1 matrix of trace zero is exactly zero
+        return DiagonalizationResult(q, w, 0.0, True, 0)
 
     target = min(tol, 1e-13) * scale
     sweeps_done = 0
@@ -152,7 +147,7 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
         q=q,
         atilde=w,
         diag_residual=resid,
-        converged=resid <= tol * max(1.0, scale),
+        converged=resid <= tol * scale,
         sweeps=sweeps_done,
     )
 

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import traceless.cli
 from traceless.cli import main
-from traceless.linalg import commutator, hs_norm
+from traceless.factorizer import factor
+from traceless.linalg import certify, commutator, hs_norm
 from traceless.lowerbound import extremal_matrix
 from traceless.matio import read_matrix, write_matrix
+
+from conftest import random_trace_zero
 
 
 def run(capsys, *argv):
@@ -63,6 +67,27 @@ class TestFactorCommand:
         for name in ("B.txt", "C.txt", "Q.txt", "certificate.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_tiny_nonzero_trace_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "tinyI.txt"
+        write_matrix(path, 1e-150 * np.eye(3))
+        code, _, err = run(capsys, "factor", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert "trace" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_not_square_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "rect.txt"
+        write_matrix(path, np.zeros((2, 3)))
+        code, _, err = run(capsys, "factor", str(path), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "square" in err
+
+    def test_bad_env_seed_exit_2(self, tmp_path, witness_file, capsys, monkeypatch):
+        monkeypatch.setenv("TRACELESS_SEED", "seven")
+        code, _, err = run(capsys, "factor", witness_file, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "TRACELESS_SEED" in err and "seven" in err
+
     def test_env_seed_default(self, tmp_path, witness_file, capsys, monkeypatch):
         d1, d2 = tmp_path / "env", tmp_path / "flag"
         monkeypatch.setenv("TRACELESS_SEED", "7")
@@ -105,6 +130,36 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", str(tmp_path / "z.txt"),
                          str(tmp_path / "b.txt"), str(tmp_path / "b.txt"))
         assert code == 0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scale_roundtrip(self, tmp_path, capsys, rng, scale):
+        write_matrix(tmp_path / "A.txt", scale * random_trace_zero(rng, 8))
+        code, out, _ = run(capsys, "factor", str(tmp_path / "A.txt"),
+                           "--out-dir", str(tmp_path), "--trials", "4")
+        assert code == 0 and "valid=True" in out
+        code, out, _ = run(capsys, "verify", str(tmp_path / "A.txt"),
+                           str(tmp_path / "B.txt"), str(tmp_path / "C.txt"))
+        assert code == 0
+        assert json.loads(out)["residual_ok"] is True
+
+    def test_tiny_nonfactorization_exit_1(self, tmp_path, capsys):
+        write_matrix(tmp_path / "a.txt", 1e-150 * np.eye(3))
+        write_matrix(tmp_path / "b.txt", np.eye(3))
+        write_matrix(tmp_path / "c.txt", np.zeros((3, 3)))
+        code, out, _ = run(capsys, "verify", str(tmp_path / "a.txt"),
+                           str(tmp_path / "b.txt"), str(tmp_path / "c.txt"))
+        assert code == 1
+        assert json.loads(out)["residual_ok"] is False
+
+    def test_numbers_are_certify_bits(self, tmp_path, witness_file, capsys):
+        out_dir = tmp_path / "out"
+        run(capsys, "factor", witness_file, "--out-dir", str(out_dir), "--trials", "8")
+        paths = [witness_file, str(out_dir / "B.txt"), str(out_dir / "C.txt")]
+        _, out, _ = run(capsys, "verify", *paths)
+        check = certify(*(read_matrix(p) for p in paths))
+        payload = json.loads(out)
+        for key in ("residual", "op_norm_b", "hs_norm_c", "hs_norm_a", "ratio", "residual_ok"):
+            assert payload[key] == getattr(check, key)
 
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
         write_matrix(tmp_path / "a2.txt", np.zeros((2, 2)))
@@ -153,6 +208,22 @@ class TestSweepCommand:
         run(capsys, *args, "--out", str(f1))
         run(capsys, *args, "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_invalid_certificate_exit_4(self, tmp_path, capsys, monkeypatch):
+        def factor_one_invalid(a, trials, seed):
+            cert = factor(a, trials=trials, seed=seed)
+            if a.shape[0] == 8 and seed == 1:
+                cert.valid = False
+            return cert
+
+        monkeypatch.setattr(traceless.cli, "factor", factor_one_invalid)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--m", "4", "8", "--seeds", "0", "1",
+                           "--trials", "2", "--out", str(out))
+        assert code == 4
+        assert "m=8 seed=1" in err
+        assert "m=4" not in err and "seed=0" not in err
+        assert len(out.read_text().strip().split("\n")) == 5  # the CSV is still complete
 
     def test_empty_m_list(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"

@@ -11,7 +11,7 @@ from traceless.factorizer import (
     mean_c2_over_permutations,
 )
 from traceless.lattice import gaussian_points
-from traceless.linalg import commutator, hs_norm, is_normal
+from traceless.linalg import NonzeroTraceError, certify, commutator, hs_norm, is_normal
 
 from conftest import random_trace_zero, random_zero_diagonal
 
@@ -73,6 +73,37 @@ class TestFactor:
     def test_nonzero_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             factor(np.eye(3))
+
+    def test_tiny_nonzero_trace_rejected(self, rng):
+        with pytest.raises(NonzeroTraceError):
+            factor(1e-150 * np.eye(3))
+        a = 1e-150 * random_trace_zero(rng, 8)
+        a[0, 0] += 1e-153
+        with pytest.raises(NonzeroTraceError):
+            factor(a)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150])
+    def test_extreme_scales_certified(self, rng, scale):
+        a = scale * random_trace_zero(rng, 16)
+        cert = factor(a, trials=8, seed=0)
+        assert cert.valid and cert.reduction_converged
+        assert cert.residual <= 1e-10 * cert.op_norm_b * cert.hs_norm_c
+        assert cert.hs_norm_a == pytest.approx(scale * hs_norm(a / scale), rel=1e-12)
+
+    def test_m1(self):
+        cert = factor(np.zeros((1, 1)), trials=1)
+        assert cert.valid and cert.ratio == 0.0 and cert.residual == 0.0
+        with pytest.raises(NonzeroTraceError):
+            factor(np.array([[1e-12]]))
+
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_fields_are_certify_bits(self, rng, m):
+        a = random_trace_zero(rng, m)
+        cert = factor(a, trials=4, seed=0)
+        check = certify(a, cert.b, cert.c)
+        assert (cert.residual, cert.op_norm_b, cert.hs_norm_c, cert.hs_norm_a, cert.ratio) == (
+            check.residual, check.op_norm_b, check.hs_norm_c, check.hs_norm_a, check.ratio
+        )
 
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
     def test_end_to_end_invariants(self, rng, m):

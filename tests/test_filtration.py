@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from traceless.factorizer import factor
-from traceless.filtration import build_filtration, verify_filtration_structure
+from traceless.filtration import _chain_residuals, build_filtration, verify_filtration_structure
 from traceless.linalg import hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
 
@@ -138,6 +138,18 @@ class TestVerifyFiltrationStructure:
         assert report.invariance_ok is None
         assert not report.all_ok
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_checks_are_scale_free(self, rng, scale):
+        m = 5
+        s, t = random_complex(rng, m), random_complex(rng, m)
+        mb = seed_vector(m)
+        report = verify_filtration_structure(build_filtration(s, t, mb), scale * s, scale * t, 0.0, mb)
+        assert not report.hypothesis_ok and not report.all_ok
+        b, c = normalized_witness_factors(9)
+        filt = build_filtration(b, c, seed_vector(9))
+        report = verify_filtration_structure(filt, scale * b, c, scale / 9.0, seed_vector(9))
+        assert report.all_ok
+
     def test_tridiagonal_by_construction(self):
         # projecting the operators onto the block-tridiagonal pattern of an
         # existing filtration makes the structure residual exactly zero
@@ -174,3 +186,61 @@ def test_witness_filtration_complete(m):
     tol = 1e-8 * (operator_norm(b) + operator_norm(c))
     assert max(filt.block_residual_s, filt.block_residual_t) <= tol
     assert filt.invariance_residual <= 1e-8
+
+
+# The per-pair and projector forms of the residuals, kept as references for
+# the single compression basis* op basis that the package computes.
+def reference_structure_residuals(blocks, s, t):
+    res_s = res_t = 0.0
+    for i in range(len(blocks)):
+        for j in range(len(blocks)):
+            if i > j + 1:
+                res_s = max(res_s, hs_norm(blocks[i].conj().T @ s @ blocks[j]))
+                res_t = max(res_t, hs_norm(blocks[i].conj().T @ t @ blocks[j]))
+    return res_s, res_t
+
+
+def reference_invariance_residual(basis, s, t, m):
+    pi = np.eye(m) if basis.shape[1] == m else basis @ basis.conj().T
+    comp = np.eye(m) - pi
+    return hs_norm(comp @ s @ pi) + hs_norm(comp @ t @ pi)
+
+
+def assert_matches_references(blocks, s, t):
+    # fixed from the dtype: a few hundred roundings per entry of an m x m product
+    m = s.shape[0]
+    tol = 100 * m * np.finfo(np.float64).eps * (operator_norm(s) + operator_norm(t))
+    res_s, res_t, inv = _chain_residuals(blocks, s, t)
+    ref_s, ref_t = reference_structure_residuals(blocks, s, t)
+    ref_inv = reference_invariance_residual(np.column_stack(blocks), s, t, m)
+    assert abs(res_s - ref_s) <= tol
+    assert abs(res_t - ref_t) <= tol
+    assert abs(inv - ref_inv) <= tol
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_compression_matches_references_witness(m):
+    b, c = normalized_witness_factors(m)
+    filt = build_filtration(b, c, seed_vector(m))
+    assert filt.complete(m)
+    for k in (len(filt.blocks), len(filt.blocks) // 2, 3, 2, 1):  # whole and truncated chains
+        assert_matches_references(filt.blocks[:k], b, c)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_compression_matches_references_random(rng, m):
+    s, t = random_complex(rng, m), random_complex(rng, m)
+    mb, _ = np.linalg.qr(random_complex(rng, m)[:, :2])
+    filt = build_filtration(s, t, mb)
+    assert filt.block_residual_t > 1e-3  # T leaves the chain: a nonzero case
+    for k in (len(filt.blocks), 3, 2):
+        assert_matches_references(filt.blocks[:k], s, t)
+    res_s, res_t, inv = _chain_residuals(filt.blocks, s, t)
+    stored = (filt.block_residual_s, filt.block_residual_t, filt.invariance_residual)
+    assert stored == (res_s, res_t, inv)
+
+
+def test_stored_generator_norms(rng):
+    s, t = random_complex(rng, 6), np.zeros((6, 6))
+    filt = build_filtration(s, t, seed_vector(6))
+    assert filt.norm_s == operator_norm(s) and filt.norm_t == 0.0

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from traceless.linalg import (
+    NonzeroTraceError,
+    certify,
     commutator,
     hs_norm,
     is_normal,
     nuclear_norm,
     operator_norm,
     polar_decompose,
+    require_trace_zero,
+    residual_ok,
     singular_profile,
 )
 
@@ -165,6 +169,57 @@ class TestIsNormal:
 
     def test_jordan_block_not_normal(self):
         assert not is_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_tiny_jordan_block_not_normal(self):
+        assert not is_normal(1e-150 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_zero_matrix_normal(self):
+        assert is_normal(np.zeros((3, 3)))
+
+
+class TestCertify:
+    def test_hand_triple(self):
+        a = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+        b = np.diag([0.0, 1.0]).astype(complex)
+        c = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)
+        check = certify(a, b, c)
+        assert check.residual == 0.0 and check.residual_ok
+        assert check.op_norm_b == pytest.approx(1.0, abs=1e-15)
+        assert check.hs_norm_c == hs_norm(c) and check.hs_norm_a == hs_norm(a)
+        assert check.ratio == pytest.approx(1.0, abs=1e-14)
+
+    def test_zero_triple_exact(self):
+        z = np.zeros((3, 3))
+        check = certify(z, np.eye(3), z)
+        assert (check.residual, check.ratio, check.residual_ok) == (0.0, 0.0, True)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_rule_is_relative(self, scale):
+        # a residual of 1e-6 relative to ||B|| ||C||_2 fails at every scale
+        assert not residual_ok(1e-6 * scale, 1.0, scale)
+        assert residual_ok(1e-12 * scale, 1.0, scale)
+
+    def test_tiny_nonfactorization_rejected(self):
+        # C = 0 cannot factor a nonzero A, however small A is
+        a = 1e-150 * np.diag([1.0, -1.0]).astype(complex)
+        check = certify(a, np.diag([0.0, 1.0]), np.zeros((2, 2)))
+        assert check.residual == hs_norm(a) and not check.residual_ok
+
+
+class TestRequireTraceZero:
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_identity_rejected_at_every_scale(self, scale):
+        a = scale * np.eye(3, dtype=complex)
+        with pytest.raises(NonzeroTraceError, match="trace"):
+            require_trace_zero(a, hs_norm(a))
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(NonzeroTraceError, ValueError)
+
+    def test_zero_and_trace_zero_accepted(self, rng):
+        require_trace_zero(np.zeros((1, 1), dtype=complex), 0.0)
+        a = 1e-150 * np.diag([1.0, -1.0]).astype(complex)
+        require_trace_zero(a, hs_norm(a))
 
 
 finite_entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
