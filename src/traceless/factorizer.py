@@ -104,6 +104,18 @@ def _fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
     return perm
 
 
+def _scaled_abs2(atilde: np.ndarray) -> np.ndarray:
+    """|a_ij|^2 after scaling A-tilde by a power of two to max |a_ij| in [0.5, 1).
+
+    The scale is exact, so objectives keep their order (and their bits up to
+    the same power of two), but squares of entries near 1e300 stay finite.
+    """
+    moduli = np.abs(atilde)
+    peak = float(np.max(moduli, initial=0.0))
+    np.ldexp(moduli, -np.frexp(peak)[1], out=moduli)
+    return np.square(moduli, out=moduli)
+
+
 def _assignment_objective(abs2: np.ndarray, inv_d: np.ndarray, perm: np.ndarray) -> float:
     """||C||_2^2 for the assignment b_i = points[perm[i]]."""
     return float(np.sum(abs2 * inv_d[np.ix_(perm, perm)]))
@@ -134,7 +146,7 @@ def factor(
     np.fill_diagonal(atilde, 0.0)  # residual diagonal is certified separately
     points = gaussian_points(m).points
 
-    abs2 = np.abs(atilde) ** 2
+    abs2 = _scaled_abs2(atilde)
     diff = points[:, None] - points[None, :]
     d2 = diff.real**2 + diff.imag**2
     np.fill_diagonal(d2, 1.0)
@@ -150,6 +162,8 @@ def factor(
         obj = _assignment_objective(abs2, inv_d, perm)
         if obj < best_obj:
             best_obj, best_perm, best_trial = obj, perm, trial
+    if best_perm is None:
+        raise np.linalg.LinAlgError(f"no assignment trial gave a finite ||C||_2^2 (last: {obj})")
 
     bvec = points[best_perm]
     if optimize_assignment:
@@ -233,7 +247,7 @@ def local_swap_improve(atilde, b, max_passes: int = 4) -> np.ndarray:
     m = atilde.shape[0]
     if len(bvec) != m:
         raise ValueError(f"need {m} diagonal values, got {len(bvec)}")
-    abs2 = np.abs(atilde) ** 2
+    abs2 = _scaled_abs2(atilde)
 
     def objective(vec: np.ndarray) -> float:
         diff = vec[:, None] - vec[None, :]

@@ -35,6 +35,7 @@ class Filtration:
     invariance_residual: float
     norm_s: float  # ||S|| and ||T|| of the generators the chain was built from
     norm_t: float
+    generators: tuple[np.ndarray, np.ndarray] = field(repr=False)  # those S, T (not copies)
 
     @property
     def total_dim(self) -> int:
@@ -151,6 +152,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         invariance_residual=inv_res,
         norm_s=norm_s,
         norm_t=norm_t,
+        generators=(s, t),
     )
 
 
@@ -198,7 +200,9 @@ def verify_filtration_structure(
 
     Hypothesis: ([S,T] + lambda I) maps everything into span(m_basis).
     Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
-    and invariance of the chain's total span under both operators.
+    and invariance of the chain's total span under both operators.  When S
+    and T equal the generators ``filt`` was built from, the build's norms
+    and residuals are reused instead of computed again.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -211,7 +215,13 @@ def verify_filtration_structure(
     ):
         raise ValueError("filtration was not built from this seed basis")
 
-    op_scale = operator_norm(s) + operator_norm(t)
+    if all(np.array_equal(op, built) for op, built in zip((s, t), filt.generators)):
+        # the build measured these very operators: reuse its norms and residuals
+        op_scale = filt.norm_s + filt.norm_t
+        res_s, res_t, inv_res = filt.block_residual_s, filt.block_residual_t, filt.invariance_residual
+    else:
+        op_scale = operator_norm(s) + operator_norm(t)
+        res_s, res_t, inv_res = _chain_residuals(filt.blocks, s, t)
     if tol is None:
         tol = 1e-8
     hyp_op = s @ t - t @ s + lam * np.eye(m)
@@ -221,7 +231,6 @@ def verify_filtration_structure(
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 
     structure_tol = invariance_tol = tol * op_scale
-    res_s, res_t, inv_res = _chain_residuals(filt.blocks, s, t)
     dims_ok = all(d <= (n + 1) * filt.dim_m for n, d in enumerate(filt.dims))
 
     return StructureReport(

@@ -39,7 +39,7 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.ravel(order="K").view(float)).all():  # any memory order
         raise ValueError("matrix has non-finite entries")
     return m
 

@@ -10,6 +10,7 @@ exact-zeroing rotations mops up the remainder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,8 @@ def _attaining_rotation(block: np.ndarray, target: complex):
     rank = int(np.sum(ms > 1e-14 * scale))  # at most 2, so a null direction exists
     coeffs = (mu.T @ rhs)[:rank] / ms[:rank]
     z0 = mvt[:rank].T @ coeffs
-    if np.linalg.norm(mat @ z0 - rhs) > 1e-12 * max(1.0, float(np.linalg.norm(rhs)), scale):
+    # hypot, not a sum of squares: entries near 1e300 must not overflow the test
+    if math.hypot(*(mat @ z0 - rhs)) > 1e-12 * max(1.0, math.hypot(*rhs), scale):
         return None  # degenerate ellipse, target off its segment
     n0 = float(z0 @ z0)
     if n0 > 1.0 + 1e-12:

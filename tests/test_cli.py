@@ -75,6 +75,14 @@ class TestFactorCommand:
         assert "trace" in err
         assert not (tmp_path / "out").exists()
 
+    def test_near_overflow_roundtrip(self, tmp_path, capsys, rng):
+        path = tmp_path / "huge.txt"
+        write_matrix(path, 1e300 * random_trace_zero(rng, 16))
+        code, out, _ = run(capsys, "factor", str(path), "--out-dir", str(tmp_path / "o"), "--trials", "8")
+        assert code == 0 and "valid=True" in out
+        code, _, _ = run(capsys, "verify", str(path), str(tmp_path / "o" / "B.txt"), str(tmp_path / "o" / "C.txt"))
+        assert code == 0
+
     def test_not_square_exit_2(self, tmp_path, capsys):
         path = tmp_path / "rect.txt"
         write_matrix(path, np.zeros((2, 3)))

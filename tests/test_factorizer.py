@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import traceless.factorizer
 from traceless.factorizer import (
     c_from_b,
     expectation_identity_gap,
@@ -89,6 +90,27 @@ class TestFactor:
         assert cert.valid and cert.reduction_converged
         assert cert.residual <= 1e-10 * cert.op_norm_b * cert.hs_norm_c
         assert cert.hs_norm_a == pytest.approx(scale * hs_norm(a / scale), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    def test_near_overflow_certified(self, rng, m):
+        # |a_ij|^2 overflows here; the assignment objective must not
+        a = 1e300 * random_trace_zero(rng, m)
+        cert = factor(a, trials=8, seed=0)
+        assert cert.valid and cert.reduction_converged
+        assert cert.ratio <= cert.bound
+
+    def test_objective_weights_scale_free(self, rng):
+        # the objective sees |a_ij|^2 of A-tilde scaled to max modulus in [0.5, 1), bit for bit
+        a = random_zero_diagonal(rng, 12)
+        base = traceless.factorizer._scaled_abs2(a)
+        assert 0.25 <= base.max() < 1.0
+        for k in (-1000, -3, 7, 990):
+            assert np.array_equal(traceless.factorizer._scaled_abs2(a * 2.0**k), base)
+
+    def test_no_finite_trial_is_an_error(self, rng, monkeypatch):
+        monkeypatch.setattr(traceless.factorizer, "_assignment_objective", lambda *args: math.nan)
+        with pytest.raises(np.linalg.LinAlgError, match="finite"):
+            factor(random_trace_zero(rng, 4), trials=3)
 
     def test_m1(self):
         cert = factor(np.zeros((1, 1)), trials=1)

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import traceless.filtration
+from traceless.cli import main
 from traceless.factorizer import factor
 from traceless.filtration import _chain_residuals, build_filtration, verify_filtration_structure
 from traceless.linalg import hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
+from traceless.matio import write_matrix
 
 from conftest import random_complex, random_unitary
 
@@ -244,3 +249,35 @@ def test_stored_generator_norms(rng):
     s, t = random_complex(rng, 6), np.zeros((6, 6))
     filt = build_filtration(s, t, seed_vector(6))
     assert filt.norm_s == operator_norm(s) and filt.norm_t == 0.0
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_verify_reuses_build_numbers_exactly(m):
+    b, c = normalized_witness_factors(m)
+    mb = seed_vector(m)
+    filt = build_filtration(b, c, mb)
+    reused = verify_filtration_structure(filt, b, c, 1.0 / m, mb)
+    # generators the build did not see force the full recomputation
+    fresh = dataclasses.replace(filt, generators=(np.zeros_like(b), np.zeros_like(c)))
+    assert reused == verify_filtration_structure(fresh, b, c, 1.0 / m, mb)
+    assert reused.all_ok
+    # equal copies are the same operators
+    assert reused == verify_filtration_structure(filt, b.copy(), c.copy(), 1.0 / m, mb)
+
+
+def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
+    m = 12
+    b, c = normalized_witness_factors(m)
+    paths = [str(tmp_path / f"{name}.txt") for name in "STM"]
+    for path, mat in zip(paths, (b, c, seed_vector(m))):
+        write_matrix(path, mat)
+    calls = []
+    orig = traceless.filtration.operator_norm
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return orig(mat)
+
+    monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
+    assert main(["filtration", *paths, "--lam", f"{1.0 / m!r},0", "--out", str(tmp_path / "f.json")]) == 0
+    assert len(calls) == 2  # ||S|| and ||T|| in the build; verify reuses them

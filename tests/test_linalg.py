@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from traceless.linalg import (
     NonzeroTraceError,
+    as_matrix,
     certify,
     commutator,
     hs_norm,
@@ -23,6 +24,16 @@ from traceless.linalg import (
 from conftest import random_complex, random_unitary
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+
+
+def test_as_matrix_strided_views(rng):
+    a = random_complex(rng, 5)
+    for view in (a.T, a[:, ::2], np.asfortranarray(a)):
+        assert np.array_equal(as_matrix(view), view)
+    bad = a.copy()
+    bad[1, 3] = complex(0.0, math.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(bad.T)
 
 
 class TestCommutator:
