@@ -6,11 +6,17 @@ there is a closed-form unitary whose conjugation puts the target in the
 (0,0) slot.  Averaging sweeps drive every diagonal entry of the full matrix
 toward the common mean trace/m = 0 geometrically; a final chain of
 exact-zeroing rotations mops up the remainder.
+
+Each sweep sorts the diagonal by real part (imaginary part on odd sweeps)
+and pairs the extremes.  The pairs are disjoint, so their rotations commute
+and all follow from the 2x2 blocks before the sweep: one stacked solve finds
+them, and one update of the rows and one of the columns applies them.  A is
+first scaled by an exact power of two to max |a_ij| in [0.5, 1), so Q does
+not depend on the scale of A.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,51 +39,39 @@ class DiagonalizationResult:
     sweeps: int
 
 
-def _attaining_rotation(block: np.ndarray, target: complex):
-    """2x2 unitary U with (U* block U)[0,0] == target, or None.
+def _attaining_rotations(blocks: np.ndarray, targets: np.ndarray):
+    """2x2 unitaries U_k with (U_k* blocks[k] U_k)[0,0] == targets[k].
 
-    Writing candidate unit vectors as (cos t, sin t * e^{i f}), the attained
-    value is an affine image of (cos 2t, sin 2t cos f, sin 2t sin f), a point
-    of the unit 2-sphere.  Hitting the target is a linear system on the
-    sphere: take the min-norm solution of the 2x3 system and walk along the
-    null space back to unit length.  No solution iff the target lies outside
-    the numerical range.
+    Returns the (k, 2, 2) stack of U_k and a mask of the k that have one;
+    the other U_k are meaningless.  Writing candidate unit vectors as
+    (cos t, sin t * e^{i f}), the attained value is an affine image of
+    (cos 2t, sin 2t cos f, sin 2t sin f), a point of the unit 2-sphere.
+    Hitting the target is a linear system on the sphere: take the min-norm
+    solution of the 2x3 system and walk along the null space back to unit
+    length.  No solution iff the target lies outside the numerical range.
     """
-    b11, b12 = block[0, 0], block[0, 1]
-    b21, b22 = block[1, 0], block[1, 1]
-    w = target - 0.5 * (b11 + b22)
-    beta = 0.5 * (b11 - b22)
-    u = 0.5 * (b12 + b21)
-    v = 0.5j * (b12 - b21)
-    mat = np.array(
-        [[beta.real, u.real, v.real], [beta.imag, u.imag, v.imag]]
-    )
-    rhs = np.array([w.real, w.imag])
+    b11, b12, b21, b22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    w = targets - 0.5 * (b11 + b22)
+    coef = np.stack([0.5 * (b11 - b22), 0.5 * (b12 + b21), 0.5j * (b12 - b21)], axis=1)
+    mat = np.stack([coef.real, coef.imag], axis=1)  # (k, 2, 3)
+    rhs = np.stack([w.real, w.imag], axis=1)
     mu, ms, mvt = np.linalg.svd(mat)
-    scale = ms[0] if ms[0] > 0.0 else 1.0
-    rank = int(np.sum(ms > 1e-14 * scale))  # at most 2, so a null direction exists
-    coeffs = (mu.T @ rhs)[:rank] / ms[:rank]
-    z0 = mvt[:rank].T @ coeffs
-    # hypot, not a sum of squares: entries near 1e300 must not overflow the test
-    if math.hypot(*(mat @ z0 - rhs)) > 1e-12 * max(1.0, math.hypot(*rhs), scale):
-        return None  # degenerate ellipse, target off its segment
-    n0 = float(z0 @ z0)
-    if n0 > 1.0 + 1e-12:
-        return None  # target outside the numerical range
-    z = z0 + np.sqrt(max(0.0, 1.0 - n0)) * mvt[rank]
-    c, p, q = z
+    kept = ms > 1e-14 * ms[:, :1]  # rank at most 2, so a null direction exists
+    coeffs = np.divide(np.einsum("kij,ki->kj", mu, rhs), ms, out=np.zeros_like(ms), where=kept)
+    z0 = np.einsum("kr,krj->kj", coeffs, mvt[:, :2])
+    miss = np.einsum("kij,kj->ki", mat, z0) - rhs
+    # hypot, not a sum of squares: entries near 1e300 must not overflow the test;
+    # a miss means a degenerate ellipse with the target off its segment
+    hit = np.hypot(*miss.T) <= 1e-12 * np.maximum(np.hypot(*rhs.T), ms[:, 0])
+    n0 = np.einsum("kj,kj->k", z0, z0)
+    z = z0 + np.sqrt(np.maximum(0.0, 1.0 - n0))[:, None] * mvt[np.arange(len(ms)), kept.sum(1)]
+    c, p, q = z.T
     s = np.hypot(p, q)
     theta = 0.5 * np.arctan2(s, c)
-    phase = np.exp(1j * np.arctan2(q, p)) if s > 0.0 else 1.0
+    phase = np.where(s > 0.0, np.exp(1j * np.arctan2(q, p)), 1.0)
     ct, st = np.cos(theta), np.sin(theta)
-    return np.array([[ct, -st * np.conj(phase)], [st * phase, ct]])
-
-
-def _conjugate_inplace(w: np.ndarray, q: np.ndarray, i: int, j: int, rot: np.ndarray) -> None:
-    idx = [i, j]
-    w[idx, :] = rot.conj().T @ w[idx, :]
-    w[:, idx] = w[:, idx] @ rot
-    q[:, idx] = q[:, idx] @ rot
+    rots = np.stack([ct, -st * np.conj(phase), st * phase, ct], axis=1).reshape(-1, 2, 2)
+    return rots, hit & (n0 <= 1.0 + 1e-12)
 
 
 def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) -> DiagonalizationResult:
@@ -96,59 +90,72 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
     """
     a = as_matrix(a, square=True)
     m = a.shape[0]
-    scale = hs_norm(a)
-    require_trace_zero(a, scale)
-    w = a.copy()
-    q = np.eye(m, dtype=complex)
+    require_trace_zero(a, hs_norm(a))
+    # an exact power-of-two scale to max |a_ij| in [0.5, 1): the same Q at every scale of A
+    exp = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    w = np.ldexp(np.ascontiguousarray(a).view(float), -exp).view(complex)
+    scale = hs_norm(w)
+    qh = np.eye(m, dtype=complex)  # Q*, so that Q too is updated by rows
     if scale == 0.0 or m == 1:
         # a 1x1 matrix of trace zero is exactly zero
-        return DiagonalizationResult(q, w, 0.0, True, 0)
+        return DiagonalizationResult(qh, a.copy(), 0.0, True, 0)
 
+    # W <- U* W U needs a row and a column update; columns are strided, so
+    # each sweep updates rows, transposes, and updates rows again, using
+    # (U* W U)^T = U^T (U* W)^T.  w holds W^T after odd sweeps.
     target = min(tol, 1e-13) * scale
     sweeps_done = 0
+    transposed = False
     for sweep in range(max_sweeps):
         d = np.diag(w)
         if float(np.max(np.abs(d))) <= target:
             break
-        key = d.real if sweep % 2 == 0 else d.imag
-        order = np.argsort(key, kind="stable")
-        for k in range(m // 2):
-            i, j = int(order[k]), int(order[m - 1 - k])
-            dii, djj = w[i, i], w[j, j]
-            if abs(dii - djj) <= 0.25 * target:
-                continue
-            block = np.array([[w[i, i], w[i, j]], [w[j, i], w[j, j]]])
-            rot = _attaining_rotation(block, 0.5 * (dii + djj))
-            if rot is None:
-                continue
-            _conjugate_inplace(w, q, i, j, rot)
+        order = np.argsort(d.real if sweep % 2 == 0 else d.imag, kind="stable")
+        pairs = np.stack([order[: m // 2], order[::-1][: m // 2]], axis=1)
+        pairs = pairs[np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]) > 0.25 * target]
+        if len(pairs):
+            blocks = w[pairs[:, :, None], pairs[:, None, :]]
+            rots, ok = _attaining_rotations(
+                blocks.transpose(0, 2, 1) if transposed else blocks, d[pairs].mean(axis=1)
+            )
+            pairs, rots = pairs[ok], rots[ok]
+            first, second = rots.conj().transpose(0, 2, 1), rots.transpose(0, 2, 1)
+            qh[pairs] = first @ qh[pairs]
+            if transposed:
+                first, second = second, first
+            w[pairs] = first @ w[pairs]
+            w = w.T.copy()
+            w[pairs] = second @ w[pairs]
+            transposed = not transposed
         sweeps_done = sweep + 1
+    if transposed:
+        w = w.T.copy()
 
     # Exact-zero chain: visit entries largest first; a rotation on (i, j)
     # moves the whole 2x2 trace onto j, so partners are drawn from the
     # unvisited set and finished entries stay exactly zero.
-    d = np.diag(w)
-    order = [int(i) for i in np.argsort(-np.abs(d), kind="stable")]
-    remaining = set(order)
-    for i in order:
-        remaining.discard(i)
-        if w[i, i] == 0.0 or not remaining:
+    remaining = np.ones(m, dtype=bool)
+    for i in np.argsort(-np.abs(np.diag(w)), kind="stable"):
+        remaining[i] = False
+        if w[i, i] == 0.0:
             continue
-        coupling = np.abs(w[i, :]) + np.abs(w[:, i])
-        for j in sorted(remaining, key=lambda t: -coupling[t]):
-            block = np.array([[w[i, i], w[i, j]], [w[j, i], w[j, j]]])
-            rot = _attaining_rotation(block, 0.0)
-            if rot is None:
-                continue
-            _conjugate_inplace(w, q, i, j, rot)
-            w[i, i] = 0.0
-            break
+        partners = np.flatnonzero(remaining)
+        coupling = np.abs(w[i, partners]) + np.abs(w[partners, i])
+        for j in partners[np.argsort(-coupling, kind="stable")]:
+            pair = np.array([i, j])
+            rots, ok = _attaining_rotations(w[np.ix_(pair, pair)][None], np.zeros(1))
+            if ok[0]:
+                qh[pair] = rots[0].conj().T @ qh[pair]
+                w[pair] = rots[0].conj().T @ w[pair]
+                w[:, pair] = w[:, pair] @ rots[0]
+                w[i, i] = 0.0
+                break
 
     resid = float(np.max(np.abs(np.diag(w))))
     return DiagonalizationResult(
-        q=q,
-        atilde=w,
-        diag_residual=resid,
+        q=np.ascontiguousarray(qh.conj().T),
+        atilde=np.ldexp(w.view(float), exp).view(complex),
+        diag_residual=float(np.ldexp(resid, exp)),
         converged=resid <= tol * scale,
         sweeps=sweeps_done,
     )
