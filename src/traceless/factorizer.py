@@ -97,11 +97,15 @@ def c_from_b(atilde, b) -> np.ndarray:
 
 
 def _fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """Shuffle 0..n-1: swap i with a uniform j in [0, i] for i = n-1 down to 1.
+
+    All j come from one ``integers`` call with the bounds as an array; it
+    draws the same stream, value by value, as one call per step.
+    """
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.intp)
 
 
 def _scaled_abs2(atilde: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ residuals are reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +37,20 @@ class Filtration:
     norm_s: float  # ||S|| and ||T|| of the generators the chain was built from
     norm_t: float
     generators: tuple[np.ndarray, np.ndarray] = field(repr=False)  # those S, T (not copies)
+    # per block pair n, (X_n, Y_n) = (B_{n+1}* T B_n, B_{n+1}* T* B_n) of the generator T,
+    # read from the build's compression basis* T basis
+    boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @cached_property
+    def boundary_svds(self) -> list[tuple[tuple, tuple]]:
+        """Thin SVDs (U, sigma, V^H) of each ``boundary`` pair, computed on first use."""
+        return [
+            tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in self.boundary
+        ]
 
     def basis(self) -> np.ndarray:
         """All block columns side by side (an isometry onto the chain's span)."""
@@ -51,18 +62,19 @@ class Filtration:
 
 def _project_out(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Remove basis components twice (classical reorthogonalization)."""
-    vecs = vecs - basis @ (basis.conj().T @ vecs)
-    return vecs - basis @ (basis.conj().T @ vecs)
+    basis_h = basis.conj().T
+    vecs = vecs - basis @ (basis_h @ vecs)
+    return vecs - basis @ (basis_h @ vecs)
 
 
-def _compression_residuals(basis, starts, op) -> tuple[float, float]:
+def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]:
     """Block-tridiagonality and invariance residuals of ``op`` on the chain.
 
     One image op*basis and one compression G = basis* op basis give both:
     block (i, j) of G (blocks start at column ``starts``) is P_i op P_j, so
     the first residual is the largest ||P_i op P_j||_2 over i > j + 1; the
     second is ||op basis - basis G||_2, the part of the image outside the
-    span (zero when the span is everything).
+    span (zero when the span is everything).  G itself is returned third.
     """
     image = op @ basis
     comp = basis.conj().T @ image
@@ -71,16 +83,29 @@ def _compression_residuals(basis, starts, op) -> tuple[float, float]:
         sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
         block_res = float(np.sqrt(np.max(sq[np.tril_indices(len(starts), -2)])))
     outside = 0.0 if basis.shape[1] == basis.shape[0] else hs_norm(image - basis @ comp)
-    return block_res, outside
+    return block_res, outside, comp
+
+
+def _chain_compression(blocks, s, t):
+    """Block residuals of S and T, the summed invariance residual, and T's boundary blocks.
+
+    Block (n+1, n) of G_T = basis* T basis is X_n = B_{n+1}* T B_n, and block
+    (n, n+1) is the adjoint of Y_n = B_{n+1}* T* B_n; both are copied out so
+    that G_T itself is not kept.
+    """
+    basis = np.column_stack(blocks)
+    dims = [b.shape[1] for b in blocks]
+    starts = np.cumsum([0] + dims[:-1])
+    block_s, outside_s = _compression_residuals(basis, starts, s)[:2]
+    block_t, outside_t, comp_t = _compression_residuals(basis, starts, t)
+    spans = [slice(a, a + d) for a, d in zip(starts, dims)]
+    boundary = [(comp_t[hi, lo].copy(), comp_t[lo, hi].conj().T) for lo, hi in zip(spans, spans[1:])]
+    return block_s, block_t, outside_s + outside_t, boundary
 
 
 def _chain_residuals(blocks, s, t) -> tuple[float, float, float]:
     """Block residuals of S and T, and the summed invariance residual."""
-    basis = np.column_stack(blocks)
-    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-    block_s, outside_s = _compression_residuals(basis, starts, s)
-    block_t, outside_t = _compression_residuals(basis, starts, t)
-    return block_s, block_t, outside_s + outside_t
+    return _chain_compression(blocks, s, t)[:3]
 
 
 def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration:
@@ -93,7 +118,8 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     Internally S and T are rescaled by their operator norms, which leaves
     every span unchanged but keeps image magnitudes tame.  The build stops
     when a degree adds nothing, the span is complete, or the degree cap 2m
-    is reached.
+    is reached.  The residual check's compression basis* T basis also
+    gives the boundary blocks of T, which the filtration keeps.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -141,7 +167,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         basis = np.column_stack([basis, block])
         prev = imgs
 
-    res_s, res_t, inv_res = _chain_residuals(blocks, s, t)
+    res_s, res_t, inv_res, boundary = _chain_compression(blocks, s, t)
     return Filtration(
         blocks=blocks,
         dims=[b.shape[1] for b in blocks],
@@ -153,6 +179,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         norm_s=norm_s,
         norm_t=norm_t,
         generators=(s, t),
+        boundary=boundary,
     )
 
 

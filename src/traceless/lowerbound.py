@@ -26,10 +26,8 @@ from .factorizer import FactorizationCertificate, factor
 from .filtration import Filtration, build_filtration
 from .linalg import (
     as_matrix,
-    certify,
     commutator,
     hs_norm,
-    nuclear_norm,
     operator_norm,
     residual_ok,
     singular_profile,
@@ -129,6 +127,25 @@ class TraceIneqRecord:
     normbd_passed: bool
 
 
+def _boundary_svds(c, filt: Filtration) -> list[tuple[tuple, tuple]]:
+    """Thin SVDs of X_n = B_{n+1}* C B_n and Y_n = B_{n+1}* C* B_n per block pair n.
+
+    For the generator T the filtration was built from, the blocks are the
+    bands its build read off basis* T basis, factored once per filtration;
+    any other C is compressed here.
+    """
+    if np.array_equal(c, filt.generators[1]):
+        return filt.boundary_svds
+    blocks = filt.blocks
+    return [
+        tuple(
+            np.linalg.svd(hi.conj().T @ source @ lo, full_matrices=False)
+            for source in (c, c.conj().T)
+        )
+        for lo, hi in zip(blocks, blocks[1:])
+    ]
+
+
 def verify_trace_inequality(
     b, c, filt: Filtration
 ) -> list[TraceIneqRecord]:
@@ -136,30 +153,29 @@ def verify_trace_inequality(
 
     Requires ||B|| = 1 (rescale (B, C) -> (B/||B||, C ||B||) first, which
     leaves the commutator unchanged) and [B, C] equal to the witness
-    matrix.  Ranks are the filtration's numerical dimensions.  Degrees past
-    the last block use an empty block, so an exhausted filtration yields
-    lhs <= 0 and the record passes trivially.
+    matrix.  Ranks are the filtration's numerical dimensions, and the rhs
+    at degree n is sum sigma(X_n) + sum sigma(Y_n) from the boundary-block
+    SVDs shared with the partial isometries; ||B|| is the filtration's
+    ||S|| when B is its generator S.  Degrees past the last block use an
+    empty block, so an exhausted filtration yields lhs <= 0 and the record
+    passes trivially.
     """
     b = as_matrix(b, square=True)
-    m = b.shape[0]
-    check = certify(extremal_matrix(m), b, c, tol=WITNESS_RESIDUAL_TOL)
-    if abs(check.op_norm_b - 1.0) > 1e-10:
-        raise ValueError("B is not normalized to unit operator norm")
-    if not check.residual_ok:
-        raise ValueError("[B, C] does not reproduce the witness matrix")
     c = as_matrix(c, square=True)
-    blocks = filt.blocks
+    m = b.shape[0]
+    op_b = filt.norm_s if np.array_equal(b, filt.generators[0]) else operator_norm(b)
+    if abs(op_b - 1.0) > 1e-10:
+        raise ValueError("B is not normalized to unit operator norm")
+    residual = hs_norm(extremal_matrix(m) - commutator(b, c))
+    if not residual_ok(residual, op_b, hs_norm(c), WITNESS_RESIDUAL_TOL):
+        raise ValueError("[B, C] does not reproduce the witness matrix")
+    nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in _boundary_svds(c, filt)]
     records = []
     rank_cum = 0
-    for n in range(len(blocks)):
+    for n in range(len(filt.blocks)):
         rank_cum += filt.dims[n]
         lhs = 1.0 - rank_cum / m
-        if n + 1 < len(blocks):
-            upper = nuclear_norm(blocks[n + 1].conj().T @ c @ blocks[n])
-            lower = nuclear_norm(blocks[n].conj().T @ c @ blocks[n + 1])
-            rhs = upper + lower
-        else:
-            rhs = 0.0
+        rhs = nuclear[n] if n < len(nuclear) else 0.0
         normbd_bound = 1.0 - _triangular(n) / m
         records.append(
             TraceIneqRecord(
@@ -179,8 +195,9 @@ def verify_trace_inequality(
 def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
     """Partial isometries V, W moving block n+1 back onto block n.
 
-    Per block pair, the polar factors of the compressed matrices
-    B_{n+1}* C B_n and B_{n+1}* C* B_n are assembled so that
+    Per block pair, the polar factors U V^H of X_n = B_{n+1}* C B_n and
+    Y_n = B_{n+1}* C* B_n, taken from the boundary-block SVDs shared with
+    the trace inequality, are assembled so that
 
         P_n V C  P_n = |P_{n+1} C  P_n|   and
         P_n W C* P_n = |P_{n+1} C* P_n|.
@@ -193,36 +210,33 @@ def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.nd
     v = np.zeros((m, m), dtype=complex)
     w = np.zeros((m, m), dtype=complex)
     blocks = filt.blocks
-    for n in range(len(blocks) - 1):
+    for n, svds in enumerate(_boundary_svds(c, filt)):
         lo, hi = blocks[n], blocks[n + 1]
-        for source, dest in ((c, v), (c.conj().T, w)):
-            comp = hi.conj().T @ source @ lo
-            u_, _, vh_ = np.linalg.svd(comp, full_matrices=False)
+        for (u_, _, vh_), dest in zip(svds, (v, w)):
             iso = u_ @ vh_
             dest += lo @ iso.conj().T @ hi.conj().T
     return v, w
 
 
 def partial_isometry_residuals(c, filt: Filtration, v, w) -> tuple[float, float]:
-    """Max deviation of the two displayed identities over all block pairs."""
+    """Max deviation of the two displayed identities over all block pairs.
+
+    The right sides |X_n| = R* diag(sigma) R (R the right singular factor)
+    come from the shared boundary-block SVDs, while the left sides
+    P_n V C P_n and P_n W C* P_n are formed from the assembled V and W, so
+    this still checks the assembly independently.
+    """
     c = as_matrix(c, square=True)
-    res_v = res_w = 0.0
-    vc = v @ c
-    wc = w @ c.conj().T
+    res = [0.0, 0.0]
+    prods = (v @ c, w @ c.conj().T)
     blocks = filt.blocks
-    for n in range(len(blocks) - 1):
-        lo, hi = blocks[n], blocks[n + 1]
-        for source, prod, which in ((c, vc, "v"), (c.conj().T, wc, "w")):
-            comp = hi.conj().T @ source @ lo
-            _, s_, vh_ = np.linalg.svd(comp, full_matrices=False)
+    for n, svds in enumerate(_boundary_svds(c, filt)):
+        lo = blocks[n]
+        lo_h = lo.conj().T
+        for k, ((_, s_, vh_), prod) in enumerate(zip(svds, prods)):
             absolute = vh_.conj().T @ (s_[:, None] * vh_)
-            got = lo.conj().T @ prod @ lo
-            err = hs_norm(got - absolute)
-            if which == "v":
-                res_v = max(res_v, err)
-            else:
-                res_w = max(res_w, err)
-    return res_v, res_w
+            res[k] = max(res[k], hs_norm(lo_h @ prod @ lo - absolute))
+    return res[0], res[1]
 
 
 @dataclass

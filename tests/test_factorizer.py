@@ -217,3 +217,22 @@ def test_ratio_window_small_sample(rng):
         cert = factor(a, trials=32, seed=0)
         assert cert.ratio**2 - math.log(m) <= 10.0
         assert cert.ratio <= cert.bound
+
+
+def per_step_fisher_yates(rng, n):
+    # the original shuffle, one integers() call per step, kept as the reference
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 256, 512, 4096])
+def test_fisher_yates_matches_per_step_draws(n):
+    for seed in range(40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # a second shuffle from the same stream
+            perm = traceless.factorizer._fisher_yates(rng, n)
+            assert np.array_equal(perm, per_step_fisher_yates(ref_rng, n))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -9,8 +9,9 @@ import traceless.linalg
 import traceless.lowerbound
 from traceless.factorizer import factor
 from traceless.filtration import build_filtration
-from traceless.linalg import hs_norm, nuclear_norm
+from traceless.linalg import hs_norm, nuclear_norm, operator_norm
 from traceless.lowerbound import (
+    _boundary_svds,
     construct_partial_isometries,
     extremal_matrix,
     lower_bound_report,
@@ -21,6 +22,9 @@ from traceless.lowerbound import (
     verify_partial_sums,
     verify_trace_inequality,
 )
+
+
+from conftest import random_complex
 
 
 def seed_vector(m: int) -> np.ndarray:
@@ -235,5 +239,130 @@ def test_operator_norm_calls_per_report(monkeypatch):
             monkeypatch.setattr(mod, "operator_norm", counted)
     report = lower_bound_report(16, trials=8, seed=0)
     assert report.all_strict_passed
-    # factor 1, build_filtration 2, verify_trace_inequality 1, ||V|| and ||W|| 2
-    assert len(calls) == 6
+    # factor 1, build_filtration 2, ||V|| and ||W|| 2; the trace check reuses ||S||
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_svd_calls_per_report(monkeypatch, m):
+    shapes = []
+    orig = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = lower_bound_report(m, trials=8, seed=0)
+    assert report.all_strict_passed
+    matrices = [s for s in shapes if len(s) == 2]  # the reduction's stacked solves are 3-d
+    # ||B|| in factor, ||S|| and ||T|| in the build, the spectrum of C, ||V|| and ||W||
+    assert matrices.count((m, m)) == 6
+    # one SVD of X_n and one of Y_n per block pair, both (dims[n+1], dims[n])
+    pairs = list(zip(report.dims[1:], report.dims))
+    assert sorted(s for s in matrices if s != (m, m)) == sorted(2 * pairs)
+
+
+# The per-pair forms of the chain's boundary-block computations, kept as
+# references for the SVDs shared through ``_boundary_svds``.
+def reference_trace_rhs(c, blocks):
+    return [
+        nuclear_norm(hi.conj().T @ c @ lo) + nuclear_norm(lo.conj().T @ c @ hi)
+        for lo, hi in zip(blocks, blocks[1:])
+    ]
+
+
+def reference_partial_isometries(c, blocks):
+    m = c.shape[0]
+    v = np.zeros((m, m), dtype=complex)
+    w = np.zeros((m, m), dtype=complex)
+    for lo, hi in zip(blocks, blocks[1:]):
+        for source, dest in ((c, v), (c.conj().T, w)):
+            u_, _, vh_ = np.linalg.svd(hi.conj().T @ source @ lo, full_matrices=False)
+            dest += lo @ (u_ @ vh_).conj().T @ hi.conj().T
+    return v, w
+
+
+def reference_isometry_residuals(c, blocks, v, w):
+    res_v = res_w = 0.0
+    vc, wc = v @ c, w @ c.conj().T
+    for lo, hi in zip(blocks, blocks[1:]):
+        for source, prod, which in ((c, vc, "v"), (c.conj().T, wc, "w")):
+            _, s_, vh_ = np.linalg.svd(hi.conj().T @ source @ lo, full_matrices=False)
+            err = hs_norm(lo.conj().T @ prod @ lo - vh_.conj().T @ (s_[:, None] * vh_))
+            if which == "v":
+                res_v = max(res_v, err)
+            else:
+                res_w = max(res_w, err)
+    return res_v, res_w
+
+
+def assert_chain_matches_references(c, filt):
+    m = c.shape[0]
+    tol = 100 * m * np.finfo(np.float64).eps * operator_norm(c)
+    rhs = [sum(float(np.sum(svd[1])) for svd in pair) for pair in _boundary_svds(c, filt)]
+    assert np.max(np.abs(np.subtract(rhs, reference_trace_rhs(c, filt.blocks)))) <= tol
+    v, w = construct_partial_isometries(c, filt)
+    ref_v, ref_w = reference_partial_isometries(c, filt.blocks)
+    assert hs_norm(v - ref_v) <= tol and hs_norm(w - ref_w) <= tol
+    res = partial_isometry_residuals(c, filt, v, w)
+    ref = reference_isometry_residuals(c, filt.blocks, v, w)
+    assert abs(res[0] - ref[0]) <= tol and abs(res[1] - ref[1]) <= tol
+    return rhs
+
+
+def witness_filtration(m):
+    cert = factor(extremal_matrix(m), trials=16, seed=0)
+    b, c = cert.b / cert.op_norm_b, cert.c * cert.op_norm_b
+    return b, c, build_filtration(b, c, seed_vector(m))
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_shared_blocks_match_references_witness(m):
+    b, c, filt = witness_filtration(m)
+    rhs = assert_chain_matches_references(c, filt)
+    assert "boundary_svds" in vars(filt)  # the generator's blocks came from the build
+    records = verify_trace_inequality(b, c, filt)
+    assert [r.rhs for r in records] == rhs + [0.0]
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_direct_blocks_match_references_witness(m):
+    b, c, filt = witness_filtration(m)
+    other = c + 0.5 * b  # [B, C + B/2] = [B, C], but not the generator
+    rhs = assert_chain_matches_references(other, filt)
+    assert "boundary_svds" not in vars(filt)
+    records = verify_trace_inequality(b, other, filt)
+    assert [r.rhs for r in records] == rhs + [0.0]
+    assert all(r.passed for r in records)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_shared_and_direct_blocks_match_references_random(rng, m):
+    s, t = random_complex(rng, m), random_complex(rng, m)
+    mb, _ = np.linalg.qr(random_complex(rng, m)[:, :2])
+    filt = build_filtration(s, t, mb)
+    assert len(filt.blocks) > 2
+    assert_chain_matches_references(random_complex(rng, m), filt)  # direct
+    assert "boundary_svds" not in vars(filt)
+    assert_chain_matches_references(t, filt)  # stored bands
+    assert "boundary_svds" in vars(filt)
+
+
+def test_stored_bands_are_the_boundary_blocks(rng):
+    s, t = random_complex(rng, 12), random_complex(rng, 12)
+    filt = build_filtration(s, t, seed_vector(12))
+    pairs = list(zip(filt.blocks, filt.blocks[1:]))
+    assert len(filt.boundary) == len(pairs) > 1
+    for (x, y), (lo, hi) in zip(filt.boundary, pairs):
+        assert np.allclose(x, hi.conj().T @ t @ lo, rtol=0, atol=1e-12)
+        assert np.allclose(y, hi.conj().T @ t.conj().T @ lo, rtol=0, atol=1e-12)
+
+
+def test_trace_inequality_reuses_norm_s(monkeypatch):
+    b, c, filt = witness_filtration(16)
+    expected = verify_trace_inequality(b, c, filt)
+    calls = []
+    monkeypatch.setattr(traceless.lowerbound, "operator_norm", lambda mat: calls.append(mat))
+    assert verify_trace_inequality(b, c, filt) == expected
+    assert calls == []
