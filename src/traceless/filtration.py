@@ -36,7 +36,7 @@ class Filtration:
     invariance_residual: float
     norm_s: float  # ||S|| and ||T|| of the generators the chain was built from
     norm_t: float
-    generators: tuple[np.ndarray, np.ndarray] = field(repr=False)  # those S, T (not copies)
+    generators: tuple[np.ndarray, np.ndarray] = field(repr=False)  # read-only copies of those S, T
     # per block pair n, (X_n, Y_n) = (B_{n+1}* T B_n, B_{n+1}* T* B_n) of the generator T,
     # read from the build's compression basis* T basis
     boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
@@ -168,6 +168,10 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         prev = imgs
 
     res_s, res_t, inv_res, boundary = _chain_compression(blocks, s, t)
+    # copies, so that a caller changing S or T in place no longer matches them
+    generators = (s.copy(), t.copy())
+    for op in generators:
+        op.flags.writeable = False
     return Filtration(
         blocks=blocks,
         dims=[b.shape[1] for b in blocks],
@@ -178,7 +182,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         invariance_residual=inv_res,
         norm_s=norm_s,
         norm_t=norm_t,
-        generators=(s, t),
+        generators=generators,
         boundary=boundary,
     )
 

@@ -5,7 +5,9 @@ inside the block's numerical range (an ellipse centered at half the trace),
 there is a closed-form unitary whose conjugation puts the target in the
 (0,0) slot.  Averaging sweeps drive every diagonal entry of the full matrix
 toward the common mean trace/m = 0 geometrically; a final chain of
-exact-zeroing rotations mops up the remainder.
+exact-zeroing rotations mops up what is left above roundoff.  A diagonal
+A = D starts from Q = F, the unitary DFT: F* D F is circulant with every
+diagonal entry tr(D)/m, so it usually needs neither.
 
 Each sweep sorts the diagonal by real part (imaginary part on odd sweeps)
 and pairs the extremes.  The pairs are disjoint, so their rotations commute
@@ -81,9 +83,13 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
     zero-diagonal unitary conjugate exists).  Each sweep sorts the diagonal
     by real part (imaginary part on alternate sweeps), pairs extremes, and
     replaces both entries of each pair with their midpoint; the sum is
-    conserved at 0, so the diagonal contracts to zero.  A closing pass rotates entries to exact zeros where
-    the local 2x2 numerical range allows, dumping the leftovers onto
-    not-yet-visited partners.
+    conserved at 0, so the diagonal contracts to zero.  A diagonal A starts
+    from Q = F, the unitary DFT: every diagonal entry of F* A F is tr(A)/m,
+    so no sweep runs unless tr(A) sits near the trace tolerance.  If an
+    entry is still above roundoff (eps * ||A||_HS) after the sweeps, a
+    closing pass rotates entries to exact zeros where the local 2x2
+    numerical range allows, dumping the leftovers onto not-yet-visited
+    partners.
 
     On hitting the sweep cap the best-effort result is returned with
     ``converged=False`` rather than raising.
@@ -99,6 +105,13 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
     if scale == 0.0 or m == 1:
         # a 1x1 matrix of trace zero is exactly zero
         return DiagonalizationResult(qh, a.copy(), 0.0, True, 0)
+    d = np.diag(w)
+    if np.count_nonzero(w) == np.count_nonzero(d):
+        # F* D F = circulant g[(j - k) mod m] with g = fft(d)/m, diagonal g[0] = tr/m
+        f = np.fft.fft(np.eye(m), norm="ortho")
+        qh = np.ascontiguousarray(f.conj().T)
+        g = np.fft.fft(d) / m
+        w = g[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
 
     # W <- U* W U needs a row and a column update; columns are strided, so
     # each sweep updates rows, transposes, and updates rows again, using
@@ -133,9 +146,12 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
 
     # Exact-zero chain: visit entries largest first; a rotation on (i, j)
     # moves the whole 2x2 trace onto j, so partners are drawn from the
-    # unvisited set and finished entries stay exactly zero.
+    # unvisited set and finished entries stay exactly zero.  Below roundoff
+    # its m - 1 rotations only add rounding error, so it is skipped there.
+    size = np.abs(np.diag(w))
+    chain = np.argsort(-size, kind="stable") if np.max(size) > np.finfo(float).eps * scale else ()
     remaining = np.ones(m, dtype=bool)
-    for i in np.argsort(-np.abs(np.diag(w)), kind="stable"):
+    for i in chain:
         remaining[i] = False
         if w[i, i] == 0.0:
             continue

@@ -8,8 +8,8 @@ import traceless.filtration
 import traceless.linalg
 import traceless.lowerbound
 from traceless.factorizer import factor
-from traceless.filtration import build_filtration
-from traceless.linalg import hs_norm, nuclear_norm, operator_norm
+from traceless.filtration import build_filtration, verify_filtration_structure
+from traceless.linalg import commutator, hs_norm, nuclear_norm, operator_norm
 from traceless.lowerbound import (
     _boundary_svds,
     construct_partial_isometries,
@@ -190,7 +190,9 @@ class TestHsLowerBound:
 
     def test_cheating_certificate_rejected(self):
         cert = factor(extremal_matrix(8), trials=8, seed=0)
-        cert.c = cert.c + 0.1 * np.ones((8, 8))  # visible residual
+        # B = Q diag(b) Q*, so [B, q0 q1*] = (b0 - b1) q0 q1* is nonzero in any frame
+        cert.c = cert.c + 0.1 * np.outer(cert.q[:, 0], cert.q[:, 1].conj())
+        assert hs_norm(extremal_matrix(8) - commutator(cert.b, cert.c)) >= 0.05  # visible residual
         with pytest.raises(ValueError, match="witness"):
             verify_hs_lower_bound([cert])
 
@@ -357,6 +359,24 @@ def test_stored_bands_are_the_boundary_blocks(rng):
     for (x, y), (lo, hi) in zip(filt.boundary, pairs):
         assert np.allclose(x, hi.conj().T @ t @ lo, rtol=0, atol=1e-12)
         assert np.allclose(y, hi.conj().T @ t.conj().T @ lo, rtol=0, atol=1e-12)
+
+
+def test_generator_changed_in_place_after_build(rng):
+    # the filtration keeps read-only copies of S and T, so a T doubled in place
+    # no longer matches them and is compressed afresh, not read from stale bands
+    s, t = random_complex(rng, 12), random_complex(rng, 12)
+    mb = seed_vector(12)
+    filt = build_filtration(s, t, mb)
+    assert not any(op.flags.writeable for op in filt.generators)
+    t *= 2.0
+    fresh = build_filtration(s, t, mb)
+    got, want = _boundary_svds(t, filt), _boundary_svds(t, fresh)
+    assert len(got) == len(want) > 1
+    for pair, fresh_pair in zip(got, want):
+        for svd, fresh_svd in zip(pair, fresh_pair):
+            assert np.allclose(svd[1], fresh_svd[1], rtol=1e-12, atol=0)
+    report = verify_filtration_structure(filt, s, t, 0.0, mb)
+    assert report == verify_filtration_structure(fresh, s, t, 0.0, mb)
 
 
 def test_trace_inequality_reuses_norm_s(monkeypatch):

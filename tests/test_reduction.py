@@ -315,6 +315,51 @@ class TestBatchedReduction:
         assert len(calls) <= res.sweeps + m
 
 
+DIAGONAL = {
+    **{f"witness-{m}": (lambda m=m: extremal_matrix(m)) for m in (2, 3, 7, 100, 255, 256)},
+    **{
+        f"complex-diagonal-9-x{scale:g}": (lambda scale=scale: scale * _complex_diagonal(9))
+        for scale in (1.0, 1e300, 1e-300)
+    },
+}
+
+
+class TestSkippedWork:
+    @pytest.mark.parametrize("name", sorted(DIAGONAL))
+    def test_diagonal_input_starts_from_dft(self, name):
+        # F* D F is circulant with every diagonal entry tr(D)/m, so no sweep runs
+        a = DIAGONAL[name]().astype(complex)
+        res = zero_diagonal_reduce(a)
+        _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
+        assert res.sweeps == 0
+        assert np.array_equal(res.q, np.fft.fft(np.eye(a.shape[0]), norm="ortho"))
+
+    def test_diagonal_trace_just_inside_lands_on_one_entry(self):
+        a = _complex_diagonal(16)
+        a[0, 0] += 0.9e-10 * hs_norm(a)
+        res = zero_diagonal_reduce(a)
+        assert res.converged
+        assert res.diag_residual == pytest.approx(abs(np.trace(a)), rel=1e-3)
+
+    @pytest.mark.parametrize("make", [_ginibre, extremal_matrix], ids=["ginibre", "witness"])
+    def test_svd_calls_are_the_sweeps(self, monkeypatch, make):
+        # one stacked solve per sweep and none for a chain below roundoff;
+        # the witness takes the DFT start and solves nothing
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        res = zero_diagonal_reduce(make(64))
+        assert len(calls) == res.sweeps
+        if make is extremal_matrix:
+            assert res.sweeps == 0
+
+    @pytest.mark.parametrize("m", [6, 7, 33])
+    def test_chain_still_runs_above_roundoff(self, m):
+        # their sweeps stop near the target, about 1e-13 * ||A||_2, so the chain must run
+        a = _ginibre(m)
+        res = zero_diagonal_reduce(a)
+        assert res.diag_residual <= 1e-14 * hs_norm(a)
+
+
 class TestApplyConjugation:
     def test_identity(self, rng):
         m = rng.standard_normal((3, 3)) + 0j
