@@ -7,19 +7,12 @@ certificates and verifies the matching lower-bound inequality chain on the
 witness matrix P - I/m.
 """
 
-from .factorizer import (
-    FactorizationCertificate,
-    c_from_b,
-    factor,
-    local_swap_improve,
-    mean_c2_over_permutations,
-)
+from .factorizer import FactorizationCertificate, c_from_b, factor
 from .filtration import Filtration, StructureReport, build_filtration, verify_filtration_structure
 from .lattice import (
     EnergyReport,
     LatticePointSet,
     gaussian_points,
-    leading_term_fit,
     optimize_configuration,
     pair_expectation,
 )
@@ -30,10 +23,8 @@ from .linalg import (
     certify,
     commutator,
     hs_norm,
-    is_normal,
     nuclear_norm,
     operator_norm,
-    polar_decompose,
     singular_profile,
 )
 from .lowerbound import (
@@ -42,13 +33,12 @@ from .lowerbound import (
     extremal_matrix,
     lower_bound_report,
     quarter_log_sum,
-    quarter_log_sum_sweep,
     verify_hs_lower_bound,
     verify_partial_sums,
     verify_trace_inequality,
 )
 from .matio import read_matrix, read_points, write_matrix, write_points
-from .reduction import DiagonalizationResult, apply_conjugation, zero_diagonal_reduce
+from .reduction import DiagonalizationResult, zero_diagonal_reduce
 
 __version__ = "0.1.0"
 
@@ -56,8 +46,6 @@ __all__ = [
     "FactorizationCertificate",
     "factor",
     "c_from_b",
-    "mean_c2_over_permutations",
-    "local_swap_improve",
     "Filtration",
     "StructureReport",
     "build_filtration",
@@ -67,7 +55,6 @@ __all__ = [
     "gaussian_points",
     "pair_expectation",
     "optimize_configuration",
-    "leading_term_fit",
     "SingularProfile",
     "CommutatorCheck",
     "NonzeroTraceError",
@@ -77,20 +64,16 @@ __all__ = [
     "hs_norm",
     "nuclear_norm",
     "singular_profile",
-    "polar_decompose",
-    "is_normal",
     "LowerBoundReport",
     "extremal_matrix",
     "lower_bound_report",
     "quarter_log_sum",
-    "quarter_log_sum_sweep",
     "verify_trace_inequality",
     "verify_partial_sums",
     "verify_hs_lower_bound",
     "construct_partial_isometries",
     "DiagonalizationResult",
     "zero_diagonal_reduce",
-    "apply_conjugation",
     "read_matrix",
     "write_matrix",
     "read_points",

@@ -83,8 +83,7 @@ def _random_trace_zero(m: int, seed: int) -> np.ndarray:
 
 def cmd_factor(args) -> int:
     a = _read_matrix_or_exit(args.input)
-    cert = factor(a, trials=args.trials, seed=args.seed,
-                  optimize_assignment=args.optimize_assignment, tol=args.tol)
+    cert = factor(a, trials=args.trials, seed=args.seed, tol=args.tol)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, mat in (("B", cert.b), ("C", cert.c), ("Q", cert.q)):
         write_matrix(os.path.join(args.out_dir, f"{name}.txt"), mat)
@@ -228,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="zero-diagonal tolerance for the reduction")
-    p.add_argument("--optimize-assignment", action="store_true",
-                   help="pairwise-swap descent on the winning assignment")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="check A = [B, C] and print norms and ratio")

@@ -10,13 +10,12 @@ a small number of trials finds a realization with
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticePointSet, gaussian_points, pair_expectation
+from .lattice import gaussian_points
 from .linalg import as_matrix, certify, hs_norm
 from .reduction import zero_diagonal_reduce
 
@@ -24,8 +23,6 @@ __all__ = [
     "FactorizationCertificate",
     "c_from_b",
     "factor",
-    "mean_c2_over_permutations",
-    "local_swap_improve",
     "RATIO_WINDOW",
     "RNG_NAME",
 ]
@@ -68,12 +65,6 @@ class FactorizationCertificate:
     best_trial: int = 0
 
 
-def _check_zero_diagonal(atilde: np.ndarray) -> None:
-    dmax = float(np.max(np.abs(np.diag(atilde)))) if atilde.size else 0.0
-    if dmax > 1e-8 * hs_norm(atilde):
-        raise ValueError(f"matrix diagonal is not zero (max |a_ii| = {dmax:.3e})")
-
-
 def c_from_b(atilde, b) -> np.ndarray:
     """Solve [diag(b), C] = A-tilde entrywise: c_ij = a_ij / (b_i - b_j).
 
@@ -82,7 +73,9 @@ def c_from_b(atilde, b) -> np.ndarray:
     ||C||_2.
     """
     atilde = as_matrix(atilde, square=True)
-    _check_zero_diagonal(atilde)
+    dmax = float(np.max(np.abs(np.diag(atilde)))) if atilde.size else 0.0
+    if dmax > 1e-8 * hs_norm(atilde):
+        raise ValueError(f"matrix diagonal is not zero (max |a_ii| = {dmax:.3e})")
     bvec = np.asarray(b, dtype=complex).ravel()
     m = atilde.shape[0]
     if len(bvec) != m:
@@ -129,17 +122,15 @@ def factor(
     a,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    optimize_assignment: bool = False,
     tol: float = 1e-10,
 ) -> FactorizationCertificate:
     """Factor a trace-zero matrix as [B, C] with B normal.
 
     Each trial shuffles the lattice points with a Fisher-Yates pass seeded
     at ``seed + trial`` and keeps the assignment with minimal ||C||_2 (ties
-    resolved by lowest trial index).  ``optimize_assignment`` follows up
-    with deterministic pairwise-swap descent on the winning assignment.
-    ``tol`` is the zero-diagonal tolerance passed to the reduction, which
-    raises ``NonzeroTraceError`` for a matrix of nonzero trace.
+    resolved by lowest trial index).  ``tol`` is the zero-diagonal
+    tolerance passed to the reduction, which raises ``NonzeroTraceError``
+    for a matrix of nonzero trace.
     """
     a = as_matrix(a, square=True)
     if trials < 1:
@@ -170,8 +161,6 @@ def factor(
         raise np.linalg.LinAlgError(f"no assignment trial gave a finite ||C||_2^2 (last: {obj})")
 
     bvec = points[best_perm]
-    if optimize_assignment:
-        bvec = local_swap_improve(atilde, bvec)
     ctilde = c_from_b(atilde, bvec) if m > 1 else np.zeros((1, 1), dtype=complex)
 
     q = red.q
@@ -206,79 +195,3 @@ def factor(
         reduction_converged=red.converged,
         best_trial=best_trial,
     )
-
-
-def mean_c2_over_permutations(atilde, points: LatticePointSet) -> float:
-    """Exact average of ||C||_2^2 over all m! assignments of the points.
-
-    The brute-force side of the expectation identity: the result equals
-    ||A-tilde||_2^2 times the pair expectation of the point set.
-    """
-    atilde = as_matrix(atilde, square=True)
-    _check_zero_diagonal(atilde)
-    m = atilde.shape[0]
-    if m > 8:
-        raise ValueError(f"m = {m} too large for factorial enumeration (max 8)")
-    pts = np.asarray(points.points, dtype=complex).ravel()
-    if len(pts) != m:
-        raise ValueError(f"need {m} points, got {len(pts)}")
-    abs2 = np.abs(atilde) ** 2
-    diff = pts[:, None] - pts[None, :]
-    d2 = diff.real**2 + diff.imag**2
-    np.fill_diagonal(d2, 1.0)
-    if np.any(d2 == 0.0):
-        raise ValueError("points must be pairwise distinct")
-    inv_d = 1.0 / d2
-    np.fill_diagonal(inv_d, 0.0)
-    total = 0.0
-    count = 0
-    for sigma in itertools.permutations(range(m)):
-        total += _assignment_objective(abs2, inv_d, np.array(sigma))
-        count += 1
-    return total / count
-
-
-def local_swap_improve(atilde, b, max_passes: int = 4) -> np.ndarray:
-    """Pairwise-swap descent on sum |a_ij|^2 / |b_i - b_j|^2.
-
-    Applies any transposition of the assignment that strictly decreases the
-    objective, sweeping until a pass makes no change or the pass budget is
-    exhausted.  The multiset of values is preserved.
-    """
-    atilde = as_matrix(atilde, square=True)
-    _check_zero_diagonal(atilde)
-    bvec = np.asarray(b, dtype=complex).ravel().copy()
-    m = atilde.shape[0]
-    if len(bvec) != m:
-        raise ValueError(f"need {m} diagonal values, got {len(bvec)}")
-    abs2 = _scaled_abs2(atilde)
-
-    def objective(vec: np.ndarray) -> float:
-        diff = vec[:, None] - vec[None, :]
-        d2 = diff.real**2 + diff.imag**2
-        np.fill_diagonal(d2, np.inf)
-        return float(np.sum(abs2 / d2))
-
-    current = objective(bvec)
-    for _ in range(max_passes):
-        improved = False
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                cand = bvec.copy()
-                cand[i], cand[j] = cand[j], cand[i]
-                value = objective(cand)
-                if value < current:
-                    bvec, current = cand, value
-                    improved = True
-        if not improved:
-            break
-    return bvec
-
-
-def expectation_identity_gap(atilde, points: LatticePointSet) -> float:
-    """Relative gap between the m! average and the closed-form expectation."""
-    mean = mean_c2_over_permutations(atilde, points)
-    closed = hs_norm(atilde) ** 2 * pair_expectation(points).expectation
-    if closed == 0.0:
-        return abs(mean)
-    return abs(mean - closed) / abs(closed)

@@ -21,6 +21,7 @@ from .linalg import as_matrix, hs_norm, operator_norm
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
 DEGREE_CAP_FACTOR = 2  # degree cap = 2m; an m-dim space stabilizes far earlier
+STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks
 
 
 @dataclass
@@ -51,10 +52,6 @@ class Filtration:
         return [
             tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in self.boundary
         ]
-
-    def basis(self) -> np.ndarray:
-        """All block columns side by side (an isometry onto the chain's span)."""
-        return np.column_stack(self.blocks)
 
     def complete(self, m: int) -> bool:
         return self.total_dim == m
@@ -225,7 +222,6 @@ def verify_filtration_structure(
     t,
     lam: complex,
     m_basis,
-    tol: float | None = None,
 ) -> StructureReport:
     """Check the range hypothesis and the filtration's structural claims.
 
@@ -253,15 +249,13 @@ def verify_filtration_structure(
     else:
         op_scale = operator_norm(s) + operator_norm(t)
         res_s, res_t, inv_res = _chain_residuals(filt.blocks, s, t)
-    if tol is None:
-        tol = 1e-8
     hyp_op = s @ t - t @ s + lam * np.eye(m)
     proj_m = mb @ mb.conj().T
     hypothesis_residual = hs_norm(hyp_op - proj_m @ hyp_op)
-    hypothesis_tol = tol * hs_norm(hyp_op)
+    hypothesis_tol = STRUCTURE_TOL * hs_norm(hyp_op)
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 
-    structure_tol = invariance_tol = tol * op_scale
+    structure_tol = invariance_tol = STRUCTURE_TOL * op_scale
     dims_ok = all(d <= (n + 1) * filt.dim_m for n, d in enumerate(filt.dims))
 
     return StructureReport(

@@ -20,7 +20,6 @@ __all__ = [
     "pair_energy",
     "pair_expectation",
     "optimize_configuration",
-    "leading_term_fit",
     "A1_CALIBRATED",
 ]
 
@@ -145,24 +144,3 @@ def optimize_configuration(
     if energy > start_energy:  # roundoff paranoia: descent must not regress
         return base.points.copy(), start_energy
     return pts, energy
-
-
-def leading_term_fit(m_list) -> tuple[float, float]:
-    """Least-squares fit of the lattice pair energy to its m*log(m) growth.
-
-    Fits pair_energy(m)/m = slope*log(m) + intercept, i.e. energy is modeled
-    as slope*m*log(m) + intercept*m; the slope lands near pi.  Duplicates in
-    m_list are collapsed.  Requires at least 3 distinct values spanning at
-    least two decades.
-    """
-    ms = sorted({int(m) for m in m_list})
-    if len(ms) < 3:
-        raise ValueError("need at least 3 distinct m values")
-    if any(m < 2 for m in ms):
-        raise ValueError("all m must be >= 2")
-    if math.floor(math.log10(ms[-1])) - math.floor(math.log10(ms[0])) < 2:
-        raise ValueError("m values must span at least two decades")
-    x = np.array([math.log(m) for m in ms])
-    y = np.array([pair_energy(gaussian_points(m).points) / m for m in ms])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, SVD profiles, polar decomposition.
+"""Dense complex matrix primitives: norms, SVD profiles, the commutator certificate.
 
 All functions accept anything convertible to a 2-d complex ndarray and are
 pure; tolerances are relative to the scale of the input.
@@ -21,8 +21,6 @@ __all__ = [
     "hs_norm",
     "nuclear_norm",
     "singular_profile",
-    "polar_decompose",
-    "is_normal",
     "require_trace_zero",
     "residual_ok",
     "certify",
@@ -113,27 +111,6 @@ def singular_profile(m) -> SingularProfile:
     m = as_matrix(m, square=True)
     values = np.linalg.svd(m, compute_uv=False)
     return SingularProfile(values=values, partial_sums=np.cumsum(values))
-
-
-def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition M = U H with U unitary and H = |M| PSD Hermitian.
-
-    Computed from the full SVD, so U is always unitary (hence a partial
-    isometry on the range of H) even when M is singular.
-    """
-    m = as_matrix(m, square=True)
-    u, s, vh = np.linalg.svd(m)
-    unitary = u @ vh
-    h = vh.conj().T @ (s[:, None] * vh)
-    h = 0.5 * (h + h.conj().T)
-    return unitary, h
-
-
-def is_normal(m, tol: float = 1e-10) -> bool:
-    """True iff ||M M* - M* M||_2 <= tol * ||M||^2."""
-    m = as_matrix(m, square=True)
-    defect = hs_norm(m @ m.conj().T - m.conj().T @ m)
-    return defect <= tol * operator_norm(m) ** 2
 
 
 class NonzeroTraceError(ValueError):

@@ -36,7 +36,6 @@ from .linalg import (
 __all__ = [
     "extremal_matrix",
     "quarter_log_sum",
-    "quarter_log_sum_sweep",
     "verify_trace_inequality",
     "construct_partial_isometries",
     "partial_isometry_residuals",
@@ -93,26 +92,6 @@ def quarter_log_sum(m: int) -> float:
         total += (1.0 - _triangular(n) / m) ** 2 / (2.0 * (n + 1))
         n += 1
     return total
-
-
-def quarter_log_sum_sweep(m_values) -> np.ndarray:
-    """Vectorized quarter_log_sum over an array of m values.
-
-    Expands the square and uses prefix sums over n, so the whole range
-    [4, 10^6] evaluates in milliseconds.
-    """
-    ms = np.asarray(m_values, dtype=np.float64)
-    if np.any(ms < 2):
-        raise ValueError("all m must be >= 2")
-    n_hi = int(math.isqrt(8 * int(ms.max()))) + 3
-    ns = np.arange(n_hi, dtype=np.float64)
-    tri = (ns + 1.0) * (ns + 2.0) / 2.0
-    w = 1.0 / (2.0 * (ns + 1.0))
-    c0 = np.concatenate([[0.0], np.cumsum(w)])
-    c1 = np.concatenate([[0.0], np.cumsum(w * tri)])
-    c2 = np.concatenate([[0.0], np.cumsum(w * tri * tri)])
-    count = np.searchsorted(tri, ms, side="left")
-    return c0[count] - (2.0 / ms) * c1[count] + (1.0 / ms**2) * c2[count]
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import as_matrix, hs_norm, require_trace_zero
 
-__all__ = ["DiagonalizationResult", "zero_diagonal_reduce", "apply_conjugation"]
+__all__ = ["DiagonalizationResult", "zero_diagonal_reduce"]
 
 MAX_SWEEPS = 40
 
@@ -76,7 +76,7 @@ def _attaining_rotations(blocks: np.ndarray, targets: np.ndarray):
     return rots, hit & (n0 <= 1.0 + 1e-12)
 
 
-def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) -> DiagonalizationResult:
+def zero_diagonal_reduce(a, tol: float = 1e-10) -> DiagonalizationResult:
     """Unitary Q such that Q* A Q has diagonal entries below tol * ||A||_2.
 
     Requires trace(A) ~ 0 and raises ``NonzeroTraceError`` otherwise (no
@@ -91,7 +91,9 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
     numerical range allows, dumping the leftovers onto not-yet-visited
     partners.
 
-    On hitting the sweep cap the best-effort result is returned with
+    The sweeps also end once two in a row (one per sort key) apply no
+    rotation, e.g. when tr(A)/m itself is above the sweep target.  On
+    hitting the sweep cap the best-effort result is returned with
     ``converged=False`` rather than raising.
     """
     a = as_matrix(a, square=True)
@@ -117,11 +119,13 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
     # each sweep updates rows, transposes, and updates rows again, using
     # (U* W U)^T = U^T (U* W)^T.  w holds W^T after odd sweeps.
     target = min(tol, 1e-13) * scale
-    sweeps_done = 0
+    sweeps_done = idle = 0
     transposed = False
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         d = np.diag(w)
-        if float(np.max(np.abs(d))) <= target:
+        # a sweep that rotates nothing leaves W as it was, so once one sweep
+        # per sort key has rotated nothing, every later sweep would too
+        if float(np.max(np.abs(d))) <= target or idle == 2:
             break
         order = np.argsort(d.real if sweep % 2 == 0 else d.imag, kind="stable")
         pairs = np.stack([order[: m // 2], order[::-1][: m // 2]], axis=1)
@@ -132,6 +136,7 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
                 blocks.transpose(0, 2, 1) if transposed else blocks, d[pairs].mean(axis=1)
             )
             pairs, rots = pairs[ok], rots[ok]
+        if len(pairs):
             first, second = rots.conj().transpose(0, 2, 1), rots.transpose(0, 2, 1)
             qh[pairs] = first @ qh[pairs]
             if transposed:
@@ -140,6 +145,7 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
             w = w.T.copy()
             w[pairs] = second @ w[pairs]
             transposed = not transposed
+        idle = 0 if len(pairs) else idle + 1
         sweeps_done = sweep + 1
     if transposed:
         w = w.T.copy()
@@ -175,15 +181,3 @@ def zero_diagonal_reduce(a, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS) ->
         converged=resid <= tol * scale,
         sweeps=sweeps_done,
     )
-
-
-def apply_conjugation(q, m) -> np.ndarray:
-    """Return Q M Q* after checking that Q is unitary."""
-    q = as_matrix(q, square=True)
-    m = as_matrix(m, square=True)
-    if q.shape != m.shape:
-        raise ValueError(f"dimension mismatch: {q.shape} vs {m.shape}")
-    n = q.shape[0]
-    if hs_norm(q.conj().T @ q - np.eye(n)) > 1e-10 * n:
-        raise ValueError("Q is not unitary")
-    return q @ m @ q.conj().T

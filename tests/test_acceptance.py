@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from traceless.cli import main as cli_main
-from traceless.factorizer import expectation_identity_gap, factor
+from traceless.factorizer import factor
 from traceless.lattice import gaussian_points, pair_expectation
-from traceless.linalg import is_normal
-from traceless.lowerbound import extremal_matrix, lower_bound_report, quarter_log_sum_sweep
+from traceless.lowerbound import extremal_matrix, lower_bound_report
 
-from conftest import random_zero_diagonal
+from conftest import expectation_identity_gap, is_normal, quarter_log_sum_sweep, random_zero_diagonal
 
 WITNESS_SIZES = [4, 9, 16, 36, 64]
 WITNESS_SEEDS = [0, 1]

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import traceless.factorizer
-from traceless.factorizer import (
-    c_from_b,
-    expectation_identity_gap,
-    factor,
-    local_swap_improve,
-    mean_c2_over_permutations,
-)
+from traceless.factorizer import c_from_b, factor
 from traceless.lattice import gaussian_points
-from traceless.linalg import NonzeroTraceError, certify, commutator, hs_norm, is_normal
+from traceless.linalg import NonzeroTraceError, certify, commutator, hs_norm
 
-from conftest import random_trace_zero, random_zero_diagonal
+from conftest import (
+    expectation_identity_gap,
+    is_normal,
+    mean_c2_over_permutations,
+    random_trace_zero,
+    random_zero_diagonal,
+)
 
 CROSS = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -153,12 +153,6 @@ class TestFactor:
         assert np.array_equal(c1.b, c2.b) and np.array_equal(c1.c, c2.c)
         assert c1.ratio == c2.ratio
 
-    def test_optimize_assignment_never_worse(self, rng):
-        a = random_trace_zero(rng, 8)
-        plain = factor(a, trials=4, seed=2)
-        swapped = factor(a, trials=4, seed=2, optimize_assignment=True)
-        assert swapped.hs_norm_c <= plain.hs_norm_c + 1e-12
-
 
 class TestMeanOverPermutations:
     def test_matches_closed_form(self, rng):
@@ -179,35 +173,6 @@ class TestMeanOverPermutations:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="factorial"):
             mean_c2_over_permutations(np.zeros((9, 9)), gaussian_points(9))
-
-
-class TestLocalSwapImprove:
-    def objective(self, atilde, b):
-        diff = b[:, None] - b[None, :]
-        d2 = np.abs(diff) ** 2
-        np.fill_diagonal(d2, np.inf)
-        return float(np.sum(np.abs(atilde) ** 2 / d2))
-
-    def test_m2_unchanged(self, rng):
-        atilde = random_zero_diagonal(rng, 2)
-        b = gaussian_points(2).points
-        assert np.array_equal(local_swap_improve(atilde, b), b)
-
-    def test_never_increases(self, rng):
-        atilde = random_zero_diagonal(rng, 6)
-        b = gaussian_points(6).points
-        improved = local_swap_improve(atilde, b, max_passes=3)
-        assert self.objective(atilde, improved) <= self.objective(atilde, b) + 1e-12
-        assert sorted(improved.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
-            b.tolist(), key=lambda z: (z.real, z.imag)
-        )
-
-    def test_local_optimum_fixed_point(self, rng):
-        atilde = random_zero_diagonal(rng, 5)
-        b = gaussian_points(5).points
-        once = local_swap_improve(atilde, b, max_passes=8)
-        again = local_swap_improve(atilde, once, max_passes=8)
-        assert np.array_equal(once, again)
 
 
 def test_ratio_window_small_sample(rng):

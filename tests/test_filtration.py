@@ -77,7 +77,7 @@ class TestBuildFiltration:
     def test_blocks_orthonormal(self):
         b, c = normalized_witness_factors(9)
         filt = build_filtration(b, c, seed_vector(9))
-        basis = filt.basis()
+        basis = np.column_stack(filt.blocks)
         gram = basis.conj().T @ basis
         assert hs_norm(gram - np.eye(basis.shape[1])) <= 1e-10
 

@@ -6,7 +6,6 @@ import pytest
 from traceless.lattice import (
     LatticePointSet,
     gaussian_points,
-    leading_term_fit,
     optimize_configuration,
     pair_energy,
     pair_expectation,
@@ -124,22 +123,3 @@ class TestOptimizeConfiguration:
         a = optimize_configuration(8, 200, seed=5)
         b = optimize_configuration(8, 200, seed=5)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-
-
-class TestLeadingTermFit:
-    def test_reference_list_slope_near_pi(self):
-        slope, intercept = leading_term_fit([64, 256, 1024, 4096])
-        assert 0.85 * math.pi <= slope <= 1.15 * math.pi
-
-    def test_single_m_rejected(self):
-        with pytest.raises(ValueError):
-            leading_term_fit([64])
-
-    def test_narrow_span_rejected(self):
-        with pytest.raises(ValueError):
-            leading_term_fit([32, 48, 64])
-
-    def test_duplicates_collapsed(self):
-        a = leading_term_fit([64, 256, 1024, 4096])
-        b = leading_term_fit([64, 64, 256, 256, 1024, 4096])
-        assert a == b

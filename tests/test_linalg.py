@@ -12,16 +12,14 @@ from traceless.linalg import (
     certify,
     commutator,
     hs_norm,
-    is_normal,
     nuclear_norm,
     operator_norm,
-    polar_decompose,
     require_trace_zero,
     residual_ok,
     singular_profile,
 )
 
-from conftest import random_complex, random_unitary
+from conftest import is_normal, random_complex, random_unitary
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
@@ -136,36 +134,6 @@ class TestSingularProfile:
             prof.leading_sum(0)
         with pytest.raises(ValueError):
             prof.leading_sum(6)
-
-
-class TestPolar:
-    def test_positive_definite(self, rng):
-        g = random_complex(rng, 4)
-        m = g @ g.conj().T + 4.0 * np.eye(4)
-        u, h = polar_decompose(m)
-        assert np.allclose(u, np.eye(4), atol=1e-10)
-        assert np.allclose(h, m, atol=1e-10)
-
-    def test_unitary_input(self, rng):
-        q = random_unitary(rng, 5)
-        u, h = polar_decompose(q)
-        assert np.allclose(u, q, atol=1e-12)
-        assert np.allclose(h, np.eye(5), atol=1e-12)
-
-    def test_rotation(self):
-        u, h = polar_decompose(ROTATION)
-        assert np.allclose(u, ROTATION, atol=1e-14)
-        assert np.allclose(h, np.eye(2), atol=1e-14)
-
-    def test_reconstruction_and_psd(self, rng):
-        for m in (2, 5, 9):
-            a = random_complex(rng, m)
-            u, h = polar_decompose(a)
-            scale = hs_norm(a)
-            assert hs_norm(a - u @ h) <= 1e-12 * scale
-            assert hs_norm(u @ u.conj().T - np.eye(m)) <= 1e-12 * m
-            eigs = np.linalg.eigvalsh(h)
-            assert np.min(eigs) >= -1e-12 * operator_norm(a)
 
 
 class TestIsNormal:

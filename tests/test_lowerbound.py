@@ -17,14 +17,13 @@ from traceless.lowerbound import (
     lower_bound_report,
     partial_isometry_residuals,
     quarter_log_sum,
-    quarter_log_sum_sweep,
     verify_hs_lower_bound,
     verify_partial_sums,
     verify_trace_inequality,
 )
 
 
-from conftest import random_complex
+from conftest import quarter_log_sum_sweep, random_complex
 
 
 def seed_vector(m: int) -> np.ndarray:
