@@ -4,7 +4,12 @@ All commands are deterministic functions of their arguments and input
 files; wall-clock timings go to stderr so repeated runs produce
 byte-identical files and stdout.  The default seed comes from the
 TRACELESS_SEED environment variable (0 when unset; anything but an integer
-is a usage error) and every tolerance is overridable by flag.
+is a usage error).  Only three tolerances have flags: ``factor --tol``
+(the reduction's zero-diagonal target), ``verify --tol`` (the residual
+rule) and ``--rank-tol`` on ``lowerbound`` and ``filtration``.  The trace
+test, the residual rule of ``factor``'s own certificate, the filtration's
+structure checks (``filtration.STRUCTURE_TOL``) and the witness-chain
+tolerances in ``lowerbound`` are module constants.
 
 Exit codes: 0 success, 1 verification failed, 2 parse/usage error,
 3 nonzero trace, 4 numerical failure or an invalid certificate.  ``main``

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, hs_norm, operator_norm
+from .linalg import SingularProfile, as_matrix, hs_norm, operator_norm, singular_profile
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
@@ -26,7 +26,10 @@ STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's thre
 
 @dataclass
 class Filtration:
-    """Orthonormal block bases of the chain, plus build diagnostics."""
+    """Orthonormal block bases of the chain, plus build diagnostics.
+
+    The blocks are adjacent column ranges of one m x m buffer.
+    """
 
     blocks: list[np.ndarray]
     dims: list[int]
@@ -41,6 +44,8 @@ class Filtration:
     # per block pair n, (X_n, Y_n) = (B_{n+1}* T B_n, B_{n+1}* T* B_n) of the generator T,
     # read from the build's compression basis* T basis
     boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    # full singular spectrum of that T (norm_t is its top value), shared with verify_partial_sums
+    spectrum_t: SingularProfile = field(repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -57,11 +62,18 @@ class Filtration:
         return self.total_dim == m
 
 
+def _project_once(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Remove the components of ``vecs`` in span(basis): one classical Gram-Schmidt pass.
+
+    basis* vecs is formed as (vecs* basis)*, which conjugates the few
+    columns of ``vecs`` instead of copying the basis.
+    """
+    return vecs - basis @ (vecs.conj().T @ basis).conj().T
+
+
 def _project_out(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Remove basis components twice (classical reorthogonalization)."""
-    basis_h = basis.conj().T
-    vecs = vecs - basis @ (basis_h @ vecs)
-    return vecs - basis @ (basis_h @ vecs)
+    return _project_once(basis, _project_once(basis, vecs))
 
 
 def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]:
@@ -83,15 +95,14 @@ def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]
     return block_res, outside, comp
 
 
-def _chain_compression(blocks, s, t):
+def _chain_compression(basis, dims, s, t):
     """Block residuals of S and T, the summed invariance residual, and T's boundary blocks.
 
-    Block (n+1, n) of G_T = basis* T basis is X_n = B_{n+1}* T B_n, and block
+    ``basis`` holds the blocks side by side, ``dims`` their widths.  Block
+    (n+1, n) of G_T = basis* T basis is X_n = B_{n+1}* T B_n, and block
     (n, n+1) is the adjoint of Y_n = B_{n+1}* T* B_n; both are copied out so
     that G_T itself is not kept.
     """
-    basis = np.column_stack(blocks)
-    dims = [b.shape[1] for b in blocks]
     starts = np.cumsum([0] + dims[:-1])
     block_s, outside_s = _compression_residuals(basis, starts, s)[:2]
     block_t, outside_t, comp_t = _compression_residuals(basis, starts, t)
@@ -102,7 +113,7 @@ def _chain_compression(blocks, s, t):
 
 def _chain_residuals(blocks, s, t) -> tuple[float, float, float]:
     """Block residuals of S and T, and the summed invariance residual."""
-    return _chain_compression(blocks, s, t)[:3]
+    return _chain_compression(np.column_stack(blocks), [b.shape[1] for b in blocks], s, t)[:3]
 
 
 def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration:
@@ -115,8 +126,13 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     Internally S and T are rescaled by their operator norms, which leaves
     every span unchanged but keeps image magnitudes tame.  The build stops
     when a degree adds nothing, the span is complete, or the degree cap 2m
-    is reached.  The residual check's compression basis* T basis also
-    gives the boundary blocks of T, which the filtration keeps.
+    is reached.
+
+    Accepted directions are written into one preallocated m x m buffer, so
+    the blocks are adjacent column ranges of it and nothing is re-stacked.
+    The residual check's compression basis* T basis also gives the
+    boundary blocks of T, and the full singular spectrum of T (whose top
+    value is ||T||) is kept as ``spectrum_t`` for the partial-sum check.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -132,46 +148,56 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     if rank_tol is None:
         rank_tol = 1e-8 * m
 
-    norm_s, norm_t = operator_norm(s), operator_norm(t)
+    spectrum_t = singular_profile(t)
+    norm_s, norm_t = operator_norm(s), float(spectrum_t.values[0])
     s_unit, t_unit = s / (norm_s or 1.0), t / (norm_t or 1.0)
 
-    blocks = [mb.copy()]
-    basis = mb.copy()
-    prev = mb.copy()  # degree-(n-1) monomial images, S-power descending
+    buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
+    buf[:, :dim_m] = mb
+    nb = dim_m
+    dims = [dim_m]
+    prev = mb  # degree-(n-1) monomial images, S-power descending
     for _degree in range(1, DEGREE_CAP_FACTOR * m + 1):
-        if basis.shape[1] >= m:
+        if nb >= m:
             break
+        basis = buf[:, :nb]
         imgs = np.column_stack([s_unit @ prev, t_unit @ prev[:, -dim_m:]])
         norms0 = np.linalg.norm(imgs, axis=0)
-        work = _project_out(basis, imgs)
-        accepted: list[np.ndarray] = []
-        for col in range(work.shape[1]):
-            if norms0[col] == 0.0:
-                continue
-            vec = work[:, col]
-            if accepted:
-                acc = np.column_stack(accepted)
-                vec = vec - acc @ (acc.conj().T @ vec)
-                vec = vec - acc @ (acc.conj().T @ vec)
+        work = _project_once(basis, imgs)
+        # The second pass and the in-degree projections below are orthogonal
+        # projections, so they can only shrink a column, and their rounding is
+        # relative to the column's own norm, far below the 1e-6 margin.  A
+        # column already at or below the threshold (less the margin) is thus
+        # rejected here, as those steps would reject it; so are zero images.
+        keep = np.linalg.norm(work, axis=0) > (1.0 - 1e-6) * rank_tol * norms0
+        work = _project_once(basis, work[:, keep])
+        na = 0
+        for vec, norm0 in zip(work.T, norms0[keep]):
+            if na:
+                acc = buf[:, nb : nb + na]
+                vec = _project_out(acc, vec)
             norm = float(np.linalg.norm(vec))
-            if norm > rank_tol * norms0[col] and basis.shape[1] + len(accepted) < m:
-                accepted.append(vec / norm)
-        if not accepted:
+            if norm > rank_tol * norm0 and nb + na < m:
+                buf[:, nb + na] = vec / norm
+                na += 1
+        if not na:
             break
-        block = _project_out(basis, np.column_stack(accepted))
-        block, _ = np.linalg.qr(block)
-        blocks.append(block)
-        basis = np.column_stack([basis, block])
+        block, _ = np.linalg.qr(_project_out(basis, buf[:, nb : nb + na]))
+        buf[:, nb : nb + na] = block
+        nb += na
+        dims.append(na)
         prev = imgs
 
-    res_s, res_t, inv_res, boundary = _chain_compression(blocks, s, t)
+    starts = np.cumsum([0] + dims)
+    blocks = [buf[:, a:b] for a, b in zip(starts, starts[1:])]
+    res_s, res_t, inv_res, boundary = _chain_compression(buf[:, :nb], dims, s, t)
     # copies, so that a caller changing S or T in place no longer matches them
     generators = (s.copy(), t.copy())
     for op in generators:
         op.flags.writeable = False
     return Filtration(
         blocks=blocks,
-        dims=[b.shape[1] for b in blocks],
+        dims=dims,
         dim_m=dim_m,
         rank_tolerance=rank_tol,
         block_residual_s=res_s,
@@ -181,6 +207,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         norm_t=norm_t,
         generators=generators,
         boundary=boundary,
+        spectrum_t=spectrum_t,
     )
 
 

@@ -181,19 +181,24 @@ def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.nd
         P_n V C  P_n = |P_{n+1} C  P_n|   and
         P_n W C* P_n = |P_{n+1} C* P_n|.
 
-    Block supports are orthogonal, so all singular values of V and W lie
-    in [0, 1].
+    Each of V and W is one product L H*, where H stacks blocks 1, 2, ...
+    and L stacks B_n (U V^H)* of the matching pairs.  Block supports are
+    orthogonal, so all singular values of V and W lie in [0, 1].
     """
     c = as_matrix(c, square=True)
     m = c.shape[0]
-    v = np.zeros((m, m), dtype=complex)
-    w = np.zeros((m, m), dtype=complex)
-    blocks = filt.blocks
-    for n, svds in enumerate(_boundary_svds(c, filt)):
-        lo, hi = blocks[n], blocks[n + 1]
-        for (u_, _, vh_), dest in zip(svds, (v, w)):
-            iso = u_ @ vh_
-            dest += lo @ iso.conj().T @ hi.conj().T
+    svds = _boundary_svds(c, filt)
+    if not svds:  # a single block: nothing to move
+        return np.zeros((m, m), dtype=complex), np.zeros((m, m), dtype=complex)
+    hi_h = np.column_stack(filt.blocks[1:]).conj().T  # H*, shared by V and W
+    lo_iso = np.empty((m, hi_h.shape[0]), dtype=complex)  # L, refilled for W
+    ends = np.cumsum(filt.dims[1:])
+    products = []
+    for factors in zip(*svds):  # the SVDs of every X_n, then of every Y_n
+        for lo, (u_, _, vh_), end in zip(filt.blocks, factors, ends):
+            lo_iso[:, end - u_.shape[0] : end] = lo @ (u_ @ vh_).conj().T
+        products.append(lo_iso @ hi_h)
+    v, w = products
     return v, w
 
 
@@ -233,16 +238,21 @@ class PartialSumReport:
     all_passed: bool
 
 
-def verify_partial_sums(c) -> PartialSumReport:
+def verify_partial_sums(c, filt: Filtration | None = None) -> PartialSumReport:
     """Leading singular-value sums of C against sqrt(l)/6 and (k+1)/4.
 
     C must come from a factorization of the witness matrix with B
     normalized to unit operator norm; the triangular checks run for every
-    k >= 0 with (k+1)(k+2) <= m.
+    k >= 0 with (k+1)(k+2) <= m.  When C is the generator T that ``filt``
+    was built from, the build's spectrum of T is reused; any other C is
+    factored here.
     """
     c = as_matrix(c, square=True)
     m = c.shape[0]
-    prof = singular_profile(c)
+    if filt is not None and np.array_equal(c, filt.generators[1]):
+        prof = filt.spectrum_t
+    else:
+        prof = singular_profile(c)
     records = []
     for l in range(1, m + 1):
         total = prof.leading_sum(l)
@@ -394,7 +404,7 @@ def lower_bound_report(
     trace_records = verify_trace_inequality(b_unit, c_scaled, filt)
     v, w = construct_partial_isometries(c_scaled, filt)
     res_v, res_w = partial_isometry_residuals(c_scaled, filt, v, w)
-    psums = verify_partial_sums(c_scaled)
+    psums = verify_partial_sums(c_scaled, filt)
     hs_lower = verify_hs_lower_bound([cert])
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))

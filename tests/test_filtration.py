@@ -193,6 +193,110 @@ def test_witness_filtration_complete(m):
     assert filt.invariance_residual <= 1e-8
 
 
+# The per-column monomial build that the package's buffered build replaced,
+# kept as an independent reference: it re-stacks the accepted columns for
+# every candidate, runs both Gram-Schmidt passes on every column, and returns
+# the blocks (not the residuals).
+def reference_build(s, t, mb, rank_tol=None):
+    m = s.shape[0]
+    dim_m = mb.shape[1]
+    rank_tol = 1e-8 * m if rank_tol is None else rank_tol
+    s_unit = s / (operator_norm(s) or 1.0)
+    t_unit = t / (operator_norm(t) or 1.0)
+
+    def project_out(basis, vecs):
+        basis_h = basis.conj().T
+        vecs = vecs - basis @ (basis_h @ vecs)
+        return vecs - basis @ (basis_h @ vecs)
+
+    blocks = [mb.copy()]
+    basis = mb.copy()
+    prev = mb.copy()
+    for _degree in range(1, 2 * m + 1):
+        if basis.shape[1] >= m:
+            break
+        imgs = np.column_stack([s_unit @ prev, t_unit @ prev[:, -dim_m:]])
+        norms0 = np.linalg.norm(imgs, axis=0)
+        work = project_out(basis, imgs)
+        accepted = []
+        for col in range(work.shape[1]):
+            if norms0[col] == 0.0:
+                continue
+            vec = work[:, col]
+            if accepted:
+                acc = np.column_stack(accepted)
+                vec = vec - acc @ (acc.conj().T @ vec)
+                vec = vec - acc @ (acc.conj().T @ vec)
+            norm = float(np.linalg.norm(vec))
+            if norm > rank_tol * norms0[col] and basis.shape[1] + len(accepted) < m:
+                accepted.append(vec / norm)
+        if not accepted:
+            break
+        block, _ = np.linalg.qr(project_out(basis, np.column_stack(accepted)))
+        blocks.append(block)
+        basis = np.column_stack([basis, block])
+        prev = imgs
+    return blocks
+
+
+def assert_matches_reference_build(s, t, mb, projector_tol=None):
+    filt = build_filtration(s, t, mb)
+    ref = reference_build(s, t, mb)
+    assert filt.dims == [b.shape[1] for b in ref]
+    if projector_tol is not None:
+        for n in range(1, len(ref) + 1):
+            got = np.column_stack(filt.blocks[:n])
+            want = np.column_stack(ref[:n])
+            assert hs_norm(got @ got.conj().T - want @ want.conj().T) <= projector_tol
+    return filt
+
+
+@pytest.mark.parametrize("m", [2, 16, 64, 128, 256])
+def test_build_matches_reference_witness(m):
+    b, c = normalized_witness_factors(m)
+    filt = assert_matches_reference_build(b, c, seed_vector(m), 1e-10 if m <= 64 else None)
+    assert filt.complete(m)
+
+
+@pytest.mark.parametrize("m, width", [(12, 1), (12, 3), (40, 1), (40, 3)])
+def test_build_matches_reference_random(rng, m, width):
+    s, t = random_complex(rng, m), random_complex(rng, m)
+    mb, _ = np.linalg.qr(random_complex(rng, m)[:, :width])
+    filt = assert_matches_reference_build(s, t, mb, 1e-10)
+    assert len(filt.dims) > 2
+
+
+def test_build_matches_reference_degenerate(rng):
+    z = np.zeros((4, 4), dtype=complex)
+    assert assert_matches_reference_build(z, z, seed_vector(4), 1e-10).dims == [1]
+    s = random_complex(rng, 3)
+    assert assert_matches_reference_build(s, s, np.eye(3, dtype=complex), 1e-10).dims == [3]
+
+
+def test_build_stacks_once_per_degree(monkeypatch):
+    # accepted columns go straight into the basis buffer: only each degree's
+    # monomial images are stacked, not the accepted set once per candidate
+    b, c = normalized_witness_factors(64)
+    calls = []
+    orig = np.column_stack
+
+    def counted(arrays):
+        calls.append(len(arrays))
+        return orig(arrays)
+
+    monkeypatch.setattr(np, "column_stack", counted)
+    filt = build_filtration(b, c, seed_vector(64))
+    assert filt.complete(64)
+    assert len(calls) <= 2 * len(filt.dims)
+
+
+def test_stored_spectrum_is_the_generator_spectrum(rng):
+    s, t = random_complex(rng, 9), random_complex(rng, 9)
+    filt = build_filtration(s, t, seed_vector(9))
+    assert np.array_equal(filt.spectrum_t.values, np.linalg.svd(t, compute_uv=False))
+    assert filt.norm_t == operator_norm(t)
+
+
 # The per-pair and projector forms of the residuals, kept as references for
 # the single compression basis* op basis that the package computes.
 def reference_structure_residuals(blocks, s, t):
@@ -272,12 +376,14 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
     for path, mat in zip(paths, (b, c, seed_vector(m))):
         write_matrix(path, mat)
     calls = []
-    orig = traceless.filtration.operator_norm
+    for name in ("operator_norm", "singular_profile"):
+        orig = getattr(traceless.filtration, name)
 
-    def counted(mat):
-        calls.append(mat.shape)
-        return orig(mat)
+        def counted(mat, name=name, orig=orig):
+            calls.append((name, mat.shape))
+            return orig(mat)
 
-    monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
+        monkeypatch.setattr(traceless.filtration, name, counted)
     assert main(["filtration", *paths, "--lam", f"{1.0 / m!r},0", "--out", str(tmp_path / "f.json")]) == 0
-    assert len(calls) == 2  # ||S|| and ||T|| in the build; verify reuses them
+    # ||S|| and the spectrum of T (whose top is ||T||) in the build; verify reuses them
+    assert sorted(calls) == [("operator_norm", (m, m)), ("singular_profile", (m, m))]

@@ -240,8 +240,9 @@ def test_operator_norm_calls_per_report(monkeypatch):
             monkeypatch.setattr(mod, "operator_norm", counted)
     report = lower_bound_report(16, trials=8, seed=0)
     assert report.all_strict_passed
-    # factor 1, build_filtration 2, ||V|| and ||W|| 2; the trace check reuses ||S||
-    assert len(calls) == 5
+    # factor 1, ||S|| in build_filtration 1, ||V|| and ||W|| 2; ||T|| is the top of the
+    # build's spectrum of T, and the trace check reuses ||S||
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("m", [16, 64])
@@ -257,8 +258,8 @@ def test_svd_calls_per_report(monkeypatch, m):
     report = lower_bound_report(m, trials=8, seed=0)
     assert report.all_strict_passed
     matrices = [s for s in shapes if len(s) == 2]  # the reduction's stacked solves are 3-d
-    # ||B|| in factor, ||S|| and ||T|| in the build, the spectrum of C, ||V|| and ||W||
-    assert matrices.count((m, m)) == 6
+    # ||B|| in factor, ||S|| and the spectrum of T (= C) in the build, ||V|| and ||W||
+    assert matrices.count((m, m)) == 5
     # one SVD of X_n and one of Y_n per block pair, both (dims[n+1], dims[n])
     pairs = list(zip(report.dims[1:], report.dims))
     assert sorted(s for s in matrices if s != (m, m)) == sorted(2 * pairs)
@@ -376,6 +377,27 @@ def test_generator_changed_in_place_after_build(rng):
             assert np.allclose(svd[1], fresh_svd[1], rtol=1e-12, atol=0)
     report = verify_filtration_structure(filt, s, t, 0.0, mb)
     assert report == verify_filtration_structure(fresh, s, t, 0.0, mb)
+    # nor is the build's spectrum of the old T reused for the partial sums
+    assert verify_partial_sums(t, filt) == verify_partial_sums(t)
+    assert verify_partial_sums(t, filt) != verify_partial_sums(t / 2.0)
+
+
+def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
+    b, c, filt = witness_filtration(64)
+    direct = verify_partial_sums(c)
+    calls = []
+    monkeypatch.setattr(traceless.lowerbound, "singular_profile", lambda mat: calls.append(mat))
+    assert verify_partial_sums(c, filt) == direct  # bit for bit: the same LAPACK call on C
+    assert verify_partial_sums(c.copy(), filt) == direct
+    assert calls == []
+
+
+def test_single_block_gives_zero_isometries():
+    z = np.zeros((5, 5), dtype=complex)
+    filt = build_filtration(z, z, seed_vector(5))
+    assert filt.dims == [1] and filt.boundary == []
+    for iso in construct_partial_isometries(z, filt):
+        assert iso.shape == (5, 5) and not iso.any()
 
 
 def test_trace_inequality_reuses_norm_s(monkeypatch):
