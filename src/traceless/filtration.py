@@ -7,6 +7,11 @@ into block-tridiagonal form: P_i S P_j = P_i T P_j = 0 for i > j + 1.  Those
 structural facts are exact algebra whenever [S, T] + lambda*I maps into M;
 here they are reproduced with explicit numerical-rank decisions and the
 residuals are reported.
+
+The build never forms all (n+1) dim M monomials of degree n.  Every
+monomial of degree n+1 except T^{n+1} M is S times one of degree n, and
+S V_{n-1} lies in V_n, so V_{n+1} = V_n + S H_n + T^{n+1} M for any S, T
+and M: d_n + dim M candidates per degree span what the monomials span.
 """
 
 from __future__ import annotations
@@ -116,13 +121,28 @@ def _chain_residuals(blocks, s, t) -> tuple[float, float, float]:
     return _chain_compression(np.column_stack(blocks), [b.shape[1] for b in blocks], s, t)[:3]
 
 
+def require_rank_tol(rank_tol: float) -> float:
+    """``rank_tol`` itself; ValueError unless it is finite and 0 < rank_tol < 1.
+
+    NaN accepts nothing past the seed, 1 or more rejects every candidate,
+    and 0 or less accepts roundoff as new directions, so none of them is a
+    rank decision.
+    """
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank tolerance must be finite and in (0, 1), got {rank_tol!r}")
+    return rank_tol
+
+
 def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration:
     """Grow the degree filtration seeded at the span of ``m_basis`` columns.
 
-    Monomial images at degree n are enumerated with the S-power descending
-    (S^n M first, then S^{n-1} T M, ..., T^n M); each image column
-    contributes a new direction iff its component orthogonal to everything
-    accepted so far exceeds ``rank_tol`` times the image's own norm.
+    The candidates of degree n are S H_{n-1} (S applied to the newest
+    block's orthonormal columns), then T^n M (the unnormalized T-chain, one
+    product per degree); by V_n = V_{n-1} + S H_{n-1} + T^n M they span
+    what all monomials S^k T^l M with k + l = n span.  Each candidate
+    column contributes a new direction iff its component orthogonal to
+    everything accepted so far exceeds ``rank_tol`` (default 1e-8 m; it
+    must lie in (0, 1)) times the candidate's own norm.
     Internally S and T are rescaled by their operator norms, which leaves
     every span unchanged but keeps image magnitudes tame.  The build stops
     when a degree adds nothing, the span is complete, or the degree cap 2m
@@ -145,8 +165,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     dim_m = mb.shape[1]
     if hs_norm(mb.conj().T @ mb - np.eye(dim_m)) > 1e-10 * max(1.0, dim_m):
         raise ValueError("seed basis columns are not orthonormal")
-    if rank_tol is None:
-        rank_tol = 1e-8 * m
+    rank_tol = require_rank_tol(1e-8 * m if rank_tol is None else rank_tol)
 
     spectrum_t = singular_profile(t)
     norm_s, norm_t = operator_norm(s), float(spectrum_t.values[0])
@@ -156,12 +175,13 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     buf[:, :dim_m] = mb
     nb = dim_m
     dims = [dim_m]
-    prev = mb  # degree-(n-1) monomial images, S-power descending
+    t_chain = mb  # T^(n-1) M, unnormalized
     for _degree in range(1, DEGREE_CAP_FACTOR * m + 1):
         if nb >= m:
             break
         basis = buf[:, :nb]
-        imgs = np.column_stack([s_unit @ prev, t_unit @ prev[:, -dim_m:]])
+        t_chain = t_unit @ t_chain
+        imgs = np.column_stack([s_unit @ buf[:, nb - dims[-1] : nb], t_chain])
         norms0 = np.linalg.norm(imgs, axis=0)
         work = _project_once(basis, imgs)
         # The second pass and the in-degree projections below are orthogonal
@@ -186,7 +206,6 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         buf[:, nb : nb + na] = block
         nb += na
         dims.append(na)
-        prev = imgs
 
     starts = np.cumsum([0] + dims)
     blocks = [buf[:, a:b] for a, b in zip(starts, starts[1:])]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorizer import FactorizationCertificate, factor
-from .filtration import Filtration, build_filtration
+from .filtration import Filtration, build_filtration, require_rank_tol
 from .linalg import (
     as_matrix,
     commutator,
@@ -389,6 +389,8 @@ def lower_bound_report(
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    if rank_tol is not None:
+        require_rank_tol(rank_tol)
     a = extremal_matrix(m)
     cert = certificate if certificate is not None else factor(a, trials=trials, seed=seed)
     if cert.m != m:

@@ -3,15 +3,18 @@
 ``is_normal``, ``mean_c2_over_permutations`` / ``expectation_identity_gap``
 and ``quarter_log_sum_sweep`` are independent references: the acceptance
 criteria compare the package's factorizations and closed forms against them.
+``exact_witness_dims`` gives the witness filtration's dims by exact
+arithmetic, for the float build to match.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from traceless.lattice import LatticePointSet, pair_expectation
+from traceless.lattice import LatticePointSet, gaussian_points, pair_expectation
 from traceless.linalg import hs_norm, operator_norm
 
 
@@ -91,3 +94,75 @@ def quarter_log_sum_sweep(m_values) -> np.ndarray:
     c2 = np.concatenate([[0.0], np.cumsum(w * tri * tri)])
     count = np.searchsorted(tri, ms, side="left")
     return c0[count] - (2.0 / ms) * c1[count] + (1.0 / ms**2) * c2[count]
+
+
+def _matvec_mod(mat, vec, p):
+    """mat @ vec mod p for int64 entries in [0, p), p < 2^31, m < 2^16.
+
+    ``vec`` is split into 16-bit halves so that no int64 partial sum overflows.
+    """
+    lo = (mat @ (vec & 0xFFFF)) % p
+    hi = (mat @ (vec >> 16)) % p
+    return ((hi << 16) + lo) % p
+
+
+def _pow_mod(base, exp: int, p: int):
+    """Elementwise base**exp mod p by square and multiply (products stay below 2^62)."""
+    result = np.ones_like(base)
+    while exp:
+        if exp & 1:
+            result = result * base % p
+        base = base * base % p
+        exp >>= 1
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def exact_witness_dims(m: int, p: int) -> list[int]:
+    """Dims of the degree filtration of the witness pair, computed over F_p.
+
+    In B's eigenbasis the witness factorization is, up to scale and a
+    diagonal unitary, S = diag(z) and T = the Cauchy matrix 1/(z_i - z_j)
+    (zero diagonal), seeded at the all-ones vector, with z the m Gaussian
+    integers of ``gaussian_points``; simultaneous permutations (the order in
+    which ``factor`` assigns the points) do not change the dims.  With
+    p = 1 (mod 4), i maps to a square root of -1 mod p.  Degree n
+    enumerates every monomial S^k T^l 1 with k + l = n, as the filtration is
+    defined, and reduces each one against a reduced row echelon basis.
+    """
+    if p % 4 != 1 or pow(2, p - 1, p) != 1:
+        raise ValueError(f"p = {p} is not a prime = 1 (mod 4)")
+    i_p = next(r for r in (pow(g, (p - 1) // 4, p) for g in range(2, 100)) if r * r % p == p - 1)
+    z = gaussian_points(m).points
+    zp = (z.real.astype(np.int64) + z.imag.astype(np.int64) * i_p) % p
+    t = _pow_mod((zp[:, None] - zp[None, :]) % p, p - 2, p)  # 1/(z_i - z_j); 0 on the diagonal
+    echelon = np.zeros((0, m), dtype=np.int64)  # rows in reduced row echelon form
+    pivots = []
+
+    def add(vec) -> bool:
+        nonlocal echelon
+        if pivots:
+            coef = vec[pivots]
+            vec = (vec - _matvec_mod(echelon.T, coef, p)) % p
+        nonzero = np.flatnonzero(vec)
+        if not len(nonzero):
+            return False
+        piv = int(nonzero[0])
+        vec = vec * pow(int(vec[piv]), p - 2, p) % p
+        echelon = (echelon - np.outer(echelon[:, piv], vec) % p) % p
+        echelon = np.vstack([echelon, vec])
+        pivots.append(piv)
+        return True
+
+    monomials = [np.ones(m, dtype=np.int64)]  # degree n: S^n 1, S^(n-1) T 1, ..., T^n 1
+    add(monomials[0])
+    dims = [1]
+    for _degree in range(1, 2 * m + 1):
+        if len(pivots) == m:
+            break
+        monomials = [zp * v % p for v in monomials] + [_matvec_mod(t, monomials[-1], p)]
+        added = sum(add(v) for v in monomials)
+        if not added:
+            break
+        dims.append(added)
+    return dims

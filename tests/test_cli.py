@@ -197,6 +197,11 @@ class TestLowerBoundCommand:
         code, _, _ = run(capsys, "lowerbound", "-m", "1")
         assert code == 2
 
+    def test_nan_rank_tol_exit_2(self, capsys):
+        code, out, err = run(capsys, "lowerbound", "-m", "8", "--rank-tol", "nan")
+        assert code == 2 and out == ""
+        assert "rank tolerance must be finite and in (0, 1), got nan" in err
+
 
 class TestSweepCommand:
     def test_csv_shape_and_summary(self, tmp_path, capsys):
@@ -298,3 +303,14 @@ class TestFiltrationCommand:
                          str(tmp_path / "S.txt"), str(tmp_path / "M.txt"),
                          "--lam", "bogus")
         assert code == 2
+
+    def test_zero_rank_tol_exit_2(self, tmp_path, capsys):
+        write_matrix(tmp_path / "S.txt", np.eye(2))
+        e1 = np.zeros((2, 1), dtype=complex)
+        e1[0, 0] = 1.0
+        write_matrix(tmp_path / "M.txt", e1)
+        code, out, err = run(capsys, "filtration", str(tmp_path / "S.txt"),
+                             str(tmp_path / "S.txt"), str(tmp_path / "M.txt"),
+                             "--rank-tol", "0")
+        assert code == 2 and out == ""
+        assert "rank tolerance must be finite and in (0, 1), got 0.0" in err

@@ -11,7 +11,9 @@ from traceless.linalg import hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
 from traceless.matio import write_matrix
 
-from conftest import random_complex, random_unitary
+from conftest import exact_witness_dims, random_complex, random_unitary
+
+PRIMES = (2147483629, 2147483477)  # both = 1 (mod 4)
 
 
 def seed_vector(m: int) -> np.ndarray:
@@ -193,10 +195,10 @@ def test_witness_filtration_complete(m):
     assert filt.invariance_residual <= 1e-8
 
 
-# The per-column monomial build that the package's buffered build replaced,
-# kept as an independent reference: it re-stacks the accepted columns for
-# every candidate, runs both Gram-Schmidt passes on every column, and returns
-# the blocks (not the residuals).
+# The monomial enumeration, kept as an independent reference: degree n forms
+# every image S^k T^l M with k + l = n (not the package's S H_{n-1} and T^n M),
+# re-stacks the accepted columns for every candidate, runs both Gram-Schmidt
+# passes on every column, and returns the blocks (not the residuals).
 def reference_build(s, t, mb, rank_tol=None):
     m = s.shape[0]
     dim_m = mb.shape[1]
@@ -251,7 +253,9 @@ def assert_matches_reference_build(s, t, mb, projector_tol=None):
     return filt
 
 
-@pytest.mark.parametrize("m", [2, 16, 64, 128, 256])
+# m=256 is left to test_build_dims_are_exact_witness: there the float
+# monomial reference itself accepts noise (its dims leave n+1 at degree 18).
+@pytest.mark.parametrize("m", [2, 16, 64, 128])
 def test_build_matches_reference_witness(m):
     b, c = normalized_witness_factors(m)
     filt = assert_matches_reference_build(b, c, seed_vector(m), 1e-10 if m <= 64 else None)
@@ -275,7 +279,7 @@ def test_build_matches_reference_degenerate(rng):
 
 def test_build_stacks_once_per_degree(monkeypatch):
     # accepted columns go straight into the basis buffer: only each degree's
-    # monomial images are stacked, not the accepted set once per candidate
+    # candidates are stacked, not the accepted set once per candidate
     b, c = normalized_witness_factors(64)
     calls = []
     orig = np.column_stack
@@ -288,6 +292,38 @@ def test_build_stacks_once_per_degree(monkeypatch):
     filt = build_filtration(b, c, seed_vector(64))
     assert filt.complete(64)
     assert len(calls) <= 2 * len(filt.dims)
+
+
+@pytest.mark.parametrize("m", [16, 64, 128, 256])
+def test_build_dims_are_exact_witness(m):
+    exact = [exact_witness_dims(m, p) for p in PRIMES]
+    assert exact[0] == exact[1]
+    assert sum(exact[0]) == m
+    for seed in (0, 1):
+        b, c = normalized_witness_factors(m, seed)
+        assert build_filtration(b, c, seed_vector(m)).dims == exact[0]
+
+
+def test_build_candidates_follow_accepted_dims(monkeypatch):
+    # degree n stacks S H_{n-1} and T^n M: d_{n-1} + dim M columns, not (n+1) dim M
+    b, c = normalized_witness_factors(256)
+    columns = []
+    orig = np.column_stack
+
+    def counted(arrays):
+        columns.append(sum(a.shape[1] for a in arrays))
+        return orig(arrays)
+
+    monkeypatch.setattr(np, "column_stack", counted)
+    filt = build_filtration(b, c, seed_vector(256))
+    assert sum(columns) <= filt.total_dim + len(filt.dims) * filt.dim_m
+
+
+@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1e-8, 0.0, 1.0, 2.0])
+def test_build_rejects_meaningless_rank_tol(rng, rank_tol):
+    s, t = random_complex(rng, 6), random_complex(rng, 6)
+    with pytest.raises(ValueError, match="rank tolerance"):
+        build_filtration(s, t, seed_vector(6), rank_tol=rank_tol)
 
 
 def test_stored_spectrum_is_the_generator_spectrum(rng):
