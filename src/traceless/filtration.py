@@ -47,10 +47,13 @@ class Filtration:
     norm_t: float
     generators: tuple[np.ndarray, np.ndarray] = field(repr=False)  # read-only copies of those S, T
     # per block pair n, (X_n, Y_n) = (B_{n+1}* T B_n, B_{n+1}* T* B_n) of the generator T,
-    # read from the build's compression basis* T basis
+    # read from the build's compression basis* T basis; boundary_s holds the same of S
     boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    # full singular spectrum of that T (norm_t is its top value), shared with verify_partial_sums
+    boundary_s: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    # full singular spectra of T and S (norm_t and norm_s are their top values),
+    # shared with verify_partial_sums
     spectrum_t: SingularProfile = field(repr=False)
+    spectrum_s: SingularProfile = field(repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -59,12 +62,19 @@ class Filtration:
     @cached_property
     def boundary_svds(self) -> list[tuple[tuple, tuple]]:
         """Thin SVDs (U, sigma, V^H) of each ``boundary`` pair, computed on first use."""
-        return [
-            tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in self.boundary
-        ]
+        return _pair_svds(self.boundary)
+
+    @cached_property
+    def boundary_svds_s(self) -> list[tuple[tuple, tuple]]:
+        """Thin SVDs of each ``boundary_s`` pair, computed on first use."""
+        return _pair_svds(self.boundary_s)
 
     def complete(self, m: int) -> bool:
         return self.total_dim == m
+
+
+def _pair_svds(bands) -> list[tuple[tuple, tuple]]:
+    return [tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in bands]
 
 
 def _project_once(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -101,19 +111,23 @@ def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]
 
 
 def _chain_compression(basis, dims, s, t):
-    """Block residuals of S and T, the summed invariance residual, and T's boundary blocks.
+    """Block residuals of S and T, the summed invariance residual, and both boundary blocks.
 
     ``basis`` holds the blocks side by side, ``dims`` their widths.  Block
     (n+1, n) of G_T = basis* T basis is X_n = B_{n+1}* T B_n, and block
     (n, n+1) is the adjoint of Y_n = B_{n+1}* T* B_n; both are copied out so
-    that G_T itself is not kept.
+    that G_T itself is not kept.  The same is done for S; the boundary
+    blocks are returned as (those of S, those of T).
     """
     starts = np.cumsum([0] + dims[:-1])
-    block_s, outside_s = _compression_residuals(basis, starts, s)[:2]
-    block_t, outside_t, comp_t = _compression_residuals(basis, starts, t)
     spans = [slice(a, a + d) for a, d in zip(starts, dims)]
-    boundary = [(comp_t[hi, lo].copy(), comp_t[lo, hi].conj().T) for lo, hi in zip(spans, spans[1:])]
-    return block_s, block_t, outside_s + outside_t, boundary
+    block_res, outside, bands = [], 0.0, []
+    for op in (s, t):
+        res, out, comp = _compression_residuals(basis, starts, op)
+        block_res.append(res)
+        outside += out
+        bands.append([(comp[hi, lo].copy(), comp[lo, hi].conj().T) for lo, hi in zip(spans, spans[1:])])
+    return block_res[0], block_res[1], outside, tuple(bands)
 
 
 def _chain_residuals(blocks, s, t) -> tuple[float, float, float]:
@@ -150,9 +164,10 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
 
     Accepted directions are written into one preallocated m x m buffer, so
     the blocks are adjacent column ranges of it and nothing is re-stacked.
-    The residual check's compression basis* T basis also gives the
-    boundary blocks of T, and the full singular spectrum of T (whose top
-    value is ||T||) is kept as ``spectrum_t`` for the partial-sum check.
+    The residual check's compressions basis* S basis and basis* T basis
+    also give the boundary blocks of S and T, and the full singular spectra
+    of S and T (whose top values are ||S|| and ||T||) are kept for the
+    partial-sum check.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -167,8 +182,8 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         raise ValueError("seed basis columns are not orthonormal")
     rank_tol = require_rank_tol(1e-8 * m if rank_tol is None else rank_tol)
 
-    spectrum_t = singular_profile(t)
-    norm_s, norm_t = operator_norm(s), float(spectrum_t.values[0])
+    spectrum_s, spectrum_t = singular_profile(s), singular_profile(t)
+    norm_s, norm_t = float(spectrum_s.values[0]), float(spectrum_t.values[0])
     s_unit, t_unit = s / (norm_s or 1.0), t / (norm_t or 1.0)
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
@@ -209,7 +224,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
 
     starts = np.cumsum([0] + dims)
     blocks = [buf[:, a:b] for a, b in zip(starts, starts[1:])]
-    res_s, res_t, inv_res, boundary = _chain_compression(buf[:, :nb], dims, s, t)
+    res_s, res_t, inv_res, (boundary_s, boundary) = _chain_compression(buf[:, :nb], dims, s, t)
     # copies, so that a caller changing S or T in place no longer matches them
     generators = (s.copy(), t.copy())
     for op in generators:
@@ -226,7 +241,9 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         norm_t=norm_t,
         generators=generators,
         boundary=boundary,
+        boundary_s=boundary_s,
         spectrum_t=spectrum_t,
+        spectrum_s=spectrum_s,
     )
 
 

@@ -109,12 +109,14 @@ class TraceIneqRecord:
 def _boundary_svds(c, filt: Filtration) -> list[tuple[tuple, tuple]]:
     """Thin SVDs of X_n = B_{n+1}* C B_n and Y_n = B_{n+1}* C* B_n per block pair n.
 
-    For the generator T the filtration was built from, the blocks are the
-    bands its build read off basis* T basis, factored once per filtration;
-    any other C is compressed here.
+    For either generator the filtration was built from, the blocks are the
+    bands its build read off basis* S basis or basis* T basis, factored once
+    per filtration; any other C is compressed here.
     """
     if np.array_equal(c, filt.generators[1]):
         return filt.boundary_svds
+    if np.array_equal(c, filt.generators[0]):
+        return filt.boundary_svds_s
     blocks = filt.blocks
     return [
         tuple(
@@ -135,14 +137,19 @@ def verify_trace_inequality(
     matrix.  Ranks are the filtration's numerical dimensions, and the rhs
     at degree n is sum sigma(X_n) + sum sigma(Y_n) from the boundary-block
     SVDs shared with the partial isometries; ||B|| is the filtration's
-    ||S|| when B is its generator S.  Degrees past the last block use an
-    empty block, so an exhausted filtration yields lhs <= 0 and the record
-    passes trivially.
+    ||S|| or ||T|| when B is one of its generators.  Degrees past the last
+    block use an empty block, so an exhausted filtration yields lhs <= 0 and
+    the record passes trivially.
     """
     b = as_matrix(b, square=True)
     c = as_matrix(c, square=True)
     m = b.shape[0]
-    op_b = filt.norm_s if np.array_equal(b, filt.generators[0]) else operator_norm(b)
+    if np.array_equal(b, filt.generators[0]):
+        op_b = filt.norm_s
+    elif np.array_equal(b, filt.generators[1]):
+        op_b = filt.norm_t
+    else:
+        op_b = operator_norm(b)
     if abs(op_b - 1.0) > 1e-10:
         raise ValueError("B is not normalized to unit operator norm")
     residual = hs_norm(extremal_matrix(m) - commutator(b, c))
@@ -243,14 +250,16 @@ def verify_partial_sums(c, filt: Filtration | None = None) -> PartialSumReport:
 
     C must come from a factorization of the witness matrix with B
     normalized to unit operator norm; the triangular checks run for every
-    k >= 0 with (k+1)(k+2) <= m.  When C is the generator T that ``filt``
-    was built from, the build's spectrum of T is reused; any other C is
+    k >= 0 with (k+1)(k+2) <= m.  When C is a generator that ``filt`` was
+    built from, the build's spectrum of it is reused; any other C is
     factored here.
     """
     c = as_matrix(c, square=True)
     m = c.shape[0]
     if filt is not None and np.array_equal(c, filt.generators[1]):
         prof = filt.spectrum_t
+    elif filt is not None and np.array_equal(c, filt.generators[0]):
+        prof = filt.spectrum_s
     else:
         prof = singular_profile(c)
     records = []
@@ -401,7 +410,13 @@ def lower_bound_report(
 
     e1 = np.zeros((m, 1), dtype=complex)
     e1[0, 0] = 1.0
-    filt = build_filtration(b_unit, c_scaled, e1, rank_tol=rank_tol)
+    # [B, C] + I/m maps into span{e_1}, so words in B and C reorder modulo
+    # lower degrees and span{B^k C^l e_1} = span{C^k B^l e_1}: the chain may be
+    # built with C in the S slot, C applied to each newest orthonormal block and
+    # B^n e_1 as the raw chain.  B is normal with a spread spectrum, so B^n e_1
+    # keeps a large part outside V_(n-1); C^n e_1 collapses onto C's top singular
+    # vectors, and a chain grown on it leaves T-block residuals near 1e-8 at m=256.
+    filt = build_filtration(c_scaled, b_unit, e1, rank_tol=rank_tol)
 
     trace_records = verify_trace_inequality(b_unit, c_scaled, filt)
     v, w = construct_partial_isometries(c_scaled, filt)

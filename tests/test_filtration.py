@@ -331,6 +331,8 @@ def test_stored_spectrum_is_the_generator_spectrum(rng):
     filt = build_filtration(s, t, seed_vector(9))
     assert np.array_equal(filt.spectrum_t.values, np.linalg.svd(t, compute_uv=False))
     assert filt.norm_t == operator_norm(t)
+    assert np.array_equal(filt.spectrum_s.values, np.linalg.svd(s, compute_uv=False))
+    assert filt.norm_s == operator_norm(s)
 
 
 # The per-pair and projector forms of the residuals, kept as references for
@@ -421,5 +423,5 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(traceless.filtration, name, counted)
     assert main(["filtration", *paths, "--lam", f"{1.0 / m!r},0", "--out", str(tmp_path / "f.json")]) == 0
-    # ||S|| and the spectrum of T (whose top is ||T||) in the build; verify reuses them
-    assert sorted(calls) == [("operator_norm", (m, m)), ("singular_profile", (m, m))]
+    # the spectra of S and T (whose tops are ||S|| and ||T||) in the build; verify reuses them
+    assert calls == [("singular_profile", (m, m))] * 2
