@@ -32,7 +32,7 @@ import numpy as np
 from . import lattice as lattice_mod
 from .factorizer import factor
 from .filtration import build_filtration, verify_filtration_structure
-from .linalg import NonzeroTraceError, certify
+from .linalg import NonzeroTraceError, certify, operator_norm
 from .lowerbound import lower_bound_report
 from .matio import MatrixFormatError, read_matrix, write_matrix, write_points
 
@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
     if not (a.shape == b.shape == c.shape) or a.shape[0] != a.shape[1]:
         print("error: matrices must be square and of equal dimension", file=sys.stderr)
         return EXIT_PARSE
-    check = certify(a, b, c, tol=args.tol)
+    check = certify(a, b, c, operator_norm(b), tol=args.tol)
     scale = check.op_norm_b * check.hs_norm_c
     sanity_ok = check.hs_norm_a <= 2.0 * scale + args.tol * scale
     _emit_json({**dataclasses.asdict(check), "sanity_hs_le_2_opb_hsc": sanity_ok}, None)

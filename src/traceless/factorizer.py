@@ -43,7 +43,9 @@ class FactorizationCertificate:
 
     ``ratio`` is ||B|| * ||C||_2 / ||A||_2 and ``bound`` the calibrated
     sqrt(RATIO_WINDOW + log m) envelope; ``valid`` certifies the residual,
-    normality of B, and the lattice bound on ||B||.
+    normality of B, and the lattice bound on ||B||.  ``op_norm_b`` is the
+    eigenframe bound (1 + unitarity_defect) max |b_i| >= ||B||, and the
+    normality of B is certified from ``unitarity_defect`` as well.
     """
 
     m: int
@@ -63,6 +65,7 @@ class FactorizationCertificate:
     diag_residual: float = 0.0
     reduction_converged: bool = True
     best_trial: int = 0
+    unitarity_defect: float = 0.0  # ||Q*Q - I||_2, which op_norm_b and normality rest on
 
 
 def c_from_b(atilde, b) -> np.ndarray:
@@ -131,6 +134,14 @@ def factor(
     resolved by lowest trial index).  ``tol`` is the zero-diagonal
     tolerance passed to the reduction, which raises ``NonzeroTraceError``
     for a matrix of nonzero trace.
+
+    B = Q diag(b) Q* is certified in its eigenframe, with no factorization
+    of B: with the unitarity defect delta = ||Q*Q - I||_2 (one GEMM),
+    ||B|| <= (1 + delta) max |b_i| is the certified ``op_norm_b``, and
+    2 delta (1 + delta) <= 1e-10 implies ||BB* - B*B||_2 <= 1e-10 max |b_i|^2,
+    which is at most 1e-10 op_norm_b^2.
+    The residual ||A - [B, C]||_2 and ||C||_2 are measured on the stored
+    B and C by ``certify``.
     """
     a = as_matrix(a, square=True)
     if trials < 1:
@@ -164,17 +175,21 @@ def factor(
     ctilde = c_from_b(atilde, bvec) if m > 1 else np.zeros((1, 1), dtype=complex)
 
     q = red.q
-    b = q @ (bvec[:, None] * q.conj().T)  # Q diag(b) Q*
-    c = q @ ctilde @ q.conj().T
-    check = certify(a, b, c)
+    qh = q.conj().T
+    b = q @ (bvec[:, None] * qh)  # Q diag(b) Q*
+    c = q @ ctilde @ qh
+    # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|
+    defect = hs_norm(qh @ q - np.eye(m)) if m > 1 else 0.0
+    check = certify(a, b, c, (1.0 + defect) * float(np.max(np.abs(bvec))))
     op_b = check.op_norm_b
     bound = math.sqrt(RATIO_WINDOW + math.log(m)) if m > 1 else math.sqrt(RATIO_WINDOW)
 
-    defect = hs_norm(b @ b.conj().T - b.conj().T @ b)
+    # BB* - B*B = Q (D E D* - D* E D) Q* with D = diag(b) and E = Q*Q - I, so
+    # ||BB* - B*B||_2 <= 2 defect (1 + defect) max |b_i|^2 <= 1e-10 op_b^2 here
     valid = (
         red.converged
         and check.residual_ok
-        and defect <= 1e-10 * op_b**2
+        and 2.0 * defect * (1.0 + defect) <= 1e-10
         and op_b <= 1.0 + math.sqrt(m / math.pi) + 1e-9
     )
     return FactorizationCertificate(
@@ -194,4 +209,5 @@ def factor(
         diag_residual=red.diag_residual,
         reduction_converged=red.converged,
         best_trial=best_trial,
+        unitarity_defect=defect,
     )

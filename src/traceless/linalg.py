@@ -63,16 +63,19 @@ def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of |entry|^2.
 
     The squares under- or overflow for entries beyond about 1e+-154; such
-    matrices are rescaled by their largest modulus first.
+    matrices are first scaled by the power of two that brings their largest
+    modulus into [0.5, 1).  That scaling is exact, so hs_norm(2^k M) is
+    2^k hs_norm(M) bit for bit wherever neither result is subnormal.
     """
     m = as_matrix(m)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
-    if norm < 1e-150 or norm == math.inf:
-        moduli = np.abs(m)
-        peak = float(np.max(moduli, initial=0.0))
-        if peak > 0.0:
-            norm = peak * float(np.linalg.norm(moduli / peak))
+        if norm < 1e-150 or norm == math.inf:
+            peak = float(np.max(np.abs(m), initial=0.0))
+            if peak > 0.0:
+                exp = int(np.frexp(peak)[1])
+                unit = np.ldexp(np.ascontiguousarray(m).view(float), -exp).view(complex)
+                norm = float(np.ldexp(np.linalg.norm(unit), exp))
     return norm
 
 
@@ -144,18 +147,23 @@ class CommutatorCheck:
     residual_ok: bool
 
 
-def certify(a, b, c, tol: float = RESIDUAL_TOL) -> CommutatorCheck:
-    """Measure ||A - [B, C]||_2, ||B||, ||C||_2, ||A||_2 and the ratio once."""
+def certify(a, b, c, op_norm_b: float, tol: float = RESIDUAL_TOL) -> CommutatorCheck:
+    """Measure ||A - [B, C]||_2, ||C||_2, ||A||_2 and the ratio once.
+
+    ``op_norm_b`` is ||B|| or a certified upper bound on it, and the caller
+    says where it comes from: ``verify`` measures ``operator_norm(b)``,
+    ``factor`` bounds it from B's eigenframe.  The residual rule and the
+    ratio use it as given.
+    """
     a = as_matrix(a, square=True)
     residual = hs_norm(a - commutator(b, c))
-    op_b = operator_norm(b)
     hs_c = hs_norm(c)
     hs_a = hs_norm(a)
     return CommutatorCheck(
         residual=residual,
-        op_norm_b=op_b,
+        op_norm_b=op_norm_b,
         hs_norm_c=hs_c,
         hs_norm_a=hs_a,
-        ratio=op_b * hs_c / hs_a if hs_a > 0.0 else 0.0,
-        residual_ok=residual_ok(residual, op_b, hs_c, tol),
+        ratio=op_norm_b * hs_c / hs_a if hs_a > 0.0 else 0.0,
+        residual_ok=residual_ok(residual, op_norm_b, hs_c, tol),
     )

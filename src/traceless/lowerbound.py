@@ -38,6 +38,7 @@ __all__ = [
     "quarter_log_sum",
     "verify_trace_inequality",
     "construct_partial_isometries",
+    "isometry_norm_bounds",
     "partial_isometry_residuals",
     "verify_partial_sums",
     "verify_hs_lower_bound",
@@ -190,7 +191,8 @@ def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.nd
 
     Each of V and W is one product L H*, where H stacks blocks 1, 2, ...
     and L stacks B_n (U V^H)* of the matching pairs.  Block supports are
-    orthogonal, so all singular values of V and W lie in [0, 1].
+    orthogonal, so all singular values of V and W lie in [0, 1];
+    ``isometry_norm_bounds`` certifies that in floats without an SVD.
     """
     c = as_matrix(c, square=True)
     m = c.shape[0]
@@ -207,6 +209,37 @@ def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.nd
         products.append(lo_iso @ hi_h)
     v, w = products
     return v, w
+
+
+def _unit_defect(x: np.ndarray) -> float:
+    """||X*X - I||_2, so that ||X||^2 <= 1 + the returned value."""
+    return hs_norm(x.conj().T @ x - np.eye(x.shape[1]))
+
+
+def _polar_bound(factors) -> float:
+    """Upper bound on max_n ||U_n V_n^H|| over thin SVD factors (U_n, sigma_n, V_n^H)."""
+    return math.sqrt(max(
+        ((1.0 + _unit_defect(u_)) * (1.0 + _unit_defect(vh_.conj().T)) for u_, _, vh_ in factors),
+        default=0.0,
+    ))
+
+
+def isometry_norm_bounds(c, filt: Filtration) -> tuple[float, float, float]:
+    """Certified upper bounds on ||V|| and ||W||, and the basis defect they rest on.
+
+    V = basis K basis*, where K holds (U_n V_n^H)* in block (n, n+1).  Those
+    blocks lie in disjoint block rows and columns, so ||K|| is the largest
+    ||U_n V_n^H||, and ||V|| <= (1 + delta_H) max_n ||U_n V_n^H|| with
+    delta_H = ||basis* basis - I||_2, one Gram GEMM over all the blocks.
+    Each ||U_n V_n^H||^2 is at most (1 + ||U_n^H U_n - I||_2)(1 + ||V_n^H V_n - I||_2),
+    read from the shared boundary-block SVDs; W is bounded alike from the
+    factors of Y_n.  Returns (bound on ||V||, bound on ||W||, delta_H).
+    """
+    c = as_matrix(c, square=True)
+    svds = _boundary_svds(c, filt)
+    basis_defect = _unit_defect(np.column_stack(filt.blocks))
+    scale = 1.0 + basis_defect
+    return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), basis_defect
 
 
 def partial_isometry_residuals(c, filt: Filtration, v, w) -> tuple[float, float]:
@@ -361,6 +394,7 @@ class LowerBoundReport:
     block_tol: float = 0.0
     invariance_residual: float = 0.0
     certificate: FactorizationCertificate | None = None
+    basis_defect: float = 0.0  # ||basis* basis - I||_2 of the filtration, behind v_norm and w_norm
 
     @property
     def hs_lower_pass(self) -> bool:
@@ -421,6 +455,7 @@ def lower_bound_report(
     trace_records = verify_trace_inequality(b_unit, c_scaled, filt)
     v, w = construct_partial_isometries(c_scaled, filt)
     res_v, res_w = partial_isometry_residuals(c_scaled, filt, v, w)
+    v_norm, w_norm, basis_defect = isometry_norm_bounds(c_scaled, filt)
     psums = verify_partial_sums(c_scaled, filt)
     hs_lower = verify_hs_lower_bound([cert])
 
@@ -435,8 +470,8 @@ def lower_bound_report(
         hs_lower=hs_lower,
         iso_residual_v=res_v,
         iso_residual_w=res_w,
-        v_norm=operator_norm(v),
-        w_norm=operator_norm(w),
+        v_norm=v_norm,
+        w_norm=w_norm,
         dims=list(filt.dims),
         dims_ok=dims_ok,
         filtration_complete=filt.complete(m),
@@ -444,4 +479,5 @@ def lower_bound_report(
         block_tol=1e-8 * op_scale,
         invariance_residual=filt.invariance_residual,
         certificate=cert,
+        basis_defect=basis_defect,
     )

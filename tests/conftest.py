@@ -4,9 +4,11 @@
 and ``quarter_log_sum_sweep`` are independent references: the acceptance
 criteria compare the package's factorizations and closed forms against them.
 ``exact_witness_dims`` gives the witness filtration's dims by exact
-arithmetic, for the float build to match.
+arithmetic, for the float build to match.  The ``skewed_q`` fixture feeds
+``factor`` a Q that is not unitary, for the certificate to refuse.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+import traceless.factorizer
 from traceless.lattice import LatticePointSet, gaussian_points, pair_expectation
 from traceless.linalg import hs_norm, operator_norm
 
@@ -42,6 +45,20 @@ def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def skewed_q(monkeypatch):
+    """Make ``factor``'s reduction return Q with its first column scaled by 1 + 1e-6."""
+    orig = traceless.factorizer.zero_diagonal_reduce
+
+    def skewed(a, tol=1e-10):
+        red = orig(a, tol=tol)
+        q = red.q.copy()
+        q[:, 0] *= 1.0 + 1e-6
+        return dataclasses.replace(red, q=q)
+
+    monkeypatch.setattr(traceless.factorizer, "zero_diagonal_reduce", skewed)
 
 
 def is_normal(m, tol: float = 1e-10) -> bool:

@@ -6,7 +6,7 @@ import pytest
 import traceless.cli
 from traceless.cli import main
 from traceless.factorizer import factor
-from traceless.linalg import certify, commutator, hs_norm
+from traceless.linalg import certify, commutator, hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
 from traceless.matio import read_matrix, write_matrix
 
@@ -42,6 +42,13 @@ class TestFactorCommand:
         assert hs_norm(a - commutator(b, c)) <= 1e-10
         assert hs_norm(q.conj().T @ q - np.eye(4)) <= 1e-10
         assert "ratio=" in out
+
+    def test_non_unitary_q_exit_4(self, tmp_path, witness_file, capsys, skewed_q):
+        code, out, _ = run(capsys, "factor", witness_file, "--out-dir", str(tmp_path / "out"),
+                           "--trials", "8")
+        assert code == 4
+        assert "valid=False" in out
+        assert json.loads((tmp_path / "out" / "certificate.json").read_text())["valid"] is False
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -164,7 +171,8 @@ class TestVerifyCommand:
         run(capsys, "factor", witness_file, "--out-dir", str(out_dir), "--trials", "8")
         paths = [witness_file, str(out_dir / "B.txt"), str(out_dir / "C.txt")]
         _, out, _ = run(capsys, "verify", *paths)
-        check = certify(*(read_matrix(p) for p in paths))
+        a, b, c = (read_matrix(p) for p in paths)
+        check = certify(a, b, c, operator_norm(b))
         payload = json.loads(out)
         for key in ("residual", "op_norm_b", "hs_norm_c", "hs_norm_a", "ratio", "residual_ok"):
             assert payload[key] == getattr(check, key)

@@ -6,7 +6,8 @@ import pytest
 import traceless.factorizer
 from traceless.factorizer import c_from_b, factor
 from traceless.lattice import gaussian_points
-from traceless.linalg import NonzeroTraceError, certify, commutator, hs_norm
+from traceless.linalg import NonzeroTraceError, certify, commutator, hs_norm, operator_norm
+from traceless.lowerbound import extremal_matrix
 
 from conftest import (
     expectation_identity_gap,
@@ -122,7 +123,7 @@ class TestFactor:
     def test_fields_are_certify_bits(self, rng, m):
         a = random_trace_zero(rng, m)
         cert = factor(a, trials=4, seed=0)
-        check = certify(a, cert.b, cert.c)
+        check = certify(a, cert.b, cert.c, cert.op_norm_b)
         assert (cert.residual, cert.op_norm_b, cert.hs_norm_c, cert.hs_norm_a, cert.ratio) == (
             check.residual, check.op_norm_b, check.hs_norm_c, check.hs_norm_a, check.ratio
         )
@@ -201,3 +202,53 @@ def test_fisher_yates_matches_per_step_draws(n):
             perm = traceless.factorizer._fisher_yates(rng, n)
             assert np.array_equal(perm, per_step_fisher_yates(ref_rng, n))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def eigenframe_input(kind, m):
+    return extremal_matrix(m) if kind == "witness" else random_trace_zero(np.random.default_rng(m), m)
+
+
+EIGENFRAME_INPUTS = [("witness", 16), ("witness", 64), ("witness", 128),
+                     ("ginibre", 2), ("ginibre", 7), ("ginibre", 33), ("ginibre", 64)]
+
+
+class TestEigenframeCertificate:
+    @pytest.mark.parametrize("kind, m", EIGENFRAME_INPUTS)
+    def test_op_norm_b_is_a_tight_upper_bound(self, kind, m):
+        cert = factor(eigenframe_input(kind, m), trials=8, seed=0)
+        assert cert.valid
+        op_b = operator_norm(cert.b)
+        assert op_b <= cert.op_norm_b * (1.0 + 8 * np.finfo(np.float64).eps)
+        assert cert.op_norm_b <= op_b * (1.0 + 1e-12)
+        assert cert.unitarity_defect == hs_norm(cert.q.conj().T @ cert.q - np.eye(m))
+        assert is_normal(cert.b, 1e-10)
+
+    def test_unitarity_defect_refuses(self, rng, skewed_q):
+        cert = factor(random_trace_zero(rng, 8), trials=4, seed=0)
+        assert cert.unitarity_defect > 1e-6
+        assert not cert.valid
+
+    @pytest.mark.parametrize("m", [2, 7, 33, 64])
+    def test_power_of_two_scales_give_the_same_bits(self, m):
+        # the reduction scales A by a power of two first, so Q does not change
+        a = eigenframe_input("ginibre", m)
+        base = factor(a, trials=8, seed=0)
+        assert base.valid
+        for k in (500, -500):
+            scaled = factor(2.0**k * a, trials=8, seed=0)
+            assert scaled.valid
+            assert (scaled.op_norm_b, scaled.ratio) == (base.op_norm_b, base.ratio)
+
+    def test_no_full_svd(self, monkeypatch):
+        shapes = []
+        orig = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cert = factor(eigenframe_input("ginibre", 64), trials=4, seed=0)
+        assert cert.valid
+        assert shapes  # the reduction's stacked solves went through the counter
+        assert [s for s in shapes if len(s) == 2] == []  # those are 3-d; B needs no SVD

@@ -161,7 +161,7 @@ class TestCertify:
         a = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
         b = np.diag([0.0, 1.0]).astype(complex)
         c = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)
-        check = certify(a, b, c)
+        check = certify(a, b, c, operator_norm(b))
         assert check.residual == 0.0 and check.residual_ok
         assert check.op_norm_b == pytest.approx(1.0, abs=1e-15)
         assert check.hs_norm_c == hs_norm(c) and check.hs_norm_a == hs_norm(a)
@@ -169,7 +169,7 @@ class TestCertify:
 
     def test_zero_triple_exact(self):
         z = np.zeros((3, 3))
-        check = certify(z, np.eye(3), z)
+        check = certify(z, np.eye(3), z, operator_norm(np.eye(3)))
         assert (check.residual, check.ratio, check.residual_ok) == (0.0, 0.0, True)
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
@@ -181,7 +181,8 @@ class TestCertify:
     def test_tiny_nonfactorization_rejected(self):
         # C = 0 cannot factor a nonzero A, however small A is
         a = 1e-150 * np.diag([1.0, -1.0]).astype(complex)
-        check = certify(a, np.diag([0.0, 1.0]), np.zeros((2, 2)))
+        b = np.diag([0.0, 1.0])
+        check = certify(a, b, np.zeros((2, 2)), operator_norm(b))
         assert check.residual == hs_norm(a) and not check.residual_ok
 
 

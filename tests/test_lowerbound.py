@@ -14,6 +14,7 @@ from traceless.lowerbound import (
     _boundary_svds,
     construct_partial_isometries,
     extremal_matrix,
+    isometry_norm_bounds,
     lower_bound_report,
     partial_isometry_residuals,
     quarter_log_sum,
@@ -260,9 +261,10 @@ def test_operator_norm_calls_per_report(monkeypatch):
             monkeypatch.setattr(mod, "operator_norm", counted)
     report = lower_bound_report(16, trials=8, seed=0)
     assert report.all_strict_passed
-    # factor 1, ||V|| and ||W|| 2; ||S|| and ||T|| are the tops of the build's
-    # spectra, and the trace check reuses ||B|| from them
-    assert len(calls) == 3
+    # factor bounds ||B|| in its eigenframe, ||V|| and ||W|| are bounded from
+    # the Gram defects, ||S|| and ||T|| are the tops of the build's spectra,
+    # and the trace check reuses ||B|| from them
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("m", [16, 64])
@@ -278,8 +280,8 @@ def test_svd_calls_per_report(monkeypatch, m):
     report = lower_bound_report(m, trials=8, seed=0)
     assert report.all_strict_passed
     matrices = [s for s in shapes if len(s) == 2]  # the reduction's stacked solves are 3-d
-    # ||B|| in factor, the spectra of S (= C) and T (= B) in the build, ||V|| and ||W||
-    assert matrices.count((m, m)) == 5
+    # only the spectra of S (= C) and T (= B) in the build
+    assert matrices.count((m, m)) == 2
     # one SVD of X_n and one of Y_n per block pair, both (dims[n+1], dims[n])
     pairs = list(zip(report.dims[1:], report.dims))
     assert sorted(s for s in matrices if s != (m, m)) == sorted(2 * pairs)
@@ -437,6 +439,24 @@ def test_single_block_gives_zero_isometries():
     assert filt.dims == [1] and filt.boundary == []
     for iso in construct_partial_isometries(z, filt):
         assert iso.shape == (5, 5) and not iso.any()
+    assert isometry_norm_bounds(z, filt)[:2] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [16, 64, 128])
+def test_isometry_norm_bounds_are_tight_upper_bounds(m):
+    report = lower_bound_report(m, trials=8, seed=0)
+    assert report.all_strict_passed
+    cert = report.certificate
+    c = cert.c * cert.op_norm_b
+    filt = build_filtration(c, cert.b / cert.op_norm_b, seed_vector(m))  # the report's order
+    assert isometry_norm_bounds(c, filt) == (report.v_norm, report.w_norm, report.basis_defect)
+    assert report.basis_defect <= 1e-12
+    eps = np.finfo(np.float64).eps
+    for bound, iso in zip((report.v_norm, report.w_norm), construct_partial_isometries(c, filt)):
+        norm = operator_norm(iso)
+        assert norm <= bound * (1.0 + 8 * eps)
+        assert bound <= norm * (1.0 + 1e-12)
+        assert bound <= 1.0 + 1e-12
 
 
 def test_trace_inequality_reuses_norm_s(monkeypatch):
