@@ -116,9 +116,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if args.m < 2:
-        print("error: m must be >= 2", file=sys.stderr)
-        return EXIT_PARSE
     report = lower_bound_report(args.m, trials=args.trials, seed=args.seed, rank_tol=args.rank_tol)
     payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
                     "block_residual", "block_tol", "quarter_log_sum", "iso_residual_v",
@@ -173,9 +170,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    if args.m < 2:
-        print("error: m must be >= 2", file=sys.stderr)
-        return EXIT_PARSE
     base = lattice_mod.gaussian_points(args.m)
     report = lattice_mod.pair_expectation(base)
     payload = {
@@ -209,7 +203,7 @@ def cmd_filtration(args) -> int:
         print(f"error: bad --lam value {args.lam!r}, expected re,im", file=sys.stderr)
         return EXIT_PARSE
     filt = build_filtration(s, t, mb, rank_tol=args.rank_tol)
-    report = verify_filtration_structure(filt, s, t, complex(lam_re, lam_im), mb)
+    report = verify_filtration_structure(filt, complex(lam_re, lam_im))
     payload = dataclasses.asdict(report)
     payload.update(rank_tolerance=filt.rank_tolerance, all_ok=report.all_ok)
     _emit_json(payload, args.out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import gaussian_points
-from .linalg import as_matrix, certify, hs_norm
+from .linalg import as_matrix, certify, hs_norm, unit_defect
 from .reduction import zero_diagonal_reduce
 
 __all__ = [
@@ -179,7 +179,7 @@ def factor(
     b = q @ (bvec[:, None] * qh)  # Q diag(b) Q*
     c = q @ ctilde @ qh
     # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|
-    defect = hs_norm(qh @ q - np.eye(m)) if m > 1 else 0.0
+    defect = unit_defect(q) if m > 1 else 0.0
     check = certify(a, b, c, (1.0 + defect) * float(np.max(np.abs(bvec))))
     op_b = check.op_norm_b
     bound = math.sqrt(RATIO_WINDOW + math.log(m)) if m > 1 else math.sqrt(RATIO_WINDOW)

@@ -21,12 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SingularProfile, as_matrix, hs_norm, operator_norm, singular_profile
+from .linalg import SingularProfile, as_matrix, hs_norm, operator_norm, singular_profile, unit_defect
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
 DEGREE_CAP_FACTOR = 2  # degree cap = 2m; an m-dim space stabilizes far earlier
-STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks
+STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks and the report's block_tol
 
 
 @dataclass
@@ -45,14 +45,13 @@ class Filtration:
     invariance_residual: float
     norm_s: float  # ||S|| and ||T|| of the generators the chain was built from
     norm_t: float
-    generators: tuple[np.ndarray, np.ndarray] = field(repr=False)  # read-only copies of those S, T
-    # per block pair n, (X_n, Y_n) = (B_{n+1}* T B_n, B_{n+1}* T* B_n) of the generator T,
-    # read from the build's compression basis* T basis; boundary_s holds the same of S
+    # read-only copies of those S and T, so that changing the caller's arrays changes nothing here
+    s: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
+    # per block pair n, (X_n, Y_n) = (B_{n+1}* S B_n, B_{n+1}* S* B_n), read from the
+    # build's compression basis* S basis
     boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    boundary_s: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    # full singular spectra of T and S (norm_t and norm_s are their top values),
-    # shared with verify_partial_sums
-    spectrum_t: SingularProfile = field(repr=False)
+    # full singular spectrum of S (norm_s is its top value), for the partial-sum check
     spectrum_s: SingularProfile = field(repr=False)
 
     @property
@@ -62,19 +61,10 @@ class Filtration:
     @cached_property
     def boundary_svds(self) -> list[tuple[tuple, tuple]]:
         """Thin SVDs (U, sigma, V^H) of each ``boundary`` pair, computed on first use."""
-        return _pair_svds(self.boundary)
-
-    @cached_property
-    def boundary_svds_s(self) -> list[tuple[tuple, tuple]]:
-        """Thin SVDs of each ``boundary_s`` pair, computed on first use."""
-        return _pair_svds(self.boundary_s)
+        return [tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in self.boundary]
 
     def complete(self, m: int) -> bool:
         return self.total_dim == m
-
-
-def _pair_svds(bands) -> list[tuple[tuple, tuple]]:
-    return [tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in bands]
 
 
 def _project_once(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -111,28 +101,20 @@ def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]
 
 
 def _chain_compression(basis, dims, s, t):
-    """Block residuals of S and T, the summed invariance residual, and both boundary blocks.
+    """Block residuals of S and T, the summed invariance residual, and S's boundary blocks.
 
     ``basis`` holds the blocks side by side, ``dims`` their widths.  Block
-    (n+1, n) of G_T = basis* T basis is X_n = B_{n+1}* T B_n, and block
-    (n, n+1) is the adjoint of Y_n = B_{n+1}* T* B_n; both are copied out so
-    that G_T itself is not kept.  The same is done for S; the boundary
-    blocks are returned as (those of S, those of T).
+    (n+1, n) of G_S = basis* S basis is X_n = B_{n+1}* S B_n, and block
+    (n, n+1) is the adjoint of Y_n = B_{n+1}* S* B_n; both are copied out so
+    that G_S itself is not kept.  Of T only the residuals are kept.
     """
     starts = np.cumsum([0] + dims[:-1])
     spans = [slice(a, a + d) for a, d in zip(starts, dims)]
-    block_res, outside, bands = [], 0.0, []
-    for op in (s, t):
-        res, out, comp = _compression_residuals(basis, starts, op)
-        block_res.append(res)
-        outside += out
-        bands.append([(comp[hi, lo].copy(), comp[lo, hi].conj().T) for lo, hi in zip(spans, spans[1:])])
-    return block_res[0], block_res[1], outside, tuple(bands)
-
-
-def _chain_residuals(blocks, s, t) -> tuple[float, float, float]:
-    """Block residuals of S and T, and the summed invariance residual."""
-    return _chain_compression(np.column_stack(blocks), [b.shape[1] for b in blocks], s, t)[:3]
+    res_s, out_s, comp = _compression_residuals(basis, starts, s)
+    bands = [(comp[hi, lo].copy(), comp[lo, hi].conj().T) for lo, hi in zip(spans, spans[1:])]
+    del comp
+    res_t, out_t, _ = _compression_residuals(basis, starts, t)
+    return res_s, res_t, out_s + out_t, bands
 
 
 def require_rank_tol(rank_tol: float) -> float:
@@ -164,10 +146,9 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
 
     Accepted directions are written into one preallocated m x m buffer, so
     the blocks are adjacent column ranges of it and nothing is re-stacked.
-    The residual check's compressions basis* S basis and basis* T basis
-    also give the boundary blocks of S and T, and the full singular spectra
-    of S and T (whose top values are ||S|| and ||T||) are kept for the
-    partial-sum check.
+    The residual check's compression basis* S basis also gives the
+    boundary blocks of S, and the full singular spectrum of S (whose top
+    value is ||S||) is kept for the partial-sum check.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -178,12 +159,12 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     if mb.shape[0] != m:
         raise ValueError(f"seed basis has {mb.shape[0]} rows, expected {m}")
     dim_m = mb.shape[1]
-    if hs_norm(mb.conj().T @ mb - np.eye(dim_m)) > 1e-10 * max(1.0, dim_m):
+    if unit_defect(mb) > 1e-10 * max(1.0, dim_m):
         raise ValueError("seed basis columns are not orthonormal")
     rank_tol = require_rank_tol(1e-8 * m if rank_tol is None else rank_tol)
 
-    spectrum_s, spectrum_t = singular_profile(s), singular_profile(t)
-    norm_s, norm_t = float(spectrum_s.values[0]), float(spectrum_t.values[0])
+    spectrum_s = singular_profile(s)
+    norm_s, norm_t = float(spectrum_s.values[0]), operator_norm(t)
     s_unit, t_unit = s / (norm_s or 1.0), t / (norm_t or 1.0)
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
@@ -224,11 +205,9 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
 
     starts = np.cumsum([0] + dims)
     blocks = [buf[:, a:b] for a, b in zip(starts, starts[1:])]
-    res_s, res_t, inv_res, (boundary_s, boundary) = _chain_compression(buf[:, :nb], dims, s, t)
-    # copies, so that a caller changing S or T in place no longer matches them
-    generators = (s.copy(), t.copy())
-    for op in generators:
-        op.flags.writeable = False
+    res_s, res_t, inv_res, boundary = _chain_compression(buf[:, :nb], dims, s, t)
+    s, t = s.copy(), t.copy()
+    s.flags.writeable = t.flags.writeable = False
     return Filtration(
         blocks=blocks,
         dims=dims,
@@ -239,10 +218,9 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
         invariance_residual=inv_res,
         norm_s=norm_s,
         norm_t=norm_t,
-        generators=generators,
+        s=s,
+        t=t,
         boundary=boundary,
-        boundary_s=boundary_s,
-        spectrum_t=spectrum_t,
         spectrum_s=spectrum_s,
     )
 
@@ -279,46 +257,24 @@ class StructureReport:
         )
 
 
-def verify_filtration_structure(
-    filt: Filtration,
-    s,
-    t,
-    lam: complex,
-    m_basis,
-) -> StructureReport:
+def verify_filtration_structure(filt: Filtration, lam: complex) -> StructureReport:
     """Check the range hypothesis and the filtration's structural claims.
 
-    Hypothesis: ([S,T] + lambda I) maps everything into span(m_basis).
-    Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
-    and invariance of the chain's total span under both operators.  When S
-    and T equal the generators ``filt`` was built from, the build's norms
-    and residuals are reused instead of computed again.
+    Hypothesis: ([S,T] + lambda I) maps everything into M, the span of the
+    seed block, for the S and T that ``filt`` was built from.  Conclusions:
+    dims[n] <= (n+1) dim M, block-tridiagonality of S and T, and invariance
+    of the chain's total span under both operators; their residuals and the
+    norms behind the tolerances are the build's own.
     """
-    s = as_matrix(s, square=True)
-    t = as_matrix(t, square=True)
-    m = s.shape[0]
-    mb = as_matrix(m_basis)
-    if t.shape != s.shape or mb.shape[0] != m:
-        raise ValueError("mismatched inputs")
-    if filt.blocks[0].shape != mb.shape or not np.allclose(
-        filt.blocks[0], mb, atol=1e-12
-    ):
-        raise ValueError("filtration was not built from this seed basis")
-
-    if all(np.array_equal(op, built) for op, built in zip((s, t), filt.generators)):
-        # the build measured these very operators: reuse its norms and residuals
-        op_scale = filt.norm_s + filt.norm_t
-        res_s, res_t, inv_res = filt.block_residual_s, filt.block_residual_t, filt.invariance_residual
-    else:
-        op_scale = operator_norm(s) + operator_norm(t)
-        res_s, res_t, inv_res = _chain_residuals(filt.blocks, s, t)
-    hyp_op = s @ t - t @ s + lam * np.eye(m)
+    s, t, mb = filt.s, filt.t, filt.blocks[0]
+    hyp_op = s @ t - t @ s + lam * np.eye(s.shape[0])
     proj_m = mb @ mb.conj().T
     hypothesis_residual = hs_norm(hyp_op - proj_m @ hyp_op)
     hypothesis_tol = STRUCTURE_TOL * hs_norm(hyp_op)
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 
-    structure_tol = invariance_tol = STRUCTURE_TOL * op_scale
+    res_s, res_t, inv_res = filt.block_residual_s, filt.block_residual_t, filt.invariance_residual
+    structure_tol = invariance_tol = STRUCTURE_TOL * (filt.norm_s + filt.norm_t)
     dims_ok = all(d <= (n + 1) * filt.dim_m for n, d in enumerate(filt.dims))
 
     return StructureReport(

@@ -20,6 +20,7 @@ __all__ = [
     "operator_norm",
     "hs_norm",
     "nuclear_norm",
+    "unit_defect",
     "singular_profile",
     "require_trace_zero",
     "residual_ok",
@@ -77,6 +78,12 @@ def hs_norm(m) -> float:
                 unit = np.ldexp(np.ascontiguousarray(m).view(float), -exp).view(complex)
                 norm = float(np.ldexp(np.linalg.norm(unit), exp))
     return norm
+
+
+def unit_defect(x) -> float:
+    """||X*X - I||_2 over the columns of X, so that ||X||^2 <= 1 + the returned value."""
+    x = as_matrix(x)
+    return hs_norm(x.conj().T @ x - np.eye(x.shape[1]))
 
 
 def nuclear_norm(m) -> float:

@@ -23,15 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorizer import FactorizationCertificate, factor
-from .filtration import Filtration, build_filtration, require_rank_tol
-from .linalg import (
-    as_matrix,
-    commutator,
-    hs_norm,
-    operator_norm,
-    residual_ok,
-    singular_profile,
-)
+from .filtration import STRUCTURE_TOL, Filtration, build_filtration, require_rank_tol
+from .linalg import SingularProfile, commutator, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
@@ -54,7 +47,7 @@ __all__ = [
 # ratio^2 >= (log m - HS_LOWER_WINDOW) / 4, vacuous below m ~ e^10 by design.
 HS_LOWER_WINDOW = 10.0
 
-TRACE_TOL = 1e-8
+TRACE_INEQ_TOL = 1e-8  # slack of the per-degree trace inequalities
 WITNESS_RESIDUAL_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
 PARTIAL_SUM_TOL = 1e-9
@@ -107,56 +100,26 @@ class TraceIneqRecord:
     normbd_passed: bool
 
 
-def _boundary_svds(c, filt: Filtration) -> list[tuple[tuple, tuple]]:
-    """Thin SVDs of X_n = B_{n+1}* C B_n and Y_n = B_{n+1}* C* B_n per block pair n.
-
-    For either generator the filtration was built from, the blocks are the
-    bands its build read off basis* S basis or basis* T basis, factored once
-    per filtration; any other C is compressed here.
-    """
-    if np.array_equal(c, filt.generators[1]):
-        return filt.boundary_svds
-    if np.array_equal(c, filt.generators[0]):
-        return filt.boundary_svds_s
-    blocks = filt.blocks
-    return [
-        tuple(
-            np.linalg.svd(hi.conj().T @ source @ lo, full_matrices=False)
-            for source in (c, c.conj().T)
-        )
-        for lo, hi in zip(blocks, blocks[1:])
-    ]
-
-
-def verify_trace_inequality(
-    b, c, filt: Filtration
-) -> list[TraceIneqRecord]:
+def verify_trace_inequality(filt: Filtration) -> list[TraceIneqRecord]:
     """Per-degree trace inequality records for a normalized factorization.
 
-    Requires ||B|| = 1 (rescale (B, C) -> (B/||B||, C ||B||) first, which
-    leaves the commutator unchanged) and [B, C] equal to the witness
-    matrix.  Ranks are the filtration's numerical dimensions, and the rhs
-    at degree n is sum sigma(X_n) + sum sigma(Y_n) from the boundary-block
-    SVDs shared with the partial isometries; ||B|| is the filtration's
-    ||S|| or ||T|| when B is one of its generators.  Degrees past the last
-    block use an empty block, so an exhausted filtration yields lhs <= 0 and
-    the record passes trivially.
+    ``filt`` is built from (C, B): C is its S and B its T.  Requires
+    ||B|| = 1 (rescale (B, C) -> (B/||B||, C ||B||) first, which leaves the
+    commutator unchanged) and [B, C] equal to the witness matrix.  Ranks are
+    the filtration's numerical dimensions, and the rhs at degree n is
+    sum sigma(X_n) + sum sigma(Y_n) from the boundary-block SVDs shared with
+    the partial isometries.  Degrees past the last block use an empty
+    block, so an exhausted filtration yields lhs <= 0 and the record passes
+    trivially.
     """
-    b = as_matrix(b, square=True)
-    c = as_matrix(c, square=True)
+    b, c, op_b = filt.t, filt.s, filt.norm_t
     m = b.shape[0]
-    if np.array_equal(b, filt.generators[0]):
-        op_b = filt.norm_s
-    elif np.array_equal(b, filt.generators[1]):
-        op_b = filt.norm_t
-    else:
-        op_b = operator_norm(b)
     if abs(op_b - 1.0) > 1e-10:
         raise ValueError("B is not normalized to unit operator norm")
     residual = hs_norm(extremal_matrix(m) - commutator(b, c))
     if not residual_ok(residual, op_b, hs_norm(c), WITNESS_RESIDUAL_TOL):
         raise ValueError("[B, C] does not reproduce the witness matrix")
-    nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in _boundary_svds(c, filt)]
+    nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in filt.boundary_svds]
     records = []
     rank_cum = 0
     for n in range(len(filt.blocks)):
@@ -170,17 +133,17 @@ def verify_trace_inequality(
                 lhs=lhs,
                 rhs=rhs,
                 slack=rhs - lhs,
-                passed=rhs >= lhs - TRACE_TOL,
+                passed=rhs >= lhs - TRACE_INEQ_TOL,
                 rank_cum=rank_cum,
                 normbd_bound=normbd_bound,
-                normbd_passed=rhs >= normbd_bound - TRACE_TOL,
+                normbd_passed=rhs >= normbd_bound - TRACE_INEQ_TOL,
             )
         )
     return records
 
 
-def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
-    """Partial isometries V, W moving block n+1 back onto block n.
+def construct_partial_isometries(filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
+    """Partial isometries V, W moving block n+1 back onto block n, for C = ``filt.s``.
 
     Per block pair, the polar factors U V^H of X_n = B_{n+1}* C B_n and
     Y_n = B_{n+1}* C* B_n, taken from the boundary-block SVDs shared with
@@ -194,9 +157,8 @@ def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.nd
     orthogonal, so all singular values of V and W lie in [0, 1];
     ``isometry_norm_bounds`` certifies that in floats without an SVD.
     """
-    c = as_matrix(c, square=True)
-    m = c.shape[0]
-    svds = _boundary_svds(c, filt)
+    m = filt.s.shape[0]
+    svds = filt.boundary_svds
     if not svds:  # a single block: nothing to move
         return np.zeros((m, m), dtype=complex), np.zeros((m, m), dtype=complex)
     hi_h = np.column_stack(filt.blocks[1:]).conj().T  # H*, shared by V and W
@@ -211,20 +173,15 @@ def construct_partial_isometries(c, filt: Filtration) -> tuple[np.ndarray, np.nd
     return v, w
 
 
-def _unit_defect(x: np.ndarray) -> float:
-    """||X*X - I||_2, so that ||X||^2 <= 1 + the returned value."""
-    return hs_norm(x.conj().T @ x - np.eye(x.shape[1]))
-
-
 def _polar_bound(factors) -> float:
     """Upper bound on max_n ||U_n V_n^H|| over thin SVD factors (U_n, sigma_n, V_n^H)."""
     return math.sqrt(max(
-        ((1.0 + _unit_defect(u_)) * (1.0 + _unit_defect(vh_.conj().T)) for u_, _, vh_ in factors),
+        ((1.0 + unit_defect(u_)) * (1.0 + unit_defect(vh_.conj().T)) for u_, _, vh_ in factors),
         default=0.0,
     ))
 
 
-def isometry_norm_bounds(c, filt: Filtration) -> tuple[float, float, float]:
+def isometry_norm_bounds(filt: Filtration) -> tuple[float, float, float]:
     """Certified upper bounds on ||V|| and ||W||, and the basis defect they rest on.
 
     V = basis K basis*, where K holds (U_n V_n^H)* in block (n, n+1).  Those
@@ -235,26 +192,25 @@ def isometry_norm_bounds(c, filt: Filtration) -> tuple[float, float, float]:
     read from the shared boundary-block SVDs; W is bounded alike from the
     factors of Y_n.  Returns (bound on ||V||, bound on ||W||, delta_H).
     """
-    c = as_matrix(c, square=True)
-    svds = _boundary_svds(c, filt)
-    basis_defect = _unit_defect(np.column_stack(filt.blocks))
+    svds = filt.boundary_svds
+    basis_defect = unit_defect(np.column_stack(filt.blocks))
     scale = 1.0 + basis_defect
     return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), basis_defect
 
 
-def partial_isometry_residuals(c, filt: Filtration, v, w) -> tuple[float, float]:
-    """Max deviation of the two displayed identities over all block pairs.
+def partial_isometry_residuals(filt: Filtration, v, w) -> tuple[float, float]:
+    """Max deviation of the two displayed identities over all block pairs, for C = ``filt.s``.
 
     The right sides |X_n| = R* diag(sigma) R (R the right singular factor)
     come from the shared boundary-block SVDs, while the left sides
     P_n V C P_n and P_n W C* P_n are formed from the assembled V and W, so
     this still checks the assembly independently.
     """
-    c = as_matrix(c, square=True)
+    c = filt.s
     res = [0.0, 0.0]
     prods = (v @ c, w @ c.conj().T)
     blocks = filt.blocks
-    for n, svds in enumerate(_boundary_svds(c, filt)):
+    for n, svds in enumerate(filt.boundary_svds):
         lo = blocks[n]
         lo_h = lo.conj().T
         for k, ((_, s_, vh_), prod) in enumerate(zip(svds, prods)):
@@ -278,26 +234,18 @@ class PartialSumReport:
     all_passed: bool
 
 
-def verify_partial_sums(c, filt: Filtration | None = None) -> PartialSumReport:
+def verify_partial_sums(spectrum: SingularProfile) -> PartialSumReport:
     """Leading singular-value sums of C against sqrt(l)/6 and (k+1)/4.
 
-    C must come from a factorization of the witness matrix with B
-    normalized to unit operator norm; the triangular checks run for every
-    k >= 0 with (k+1)(k+2) <= m.  When C is a generator that ``filt`` was
-    built from, the build's spectrum of it is reused; any other C is
-    factored here.
+    ``spectrum`` is C's singular profile, ``filt.spectrum_s`` for a
+    filtration built from (C, B).  C must come from a factorization of the
+    witness matrix with B normalized to unit operator norm; the triangular
+    checks run for every k >= 0 with (k+1)(k+2) <= m.
     """
-    c = as_matrix(c, square=True)
-    m = c.shape[0]
-    if filt is not None and np.array_equal(c, filt.generators[1]):
-        prof = filt.spectrum_t
-    elif filt is not None and np.array_equal(c, filt.generators[0]):
-        prof = filt.spectrum_s
-    else:
-        prof = singular_profile(c)
+    m = len(spectrum.values)
     records = []
     for l in range(1, m + 1):
-        total = prof.leading_sum(l)
+        total = spectrum.leading_sum(l)
         bound = math.sqrt(l) / 6.0
         records.append(
             PartialSumRecord(l=l, partial_sum=total, bound=bound, passed=total >= bound - PARTIAL_SUM_TOL)
@@ -306,7 +254,7 @@ def verify_partial_sums(c, filt: Filtration | None = None) -> PartialSumReport:
     k = 0
     while (k + 1) * (k + 2) <= m:
         l = (k + 1) * (k + 2) // 2
-        total = prof.leading_sum(l)
+        total = spectrum.leading_sum(l)
         bound = (k + 1) / 4.0
         triangular.append(
             PartialSumRecord(l=l, partial_sum=total, bound=bound, passed=total >= bound - PARTIAL_SUM_TOL)
@@ -452,15 +400,14 @@ def lower_bound_report(
     # vectors, and a chain grown on it leaves T-block residuals near 1e-8 at m=256.
     filt = build_filtration(c_scaled, b_unit, e1, rank_tol=rank_tol)
 
-    trace_records = verify_trace_inequality(b_unit, c_scaled, filt)
-    v, w = construct_partial_isometries(c_scaled, filt)
-    res_v, res_w = partial_isometry_residuals(c_scaled, filt, v, w)
-    v_norm, w_norm, basis_defect = isometry_norm_bounds(c_scaled, filt)
-    psums = verify_partial_sums(c_scaled, filt)
+    trace_records = verify_trace_inequality(filt)
+    v, w = construct_partial_isometries(filt)
+    res_v, res_w = partial_isometry_residuals(filt, v, w)
+    v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
+    psums = verify_partial_sums(filt.spectrum_s)
     hs_lower = verify_hs_lower_bound([cert])
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
-    op_scale = filt.norm_s + filt.norm_t
     return LowerBoundReport(
         m=m,
         normalization=norm_b,
@@ -476,7 +423,7 @@ def lower_bound_report(
         dims_ok=dims_ok,
         filtration_complete=filt.complete(m),
         block_residual=max(filt.block_residual_s, filt.block_residual_t),
-        block_tol=1e-8 * op_scale,
+        block_tol=STRUCTURE_TOL * (filt.norm_s + filt.norm_t),
         invariance_residual=filt.invariance_residual,
         certificate=cert,
         basis_defect=basis_defect,

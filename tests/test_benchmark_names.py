@@ -1,15 +1,20 @@
-"""The benchmark tracer wraps package functions by name: they must exist.
+"""The benchmark wraps package functions by name and reads their results: both must hold.
 
 The ``TRACED`` table is read from ``perfbench/tracer.py`` without running
 that file.  Each name in it, and ``lattice.pair_expectation`` (used by the
 tracer's factor hook), must resolve on the ``traceless.<layer>`` module.
+The fields that the tracer's filtration hook and the lower-bound workload
+read from real results must exist as well.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import traceless
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,3 +35,22 @@ NAMES.append(("lattice", "pair_expectation"))
 def test_traced_name_resolves(layer, fname):
     module = importlib.import_module(f"traceless.{layer}")
     assert callable(getattr(module, fname, None)), f"traceless.{layer}.{fname} is gone"
+
+
+def test_filtration_fields_read_by_the_tracer():
+    s = np.diag(np.arange(1.0, 5.0))
+    seed = np.ones((4, 1)) / 2.0
+    filt = traceless.build_filtration(s, np.roll(np.eye(4), 1, axis=0), seed)
+    assert len(filt.blocks) > 1 and filt.total_dim == 4
+    assert max(filt.block_residual_s, filt.block_residual_t) >= 0.0
+
+
+def test_report_fields_read_by_the_workload():
+    rep = traceless.lower_bound_report(4, trials=2, seed=0)
+    assert rep.m == 4 and sum(rep.dims) == 4
+    assert isinstance(rep.all_strict_passed, bool)
+    assert all(isinstance(r.slack, float) for r in rep.trace_records)
+    cert = rep.certificate
+    assert cert.b.shape == cert.c.shape == (4, 4)
+    for name in ("valid", "ratio", "bound", "op_norm_b", "hs_norm_c"):
+        assert getattr(cert, name) is not None, name

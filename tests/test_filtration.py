@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import traceless.filtration
 from traceless.cli import main
 from traceless.factorizer import factor
-from traceless.filtration import _chain_residuals, build_filtration, verify_filtration_structure
+from traceless.filtration import STRUCTURE_TOL, _chain_compression, build_filtration, verify_filtration_structure
 from traceless.linalg import hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
 from traceless.matio import write_matrix
@@ -121,12 +119,13 @@ class TestBuildFiltration:
             build_filtration(s, random_complex(rng, 5), seed_vector(4))
 
 
+# The checks below build in lower_bound_report's order, S = C and T = B, where
+# [S, T] + lambda I = -A + lambda I maps into span{e_1} for lambda = -1/m.
 class TestVerifyFiltrationStructure:
     def test_m2_witness_all_pass(self):
         b, c = normalized_witness_factors(2)
-        mb = seed_vector(2)
-        filt = build_filtration(b, c, mb)
-        report = verify_filtration_structure(filt, b, c, 0.5, mb)
+        filt = build_filtration(c, b, seed_vector(2))
+        report = verify_filtration_structure(filt, -0.5)
         assert report.hypothesis_ok
         assert report.hypothesis_residual <= 1e-10
         assert report.structure_ok and report.invariance_ok and report.dims_ok
@@ -137,9 +136,8 @@ class TestVerifyFiltrationStructure:
     def test_negative_control_random_pair(self, rng):
         m = 5
         s, t = random_complex(rng, m), random_complex(rng, m)
-        mb = seed_vector(m)
-        filt = build_filtration(s, t, mb)
-        report = verify_filtration_structure(filt, s, t, 0.0, mb)
+        filt = build_filtration(s, t, seed_vector(m))
+        report = verify_filtration_structure(filt, 0.0)
         assert not report.hypothesis_ok
         assert report.structure_ok is None  # flagged as skipped
         assert report.invariance_ok is None
@@ -149,39 +147,28 @@ class TestVerifyFiltrationStructure:
     def test_checks_are_scale_free(self, rng, scale):
         m = 5
         s, t = random_complex(rng, m), random_complex(rng, m)
-        mb = seed_vector(m)
-        report = verify_filtration_structure(build_filtration(s, t, mb), scale * s, scale * t, 0.0, mb)
+        report = verify_filtration_structure(build_filtration(scale * s, scale * t, seed_vector(m)), 0.0)
         assert not report.hypothesis_ok and not report.all_ok
         b, c = normalized_witness_factors(9)
-        filt = build_filtration(b, c, seed_vector(9))
-        report = verify_filtration_structure(filt, scale * b, c, scale / 9.0, seed_vector(9))
+        filt = build_filtration(c, scale * b, seed_vector(9))
+        report = verify_filtration_structure(filt, -scale / 9.0)
         assert report.all_ok
 
     def test_tridiagonal_by_construction(self):
         # projecting the operators onto the block-tridiagonal pattern of an
         # existing filtration makes the structure residual exactly zero
         b, c = normalized_witness_factors(9)
-        mb = seed_vector(9)
-        filt = build_filtration(b, c, mb)
+        filt = build_filtration(c, b, seed_vector(9))
         ps = projectors(filt)
-        s_tri = np.zeros_like(b)
-        t_tri = np.zeros_like(c)
+        s_tri = np.zeros_like(c)
+        t_tri = np.zeros_like(b)
         for i, pi in enumerate(ps):
             for j, pj in enumerate(ps):
                 if i <= j + 1:
-                    s_tri += pi @ b @ pj
-                    t_tri += pi @ c @ pj
-        report = verify_filtration_structure(filt, s_tri, t_tri, 1.0 / 9.0, mb)
-        assert max(report.structure_residual_s, report.structure_residual_t) <= 1e-12
-
-    def test_mismatched_seed_rejected(self, rng):
-        b, c = normalized_witness_factors(4)
-        mb = seed_vector(4)
-        filt = build_filtration(b, c, mb)
-        other = np.zeros((4, 1), dtype=complex)
-        other[1, 0] = 1.0
-        with pytest.raises(ValueError, match="seed"):
-            verify_filtration_structure(filt, b, c, 0.25, other)
+                    s_tri += pi @ c @ pj
+                    t_tri += pi @ b @ pj
+        res_s, res_t, _, _ = _chain_compression(np.column_stack(filt.blocks), filt.dims, s_tri, t_tri)
+        assert max(res_s, res_t) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [4, 9, 16])
@@ -329,10 +316,9 @@ def test_build_rejects_meaningless_rank_tol(rng, rank_tol):
 def test_stored_spectrum_is_the_generator_spectrum(rng):
     s, t = random_complex(rng, 9), random_complex(rng, 9)
     filt = build_filtration(s, t, seed_vector(9))
-    assert np.array_equal(filt.spectrum_t.values, np.linalg.svd(t, compute_uv=False))
-    assert filt.norm_t == operator_norm(t)
     assert np.array_equal(filt.spectrum_s.values, np.linalg.svd(s, compute_uv=False))
     assert filt.norm_s == operator_norm(s)
+    assert filt.norm_t == operator_norm(t)
 
 
 # The per-pair and projector forms of the residuals, kept as references for
@@ -357,7 +343,7 @@ def assert_matches_references(blocks, s, t):
     # fixed from the dtype: a few hundred roundings per entry of an m x m product
     m = s.shape[0]
     tol = 100 * m * np.finfo(np.float64).eps * (operator_norm(s) + operator_norm(t))
-    res_s, res_t, inv = _chain_residuals(blocks, s, t)
+    res_s, res_t, inv, _ = _chain_compression(np.column_stack(blocks), [b.shape[1] for b in blocks], s, t)
     ref_s, ref_t = reference_structure_residuals(blocks, s, t)
     ref_inv = reference_invariance_residual(np.column_stack(blocks), s, t, m)
     assert abs(res_s - ref_s) <= tol
@@ -382,7 +368,7 @@ def test_compression_matches_references_random(rng, m):
     assert filt.block_residual_t > 1e-3  # T leaves the chain: a nonzero case
     for k in (len(filt.blocks), 3, 2):
         assert_matches_references(filt.blocks[:k], s, t)
-    res_s, res_t, inv = _chain_residuals(filt.blocks, s, t)
+    res_s, res_t, inv, _ = _chain_compression(np.column_stack(filt.blocks), filt.dims, s, t)
     stored = (filt.block_residual_s, filt.block_residual_t, filt.invariance_residual)
     assert stored == (res_s, res_t, inv)
 
@@ -396,15 +382,13 @@ def test_stored_generator_norms(rng):
 @pytest.mark.parametrize("m", [12, 40])
 def test_verify_reuses_build_numbers_exactly(m):
     b, c = normalized_witness_factors(m)
-    mb = seed_vector(m)
-    filt = build_filtration(b, c, mb)
-    reused = verify_filtration_structure(filt, b, c, 1.0 / m, mb)
-    # generators the build did not see force the full recomputation
-    fresh = dataclasses.replace(filt, generators=(np.zeros_like(b), np.zeros_like(c)))
-    assert reused == verify_filtration_structure(fresh, b, c, 1.0 / m, mb)
-    assert reused.all_ok
-    # equal copies are the same operators
-    assert reused == verify_filtration_structure(filt, b.copy(), c.copy(), 1.0 / m, mb)
+    filt = build_filtration(c, b, seed_vector(m))
+    report = verify_filtration_structure(filt, -1.0 / m)
+    assert report.all_ok
+    # the build's residuals and norms, equal to a fresh compression bit for bit
+    fresh = _chain_compression(np.column_stack(filt.blocks), filt.dims, c, b)[:3]
+    assert (report.structure_residual_s, report.structure_residual_t, report.invariance_residual) == fresh
+    assert report.structure_tol == report.invariance_tol == STRUCTURE_TOL * (operator_norm(c) + operator_norm(b))
 
 
 def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
@@ -423,5 +407,5 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(traceless.filtration, name, counted)
     assert main(["filtration", *paths, "--lam", f"{1.0 / m!r},0", "--out", str(tmp_path / "f.json")]) == 0
-    # the spectra of S and T (whose tops are ||S|| and ||T||) in the build; verify reuses them
-    assert calls == [("singular_profile", (m, m))] * 2
+    # the spectrum of S (whose top is ||S||) and ||T|| in the build; verify reuses them
+    assert calls == [("singular_profile", (m, m)), ("operator_norm", (m, m))]
