@@ -36,6 +36,7 @@ from .lowerbound import (
     verify_hs_lower_bound,
     verify_partial_sums,
     verify_trace_inequality,
+    witness_factorization,
 )
 from .matio import read_matrix, read_points, write_matrix, write_points
 from .reduction import DiagonalizationResult, zero_diagonal_reduce
@@ -66,6 +67,7 @@ __all__ = [
     "singular_profile",
     "LowerBoundReport",
     "extremal_matrix",
+    "witness_factorization",
     "lower_bound_report",
     "quarter_log_sum",
     "verify_trace_inequality",

@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    report = lower_bound_report(args.m, trials=args.trials, seed=args.seed, rank_tol=args.rank_tol)
+    report = lower_bound_report(args.m, seed=args.seed, rank_tol=args.rank_tol)
     payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
                     "block_residual", "block_tol", "quarter_log_sum", "iso_residual_v",
                     "iso_residual_w", "v_norm", "w_norm", "hs_lower_pass", "all_strict_passed")
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowerbound", help="factor the witness matrix and verify the whole inequality chain")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=32)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--out", default=None, help="report path (stdout when omitted)")

@@ -22,6 +22,7 @@ from .reduction import zero_diagonal_reduce
 __all__ = [
     "FactorizationCertificate",
     "c_from_b",
+    "certified_factorization",
     "factor",
     "RATIO_WINDOW",
     "RNG_NAME",
@@ -136,12 +137,7 @@ def factor(
     for a matrix of nonzero trace.
 
     B = Q diag(b) Q* is certified in its eigenframe, with no factorization
-    of B: with the unitarity defect delta = ||Q*Q - I||_2 (one GEMM),
-    ||B|| <= (1 + delta) max |b_i| is the certified ``op_norm_b``, and
-    2 delta (1 + delta) <= 1e-10 implies ||BB* - B*B||_2 <= 1e-10 max |b_i|^2,
-    which is at most 1e-10 op_norm_b^2.
-    The residual ||A - [B, C]||_2 and ||C||_2 are measured on the stored
-    B and C by ``certify``.
+    of B, by ``certified_factorization``.
     """
     a = as_matrix(a, square=True)
     if trials < 1:
@@ -178,6 +174,36 @@ def factor(
     qh = q.conj().T
     b = q @ (bvec[:, None] * qh)  # Q diag(b) Q*
     c = q @ ctilde @ qh
+    return certified_factorization(
+        a, b, c, q, bvec, seed=seed, trials=trials, best_trial=best_trial,
+        reduction_converged=red.converged, diag_residual=red.diag_residual,
+    )
+
+
+def certified_factorization(
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    q: np.ndarray,
+    bvec: np.ndarray,
+    *,
+    seed: int,
+    trials: int,
+    best_trial: int = 0,
+    reduction_converged: bool = True,
+    diag_residual: float = 0.0,
+) -> FactorizationCertificate:
+    """Certify B = Q diag(bvec) Q* and C as a factorization of A, in B's eigenframe.
+
+    With the unitarity defect delta = ||Q*Q - I||_2 (one GEMM),
+    ||B|| <= (1 + delta) max |b_i| is the certified ``op_norm_b``, and
+    2 delta (1 + delta) <= 1e-10 implies ||BB* - B*B||_2 <= 1e-10 max |b_i|^2,
+    which is at most 1e-10 op_norm_b^2.  The residual ||A - [B, C]||_2 and
+    ||C||_2 are measured on the given B and C by ``certify``.  The remaining
+    keywords are recorded as given; ``reduction_converged`` also gates
+    ``valid``.
+    """
+    m = a.shape[0]
     # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|
     defect = unit_defect(q) if m > 1 else 0.0
     check = certify(a, b, c, (1.0 + defect) * float(np.max(np.abs(bvec))))
@@ -187,7 +213,7 @@ def factor(
     # BB* - B*B = Q (D E D* - D* E D) Q* with D = diag(b) and E = Q*Q - I, so
     # ||BB* - B*B||_2 <= 2 defect (1 + defect) max |b_i|^2 <= 1e-10 op_b^2 here
     valid = (
-        red.converged
+        reduction_converged
         and check.residual_ok
         and 2.0 * defect * (1.0 + defect) <= 1e-10
         and op_b <= 1.0 + math.sqrt(m / math.pi) + 1e-9
@@ -206,8 +232,8 @@ def factor(
         seed=seed,
         trials=trials,
         valid=valid,
-        diag_residual=red.diag_residual,
-        reduction_converged=red.converged,
+        diag_residual=diag_residual,
+        reduction_converged=reduction_converged,
         best_trial=best_trial,
         unitarity_defect=defect,
     )

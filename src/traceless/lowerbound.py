@@ -11,8 +11,9 @@ into boundary blocks of C, which yields:
       (sum of l largest) >= sqrt(l)/6, and >= (k+1)/4 at triangular l,
   * and the log-level lower bound ||C||_2 >= c sqrt(log m).
 
-Everything here is a checker: it takes factorizations produced elsewhere
-and measures the inequalities at explicit tolerances.
+Apart from ``witness_factorization``, the witness's factorization in
+closed form, everything here is a checker: it takes a factorization and
+measures the inequalities at explicit tolerances.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorizer import FactorizationCertificate, factor
+from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
 from .filtration import STRUCTURE_TOL, Filtration, build_filtration, require_rank_tol
+from .lattice import gaussian_points
 from .linalg import SingularProfile, commutator, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
+    "witness_factorization",
     "quarter_log_sum",
     "verify_trace_inequality",
     "construct_partial_isometries",
@@ -66,6 +69,36 @@ def extremal_matrix(m: int) -> np.ndarray:
     diag = np.full(m, d, dtype=complex)
     diag[0] = head
     return np.diag(diag)
+
+
+def witness_factorization(points, seed: int = 0) -> FactorizationCertificate:
+    """The witness matrix as [B, C] in closed form, with ``points`` as B's eigenvalues.
+
+    The unitary DFT F takes A = e_1 e_1* - I/m to F* A F = (J - I)/m: a
+    zero diagonal and every other entry 1/m.  So no reduction and no
+    permutation trial is needed, and ||C-tilde||_2 is the same for every
+    order of the points.  With z = ``points``,
+
+        C-tilde = c_from_b((J - I)/m, z),  B = F diag(z) F*,  C = F C-tilde F*.
+
+    B is the circulant whose first column is fft(z)/m, so it is exactly
+    normal; C takes one FFT down the columns and one inverse FFT along the
+    rows.  The pair is certified as ``factor`` certifies its own, with F as
+    the eigenframe; ``seed`` is only recorded.  The points of ``factor``'s
+    first trial at seed s give ``factor(extremal_matrix(m), trials=1,
+    seed=s)`` up to rounding.
+    """
+    z = np.asarray(points, dtype=complex).ravel()
+    m = len(z)
+    a = extremal_matrix(m)
+    atilde = np.full((m, m), 1.0 / m)
+    np.fill_diagonal(atilde, 0.0)
+    ctilde = c_from_b(atilde, z)
+    idx = np.arange(m)
+    b = (np.fft.fft(z) / m)[(idx[:, None] - idx[None, :]) % m]  # B[j, k] = fft(z)[j - k] / m
+    c = np.fft.ifft(np.fft.fft(ctilde, axis=0, norm="ortho"), axis=1, norm="ortho")
+    f = np.fft.fft(np.eye(m), norm="ortho")
+    return certified_factorization(a, b, c, f, z, seed=seed, trials=1)
 
 
 def _triangular(n: int) -> int:
@@ -291,7 +324,6 @@ def verify_hs_lower_bound(certificates) -> HsLowerBoundReport:
     Both empirical constant forms are reported per record so the fit of
     either parametrization can be read off; neither is asserted.
     """
-    records = []
     for cert in certificates:
         gap = hs_norm(extremal_matrix(cert.m) - commutator(cert.b, cert.c))
         if not residual_ok(gap, cert.op_norm_b, cert.hs_norm_c, WITNESS_RESIDUAL_TOL):
@@ -299,6 +331,13 @@ def verify_hs_lower_bound(certificates) -> HsLowerBoundReport:
                 f"certificate (m={cert.m}) does not factor the witness matrix: "
                 f"residual {gap:.3e}"
             )
+    return _hs_lower_report(certificates)
+
+
+def _hs_lower_report(certificates) -> HsLowerBoundReport:
+    """The window records of ``verify_hs_lower_bound``, for certificates already checked."""
+    records = []
+    for cert in certificates:
         log_m = math.log(cert.m)
         ratio_sq = cert.ratio**2
         window_lower = 0.25 * (log_m - HS_LOWER_WINDOW)
@@ -373,17 +412,24 @@ def lower_bound_report(
 ) -> LowerBoundReport:
     """Factor the witness matrix and run the whole lower-bound chain on it.
 
-    The factorization is rescaled to ||B|| = 1 (C absorbs the norm), the
-    filtration is seeded at span{e_1} = range(A + I/m), and every
-    inequality in the chain is measured.  Pass ``certificate`` to verify an
-    existing factorization instead of producing one.
+    The factorization is ``witness_factorization`` of the lattice points in
+    the order that ``factor``'s first trial at ``seed`` draws, so it equals
+    ``factor(extremal_matrix(m), trials=1, seed=seed)`` up to rounding.
+    ``trials`` has no effect: every order of the points gives the same
+    ||C||_2, so trials beyond the first could only tie.  The factorization
+    is rescaled to ||B|| = 1 (C absorbs the norm), the filtration is seeded
+    at span{e_1} = range(A + I/m), and every inequality in the chain is
+    measured.  Pass ``certificate`` to verify an existing factorization
+    instead of producing one.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if rank_tol is not None:
         require_rank_tol(rank_tol)
-    a = extremal_matrix(m)
-    cert = certificate if certificate is not None else factor(a, trials=trials, seed=seed)
+    cert = certificate
+    if cert is None:
+        points = gaussian_points(m).points[_fisher_yates(np.random.default_rng(seed), m)]
+        cert = witness_factorization(points, seed=seed)
     if cert.m != m:
         raise ValueError(f"certificate is for m={cert.m}, expected {m}")
     norm_b = cert.op_norm_b
@@ -405,7 +451,8 @@ def lower_bound_report(
     res_v, res_w = partial_isometry_residuals(filt, v, w)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
     psums = verify_partial_sums(filt.spectrum_s)
-    hs_lower = verify_hs_lower_bound([cert])
+    # verify_trace_inequality has checked this pair against the witness
+    hs_lower = _hs_lower_report([cert])
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
     return LowerBoundReport(

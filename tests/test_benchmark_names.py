@@ -54,3 +54,13 @@ def test_report_fields_read_by_the_workload():
     assert cert.b.shape == cert.c.shape == (4, 4)
     for name in ("valid", "ratio", "bound", "op_norm_b", "hs_norm_c"):
         assert getattr(cert, name) is not None, name
+
+
+def test_witness_report_is_a_function_of_its_seed():
+    # the lower-bound workload calls lower_bound_report(m, trials=..., seed=s):
+    # it checks that a seed repeats its factorization bit for bit, and its
+    # seeds are meant to give distinct factorizations
+    first, again = (traceless.lower_bound_report(32, trials=32, seed=0).certificate for _ in range(2))
+    assert first.b.tobytes() == again.b.tobytes() and first.c.tobytes() == again.c.tobytes()
+    digests = {traceless.lower_bound_report(32, trials=32, seed=s).certificate.b.tobytes() for s in range(6)}
+    assert len(digests) == 6

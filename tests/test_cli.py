@@ -188,8 +188,8 @@ class TestVerifyCommand:
 class TestLowerBoundCommand:
     def test_m16_all_pass(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
-        code, _, _ = run(capsys, "lowerbound", "-m", "16", "--trials", "16",
-                         "--seed", "0", "--out", str(report_path))
+        code, _, _ = run(capsys, "lowerbound", "-m", "16", "--seed", "0",
+                         "--out", str(report_path))
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert payload["all_strict_passed"] is True
@@ -197,13 +197,19 @@ class TestLowerBoundCommand:
         assert all(r["passed"] for r in payload["partial_sums"])
 
     def test_m2_dims(self, capsys):
-        code, out, _ = run(capsys, "lowerbound", "-m", "2", "--trials", "4")
+        code, out, _ = run(capsys, "lowerbound", "-m", "2")
         assert code == 0
         assert json.loads(out)["dims"] == [1, 1]
 
     def test_m1_exit_2(self, capsys):
         code, _, _ = run(capsys, "lowerbound", "-m", "1")
         assert code == 2
+
+    def test_trials_flag_removed_exit_2(self, capsys):
+        # the witness factorization takes no permutation trials
+        code, out, err = run(capsys, "lowerbound", "-m", "4", "--trials", "4")
+        assert code == 2 and out == ""
+        assert "--trials" in err
 
     def test_nan_rank_tol_exit_2(self, capsys):
         code, out, err = run(capsys, "lowerbound", "-m", "8", "--rank-tol", "nan")

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import traceless
+import traceless.factorizer
 import traceless.filtration
 import traceless.linalg
 import traceless.lowerbound
-from traceless.factorizer import factor
+import traceless.reduction
+from traceless.factorizer import _fisher_yates, factor
 from traceless.filtration import build_filtration, verify_filtration_structure
+from traceless.lattice import gaussian_points
 from traceless.linalg import commutator, hs_norm, nuclear_norm, operator_norm, singular_profile
 from traceless.lowerbound import (
     construct_partial_isometries,
@@ -20,10 +23,11 @@ from traceless.lowerbound import (
     verify_hs_lower_bound,
     verify_partial_sums,
     verify_trace_inequality,
+    witness_factorization,
 )
 
 
-from conftest import exact_witness_dims, quarter_log_sum_sweep, random_complex
+from conftest import exact_witness_dims, is_normal, quarter_log_sum_sweep, random_complex
 
 
 def seed_vector(m: int) -> np.ndarray:
@@ -70,6 +74,35 @@ class TestQuarterLogSum:
         vals = quarter_log_sum_sweep(ms)
         assert np.max(np.abs(vals - 0.25 * np.log(ms))) <= 1.0
         assert np.all(np.diff(vals) >= -1e-15)
+
+
+def trial0_points(m: int, seed: int) -> np.ndarray:
+    """The lattice points in the order of ``factor``'s first trial at ``seed``."""
+    return gaussian_points(m).points[_fisher_yates(np.random.default_rng(seed), m)]
+
+
+class TestWitnessFactorization:
+    @pytest.mark.parametrize("m", [2, 3, 7, 16, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_factor_first_trial(self, m, seed):
+        ref = factor(extremal_matrix(m), trials=1, seed=seed)
+        cert = witness_factorization(trial0_points(m, seed), seed=seed)
+        for mine, theirs in ((cert.b, ref.b), (cert.c, ref.c)):
+            assert hs_norm(mine - theirs) <= 1e-14 * hs_norm(theirs)
+        assert cert.op_norm_b == ref.op_norm_b
+        assert (cert.valid, cert.seed, cert.trials) == (True, seed, 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 16, 33, 64, 128, 256])
+    def test_certificate_in_eigenframe(self, m):
+        cert = witness_factorization(trial0_points(m, 0))
+        assert cert.valid
+        assert operator_norm(cert.b) <= cert.op_norm_b * (1.0 + 8 * np.finfo(np.float64).eps)
+        assert is_normal(cert.b)
+        assert cert.residual <= 1e-14
+
+    def test_rejects_repeated_points(self):
+        with pytest.raises(ValueError, match="distinct"):
+            witness_factorization([0.0, 1.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +259,7 @@ class TestLowerBoundReport:
         def unreachable(*args, **kwargs):
             raise AssertionError("factored before checking the rank tolerance")
 
-        monkeypatch.setattr(traceless.lowerbound, "factor", unreachable)
+        monkeypatch.setattr(traceless.lowerbound, "witness_factorization", unreachable)
         with pytest.raises(ValueError, match="rank tolerance"):
             lower_bound_report(8, rank_tol=rank_tol)
 
@@ -237,7 +270,7 @@ class TestLowerBoundReport:
         assert report.all_strict_passed
 
 
-@pytest.mark.parametrize("m, seed", [(256, 0), (256, 2), (512, 0)])
+@pytest.mark.parametrize("m, seed", [(256, 0), (256, 1), (256, 2), (256, 3), (512, 0), (512, 1)])
 def test_report_passes_with_margin_at_scale(m, seed):
     # the report grows the chain on B; grown on C, the T-block residual was
     # 2.4e-8 (seed 0) and 3.2e-8 (seed 2) at m=256 against a 1.83e-8
@@ -266,6 +299,38 @@ def test_operator_norm_calls_per_report(monkeypatch):
     # the Gram defects; the build measures ||T|| = ||B|| once, ||S|| is the top
     # of its spectrum of C, and the trace check reads ||B|| from the build
     assert calls == [(16, 16)]
+
+
+def test_report_runs_no_reduction_and_no_trial(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the witness report ran the general factorization")
+
+    for mod, name in ((traceless, "factor"), (traceless.factorizer, "factor"),
+                      (traceless, "zero_diagonal_reduce"), (traceless.reduction, "zero_diagonal_reduce"),
+                      (traceless.factorizer, "zero_diagonal_reduce"),
+                      (traceless.factorizer, "_assignment_objective")):
+        monkeypatch.setattr(mod, name, unreachable)
+    report = lower_bound_report(64, seed=1)
+    assert report.all_strict_passed and report.certificate.valid
+    assert report.certificate.seed == 1
+
+
+def test_commutator_calls_per_report(monkeypatch):
+    calls = []
+    orig = traceless.linalg.commutator
+
+    def counted(b, c):
+        calls.append(np.shape(b))
+        return orig(b, c)
+
+    for mod in (traceless, traceless.linalg, traceless.lowerbound):
+        monkeypatch.setattr(mod, "commutator", counted)
+    report = lower_bound_report(64, seed=0)
+    assert report.all_strict_passed
+    # the certificate's residual and the trace check's witness test; the
+    # window records read the certificate's ratio
+    assert calls == [(64, 64)] * 2
+    assert report.hs_lower == verify_hs_lower_bound([report.certificate])
 
 
 @pytest.mark.parametrize("m", [16, 64])
