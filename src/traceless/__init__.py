@@ -13,7 +13,6 @@ from .lattice import (
     EnergyReport,
     LatticePointSet,
     gaussian_points,
-    optimize_configuration,
     pair_expectation,
 )
 from .linalg import (
@@ -38,7 +37,7 @@ from .lowerbound import (
     verify_trace_inequality,
     witness_factorization,
 )
-from .matio import read_matrix, read_points, write_matrix, write_points
+from .matio import read_matrix, write_matrix, write_points
 from .reduction import DiagonalizationResult, zero_diagonal_reduce
 
 __version__ = "0.1.0"
@@ -55,7 +54,6 @@ __all__ = [
     "EnergyReport",
     "gaussian_points",
     "pair_expectation",
-    "optimize_configuration",
     "SingularProfile",
     "CommutatorCheck",
     "NonzeroTraceError",
@@ -78,6 +76,5 @@ __all__ = [
     "zero_diagonal_reduce",
     "read_matrix",
     "write_matrix",
-    "read_points",
     "write_points",
 ]

@@ -2,14 +2,15 @@
 
 All commands are deterministic functions of their arguments and input
 files; wall-clock timings go to stderr so repeated runs produce
-byte-identical files and stdout.  The default seed comes from the
-TRACELESS_SEED environment variable (0 when unset; anything but an integer
-is a usage error).  Only three tolerances have flags: ``factor --tol``
-(the reduction's zero-diagonal target), ``verify --tol`` (the residual
-rule) and ``--rank-tol`` on ``lowerbound`` and ``filtration``.  The trace
-test, the residual rule of ``factor``'s own certificate, the filtration's
-structure checks (``filtration.STRUCTURE_TOL``) and the witness-chain
-tolerances in ``lowerbound`` are module constants.
+byte-identical files and stdout.  The default seed of ``factor``,
+``lowerbound`` and ``sweep`` comes from the TRACELESS_SEED environment
+variable (0 when unset; anything but an integer is a usage error); the
+other commands take no seed and never read it.  No tolerance has a flag:
+each is a module constant, such as the reduction's ``reduction.DIAG_TOL``
+and ``reduction.SWEEP_TARGET``, the residual rule's
+``linalg.RESIDUAL_TOL`` (also ``verify``'s), the filtration's
+``filtration.RANK_TOL`` and ``filtration.STRUCTURE_TOL``, and the
+witness-chain tolerances in ``lowerbound``.
 
 Exit codes: 0 success, 1 verification failed, 2 parse/usage error,
 3 nonzero trace, 4 numerical failure or an invalid certificate.  ``main``
@@ -32,7 +33,7 @@ import numpy as np
 from . import lattice as lattice_mod
 from .factorizer import factor
 from .filtration import build_filtration, verify_filtration_structure
-from .linalg import NonzeroTraceError, certify, operator_norm
+from .linalg import RESIDUAL_TOL, NonzeroTraceError, certify, operator_norm
 from .lowerbound import lower_bound_report
 from .matio import MatrixFormatError, read_matrix, write_matrix, write_points
 
@@ -44,6 +45,7 @@ EXIT_NUMERICAL = 4
 
 
 def _default_seed() -> int:
+    """TRACELESS_SEED as an integer, 0 when unset; exit 2 for anything else."""
     value = os.environ.get("TRACELESS_SEED", "0")
     try:
         return int(value)
@@ -87,8 +89,9 @@ def _random_trace_zero(m: int, seed: int) -> np.ndarray:
 
 
 def cmd_factor(args) -> int:
+    seed = _default_seed() if args.seed is None else args.seed
     a = _read_matrix_or_exit(args.input)
-    cert = factor(a, trials=args.trials, seed=args.seed, tol=args.tol)
+    cert = factor(a, trials=args.trials, seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, mat in (("B", cert.b), ("C", cert.c), ("Q", cert.q)):
         write_matrix(os.path.join(args.out_dir, f"{name}.txt"), mat)
@@ -108,15 +111,16 @@ def cmd_verify(args) -> int:
     if not (a.shape == b.shape == c.shape) or a.shape[0] != a.shape[1]:
         print("error: matrices must be square and of equal dimension", file=sys.stderr)
         return EXIT_PARSE
-    check = certify(a, b, c, operator_norm(b), tol=args.tol)
+    check = certify(a, b, c, operator_norm(b))
     scale = check.op_norm_b * check.hs_norm_c
-    sanity_ok = check.hs_norm_a <= 2.0 * scale + args.tol * scale
+    sanity_ok = check.hs_norm_a <= 2.0 * scale + RESIDUAL_TOL * scale
     _emit_json({**dataclasses.asdict(check), "sanity_hs_le_2_opb_hsc": sanity_ok}, None)
     return EXIT_OK if check.residual_ok and sanity_ok else EXIT_FAIL
 
 
 def cmd_lowerbound(args) -> int:
-    report = lower_bound_report(args.m, seed=args.seed, rank_tol=args.rank_tol)
+    seed = _default_seed() if args.seed is None else args.seed
+    report = lower_bound_report(args.m, seed=seed)
     payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
                     "block_residual", "block_tol", "quarter_log_sum", "iso_residual_v",
                     "iso_residual_w", "v_norm", "w_norm", "hs_lower_pass", "all_strict_passed")
@@ -134,11 +138,12 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     records = []
     invalid = []
+    seeds = [_default_seed()] if args.seeds is None else args.seeds
     for m in sorted(set(args.m)):
         if m < 2:
             print("error: all m must be >= 2", file=sys.stderr)
             return EXIT_PARSE
-        for seed in sorted(set(args.seeds)):
+        for seed in sorted(set(seeds)):
             cert = factor(_random_trace_zero(m, seed), trials=args.trials, seed=seed)
             if not cert.valid:
                 invalid.append((m, seed))
@@ -180,15 +185,8 @@ def cmd_lattice(args) -> int:
         "bound_value": report.bound_value,
         "excess_over_pi_log_m": args.m * report.expectation - math.pi * math.log(args.m),
     }
-    points = base.points
-    if args.optimize:
-        points, energy = lattice_mod.optimize_configuration(args.m, args.iterations, args.seed)
-        payload["optimized_energy"] = energy
-        payload["relative_improvement"] = (
-            (report.pair_energy - energy) / report.pair_energy if report.pair_energy > 0 else 0.0
-        )
     if args.out:
-        write_points(args.out, points)
+        write_points(args.out, base.points)
     _emit_json(payload, None)
     return EXIT_OK
 
@@ -202,7 +200,7 @@ def cmd_filtration(args) -> int:
     except ValueError:
         print(f"error: bad --lam value {args.lam!r}, expected re,im", file=sys.stderr)
         return EXIT_PARSE
-    filt = build_filtration(s, t, mb, rank_tol=args.rank_tol)
+    filt = build_filtration(s, t, mb)
     report = verify_filtration_structure(filt, complex(lam_re, lam_im))
     payload = dataclasses.asdict(report)
     payload.update(rank_tolerance=filt.rank_tolerance, all_ok=report.all_ok)
@@ -217,43 +215,35 @@ def build_parser() -> argparse.ArgumentParser:
         "A = [B, C] with B normal and certified norm bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("factor", help="factor a trace-zero matrix, write B, C, Q and a certificate")
     p.add_argument("input", help="matrix file (text format)")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="zero-diagonal tolerance for the reduction")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="check A = [B, C] and print norms and ratio")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lowerbound", help="factor the witness matrix and verify the whole inequality chain")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--rank-tol", type=float, default=None)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None, help="report path (stdout when omitted)")
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("sweep", help="ratio sweep over random trace-zero matrices, CSV output")
     p.add_argument("--m", type=int, nargs="*", default=[])
-    p.add_argument("--seeds", type=int, nargs="*", default=[seed])
+    p.add_argument("--seeds", type=int, nargs="*")
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--out", required=True, help="CSV path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lattice", help="emit the canonical lattice points and their pair energy")
     p.add_argument("m", type=int)
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=None, help="points file path")
     p.set_defaults(func=cmd_lattice)
 
@@ -262,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t")
     p.add_argument("m_basis")
     p.add_argument("--lam", default="0,0", help="shift lambda as re,im")
-    p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_filtration)
     return parser

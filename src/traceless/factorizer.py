@@ -122,19 +122,14 @@ def _assignment_objective(abs2: np.ndarray, inv_d: np.ndarray, perm: np.ndarray)
     return float(np.sum(abs2 * inv_d[np.ix_(perm, perm)]))
 
 
-def factor(
-    a,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> FactorizationCertificate:
+def factor(a, trials: int = DEFAULT_TRIALS, seed: int = 0) -> FactorizationCertificate:
     """Factor a trace-zero matrix as [B, C] with B normal.
 
     Each trial shuffles the lattice points with a Fisher-Yates pass seeded
     at ``seed + trial`` and keeps the assignment with minimal ||C||_2 (ties
-    resolved by lowest trial index).  ``tol`` is the zero-diagonal
-    tolerance passed to the reduction, which raises ``NonzeroTraceError``
-    for a matrix of nonzero trace.
+    resolved by lowest trial index).  The reduction's tolerances are
+    ``reduction.DIAG_TOL`` and ``reduction.SWEEP_TARGET``; it raises
+    ``NonzeroTraceError`` for a matrix of nonzero trace.
 
     B = Q diag(b) Q* is certified in its eigenframe, with no factorization
     of B, by ``certified_factorization``.
@@ -143,7 +138,7 @@ def factor(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = a.shape[0]
-    red = zero_diagonal_reduce(a, tol=tol)
+    red = zero_diagonal_reduce(a)
     atilde = red.atilde.copy()
     np.fill_diagonal(atilde, 0.0)  # residual diagonal is certified separately
     points = gaussian_points(m).points

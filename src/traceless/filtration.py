@@ -27,6 +27,7 @@ __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtrati
 
 DEGREE_CAP_FACTOR = 2  # degree cap = 2m; an m-dim space stabilizes far earlier
 STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks and the report's block_tol
+RANK_TOL = 1e-8  # times m: a candidate is a new direction iff its new part exceeds RANK_TOL m of its norm
 
 
 @dataclass
@@ -117,19 +118,7 @@ def _chain_compression(basis, dims, s, t):
     return res_s, res_t, out_s + out_t, bands
 
 
-def require_rank_tol(rank_tol: float) -> float:
-    """``rank_tol`` itself; ValueError unless it is finite and 0 < rank_tol < 1.
-
-    NaN accepts nothing past the seed, 1 or more rejects every candidate,
-    and 0 or less accepts roundoff as new directions, so none of them is a
-    rank decision.
-    """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank tolerance must be finite and in (0, 1), got {rank_tol!r}")
-    return rank_tol
-
-
-def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration:
+def build_filtration(s, t, m_basis) -> Filtration:
     """Grow the degree filtration seeded at the span of ``m_basis`` columns.
 
     The candidates of degree n are S H_{n-1} (S applied to the newest
@@ -137,8 +126,8 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     product per degree); by V_n = V_{n-1} + S H_{n-1} + T^n M they span
     what all monomials S^k T^l M with k + l = n span.  Each candidate
     column contributes a new direction iff its component orthogonal to
-    everything accepted so far exceeds ``rank_tol`` (default 1e-8 m; it
-    must lie in (0, 1)) times the candidate's own norm.
+    everything accepted so far exceeds RANK_TOL m (``rank_tolerance``)
+    times the candidate's own norm.
     Internally S and T are rescaled by their operator norms, which leaves
     every span unchanged but keeps image magnitudes tame.  The build stops
     when a degree adds nothing, the span is complete, or the degree cap 2m
@@ -161,7 +150,7 @@ def build_filtration(s, t, m_basis, rank_tol: float | None = None) -> Filtration
     dim_m = mb.shape[1]
     if unit_defect(mb) > 1e-10 * max(1.0, dim_m):
         raise ValueError("seed basis columns are not orthonormal")
-    rank_tol = require_rank_tol(1e-8 * m if rank_tol is None else rank_tol)
+    rank_tol = RANK_TOL * m
 
     spectrum_s = singular_profile(s)
     norm_s, norm_t = float(spectrum_s.values[0]), operator_norm(t)

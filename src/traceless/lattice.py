@@ -19,7 +19,6 @@ __all__ = [
     "gaussian_points",
     "pair_energy",
     "pair_expectation",
-    "optimize_configuration",
     "A1_CALIBRATED",
 ]
 
@@ -96,51 +95,3 @@ def pair_expectation(point_set: LatticePointSet) -> EnergyReport:
         expectation=energy / (m * (m - 1)),
         bound_value=(A1_CALIBRATED + math.pi * math.log(m)) / m,
     )
-
-
-def _point_contribution(pts: np.ndarray, k: int, candidate: complex) -> float:
-    d = np.abs(candidate - pts)
-    d[k] = np.inf
-    return float(np.sum(1.0 / d**2))
-
-
-def optimize_configuration(
-    m: int, iterations: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Greedy descent on the pair energy for m points in the canonical disc.
-
-    Starts from the lattice set and perturbs one point at a time with a
-    Gaussian step of decreasing size, projecting back into the disc and
-    accepting only strict decreases.  Never returns coincident points and
-    never exceeds the starting energy.
-    """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    base = gaussian_points(m)
-    pts = base.points.copy()
-    start_energy = pair_energy(pts)
-    if iterations == 0:
-        return pts, start_energy
-    radius = base.radius_bound
-    rng = np.random.default_rng(seed)
-    sigma_hi, sigma_lo = 0.5 * radius, 0.01
-    for it in range(iterations):
-        frac = it / max(1, iterations - 1)
-        sigma = sigma_hi * (sigma_lo / sigma_hi) ** frac
-        k = int(rng.integers(m))
-        step = (rng.standard_normal() + 1j * rng.standard_normal()) * sigma
-        cand = pts[k] + step
-        if abs(cand) > radius:
-            cand *= radius / abs(cand)
-        others = np.abs(cand - pts)
-        others[k] = np.inf
-        if np.min(others) <= 1e-12 * radius:
-            continue
-        if _point_contribution(pts, k, cand) < _point_contribution(pts, k, pts[k]):
-            pts[k] = cand
-    energy = pair_energy(pts)
-    if energy > start_energy:  # roundoff paranoia: descent must not regress
-        return base.points.copy(), start_energy
-    return pts, energy

@@ -154,13 +154,13 @@ class CommutatorCheck:
     residual_ok: bool
 
 
-def certify(a, b, c, op_norm_b: float, tol: float = RESIDUAL_TOL) -> CommutatorCheck:
+def certify(a, b, c, op_norm_b: float) -> CommutatorCheck:
     """Measure ||A - [B, C]||_2, ||C||_2, ||A||_2 and the ratio once.
 
     ``op_norm_b`` is ||B|| or a certified upper bound on it, and the caller
     says where it comes from: ``verify`` measures ``operator_norm(b)``,
-    ``factor`` bounds it from B's eigenframe.  The residual rule and the
-    ratio use it as given.
+    ``factor`` bounds it from B's eigenframe.  The residual rule (at
+    RESIDUAL_TOL) and the ratio use it as given.
     """
     a = as_matrix(a, square=True)
     residual = hs_norm(a - commutator(b, c))
@@ -172,5 +172,5 @@ def certify(a, b, c, op_norm_b: float, tol: float = RESIDUAL_TOL) -> CommutatorC
         hs_norm_c=hs_c,
         hs_norm_a=hs_a,
         ratio=op_norm_b * hs_c / hs_a if hs_a > 0.0 else 0.0,
-        residual_ok=residual_ok(residual, op_norm_b, hs_c, tol),
+        residual_ok=residual_ok(residual, op_norm_b, hs_c),
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
-from .filtration import STRUCTURE_TOL, Filtration, build_filtration, require_rank_tol
+from .filtration import STRUCTURE_TOL, Filtration, build_filtration
 from .lattice import gaussian_points
 from .linalg import SingularProfile, commutator, hs_norm, residual_ok, unit_defect
 
@@ -407,7 +407,6 @@ def lower_bound_report(
     m: int,
     trials: int = 32,
     seed: int = 0,
-    rank_tol: float | None = None,
     certificate: FactorizationCertificate | None = None,
 ) -> LowerBoundReport:
     """Factor the witness matrix and run the whole lower-bound chain on it.
@@ -424,8 +423,6 @@ def lower_bound_report(
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    if rank_tol is not None:
-        require_rank_tol(rank_tol)
     cert = certificate
     if cert is None:
         points = gaussian_points(m).points[_fisher_yates(np.random.default_rng(seed), m)]
@@ -444,7 +441,7 @@ def lower_bound_report(
     # B^n e_1 as the raw chain.  B is normal with a spread spectrum, so B^n e_1
     # keeps a large part outside V_(n-1); C^n e_1 collapses onto C's top singular
     # vectors, and a chain grown on it leaves T-block residuals near 1e-8 at m=256.
-    filt = build_filtration(c_scaled, b_unit, e1, rank_tol=rank_tol)
+    filt = build_filtration(c_scaled, b_unit, e1)
 
     trace_records = verify_trace_inequality(filt)
     v, w = construct_partial_isometries(filt)

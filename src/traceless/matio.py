@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import as_matrix
 
-__all__ = ["format_matrix", "write_matrix", "read_matrix", "write_points", "read_points"]
+__all__ = ["format_matrix", "write_matrix", "read_matrix", "write_points"]
 
 # every byte except space and comma: deleting these reduces a well-formed
 # row to ", , ... ," (one comma per entry)
@@ -124,10 +124,3 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
 def write_points(path: str | os.PathLike, points) -> None:
     pts = np.asarray(points, dtype=complex).reshape(-1, 1)
     write_matrix(path, pts)
-
-
-def read_points(path: str | os.PathLike) -> np.ndarray:
-    a = read_matrix(path)
-    if a.shape[1] != 1:
-        raise MatrixFormatError(f"point file must have one column, got {a.shape[1]}")
-    return a[:, 0]

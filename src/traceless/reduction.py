@@ -28,6 +28,8 @@ from .linalg import as_matrix, hs_norm, require_trace_zero
 __all__ = ["DiagonalizationResult", "zero_diagonal_reduce"]
 
 MAX_SWEEPS = 40
+DIAG_TOL = 1e-10  # converged iff every |a~_ii| <= DIAG_TOL ||A||_2
+SWEEP_TARGET = 1e-13  # the averaging sweeps stop once the diagonal is below SWEEP_TARGET ||A||_2
 
 
 @dataclass
@@ -76,16 +78,17 @@ def _attaining_rotations(blocks: np.ndarray, targets: np.ndarray):
     return rots, hit & (n0 <= 1.0 + 1e-12)
 
 
-def zero_diagonal_reduce(a, tol: float = 1e-10) -> DiagonalizationResult:
-    """Unitary Q such that Q* A Q has diagonal entries below tol * ||A||_2.
+def zero_diagonal_reduce(a) -> DiagonalizationResult:
+    """Unitary Q such that Q* A Q has diagonal entries below DIAG_TOL * ||A||_2.
 
     Requires trace(A) ~ 0 and raises ``NonzeroTraceError`` otherwise (no
     zero-diagonal unitary conjugate exists).  Each sweep sorts the diagonal
     by real part (imaginary part on alternate sweeps), pairs extremes, and
     replaces both entries of each pair with their midpoint; the sum is
-    conserved at 0, so the diagonal contracts to zero.  A diagonal A starts
-    from Q = F, the unitary DFT: every diagonal entry of F* A F is tr(A)/m,
-    so no sweep runs unless tr(A) sits near the trace tolerance.  If an
+    conserved at 0, so the diagonal contracts to zero; the sweeps stop
+    below SWEEP_TARGET * ||A||_2.  A diagonal A starts from Q = F, the
+    unitary DFT: every diagonal entry of F* A F is tr(A)/m, so no sweep
+    runs unless tr(A) sits near the trace tolerance.  If an
     entry is still above roundoff (eps * ||A||_HS) after the sweeps, a
     closing pass rotates entries to exact zeros where the local 2x2
     numerical range allows, dumping the leftovers onto not-yet-visited
@@ -118,7 +121,7 @@ def zero_diagonal_reduce(a, tol: float = 1e-10) -> DiagonalizationResult:
     # W <- U* W U needs a row and a column update; columns are strided, so
     # each sweep updates rows, transposes, and updates rows again, using
     # (U* W U)^T = U^T (U* W)^T.  w holds W^T after odd sweeps.
-    target = min(tol, 1e-13) * scale
+    target = SWEEP_TARGET * scale
     sweeps_done = idle = 0
     transposed = False
     for sweep in range(MAX_SWEEPS):
@@ -178,6 +181,6 @@ def zero_diagonal_reduce(a, tol: float = 1e-10) -> DiagonalizationResult:
         q=np.ascontiguousarray(qh.conj().T),
         atilde=np.ldexp(w.view(float), exp).view(complex),
         diag_residual=float(np.ldexp(resid, exp)),
-        converged=resid <= tol * scale,
+        converged=resid <= DIAG_TOL * scale,
         sweeps=sweeps_done,
     )

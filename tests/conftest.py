@@ -52,8 +52,8 @@ def skewed_q(monkeypatch):
     """Make ``factor``'s reduction return Q with its first column scaled by 1 + 1e-6."""
     orig = traceless.factorizer.zero_diagonal_reduce
 
-    def skewed(a, tol=1e-10):
-        red = orig(a, tol=tol)
+    def skewed(a):
+        red = orig(a)
         q = red.q.copy()
         q[:, 0] *= 1.0 + 1e-6
         return dataclasses.replace(red, q=q)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import traceless.cli
-from traceless.cli import main
+from traceless.cli import build_parser, main
 from traceless.factorizer import factor
 from traceless.linalg import certify, commutator, hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
@@ -211,11 +211,6 @@ class TestLowerBoundCommand:
         assert code == 2 and out == ""
         assert "--trials" in err
 
-    def test_nan_rank_tol_exit_2(self, capsys):
-        code, out, err = run(capsys, "lowerbound", "-m", "8", "--rank-tol", "nan")
-        assert code == 2 and out == ""
-        assert "rank tolerance must be finite and in (0, 1), got nan" in err
-
 
 class TestSweepCommand:
     def test_csv_shape_and_summary(self, tmp_path, capsys):
@@ -267,21 +262,6 @@ class TestLatticeCommand:
         payload = json.loads(out)
         assert payload["pair_energy"] == pytest.approx(13.0)
 
-    def test_optimize_zero_iterations_identical(self, tmp_path, capsys):
-        p1, p2 = tmp_path / "p1.txt", tmp_path / "p2.txt"
-        run(capsys, "lattice", "5", "--out", str(p1))
-        run(capsys, "lattice", "5", "--optimize", "--iterations", "0",
-            "--seed", "0", "--out", str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_optimize_improvement_nonnegative(self, capsys):
-        code, out, _ = run(capsys, "lattice", "64", "--optimize",
-                           "--iterations", "300", "--seed", "1")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["relative_improvement"] >= 0.0
-        assert payload["optimized_energy"] <= payload["pair_energy"]
-
     def test_m1_exit_2(self, capsys):
         code, _, _ = run(capsys, "lattice", "1")
         assert code == 2
@@ -318,13 +298,77 @@ class TestFiltrationCommand:
                          "--lam", "bogus")
         assert code == 2
 
-    def test_zero_rank_tol_exit_2(self, tmp_path, capsys):
-        write_matrix(tmp_path / "S.txt", np.eye(2))
-        e1 = np.zeros((2, 1), dtype=complex)
-        e1[0, 0] = 1.0
-        write_matrix(tmp_path / "M.txt", e1)
-        code, out, err = run(capsys, "filtration", str(tmp_path / "S.txt"),
-                             str(tmp_path / "S.txt"), str(tmp_path / "M.txt"),
-                             "--rank-tol", "0")
-        assert code == 2 and out == ""
-        assert "rank tolerance must be finite and in (0, 1), got 0.0" in err
+
+def _small_inputs(tmp_path) -> dict[str, list[str]]:
+    """Positional arguments with which each seedless or flag-bearing command succeeds."""
+    a = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    b = np.diag([0.0, 1.0]).astype(complex)
+    c = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)
+    e1 = np.array([[1.0], [0.0]], dtype=complex)
+    for name, mat in (("a", a), ("b", b), ("c", c), ("e1", e1)):
+        write_matrix(tmp_path / f"{name}.txt", mat)
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("a", "b", "c", "e1")}
+    return {
+        "factor": [paths["a"], "--out-dir", str(tmp_path / "out"), "--trials", "2"],
+        "verify": [paths["a"], paths["b"], paths["c"]],
+        "lowerbound": ["-m", "4"],
+        "filtration": [paths["b"], paths["b"], paths["e1"]],
+        "lattice": ["5"],
+    }
+
+
+# Tolerances are module constants and the lattice points are never optimized,
+# so none of these options exists any more.
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("factor", ["--tol", "1e-10"], id="factor--tol"),
+    pytest.param("verify", ["--tol", "1e-10"], id="verify--tol"),
+    pytest.param("lowerbound", ["--rank-tol", "1e-6"], id="lowerbound--rank-tol"),
+    pytest.param("filtration", ["--rank-tol", "1e-6"], id="filtration--rank-tol"),
+    pytest.param("lattice", ["--optimize"], id="lattice--optimize"),
+    pytest.param("lattice", ["--iterations", "10"], id="lattice--iterations"),
+    pytest.param("lattice", ["--seed", "1"], id="lattice--seed"),
+])
+def test_removed_option_is_a_usage_error(tmp_path, capsys, command, flag):
+    argv = _small_inputs(tmp_path)[command]
+    assert run(capsys, command, *argv)[0] == 0
+    code, out, err = run(capsys, command, *argv, *flag)
+    assert code == 2 and out == ""
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("command", ["verify", "filtration", "lattice"])
+def test_seedless_command_ignores_bad_env_seed(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("TRACELESS_SEED", "seven")
+    code, _, err = run(capsys, command, *_small_inputs(tmp_path)[command])
+    assert code == 0
+    assert "TRACELESS_SEED" not in err
+
+
+@pytest.mark.parametrize("argv", [["lowerbound", "-m", "4"], ["sweep", "--m", "4", "--trials", "2"]])
+def test_seeded_command_rejects_bad_env_seed(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("TRACELESS_SEED", "seven")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+    assert code == 2 and out == ""
+    assert "error: TRACELESS_SEED must be an integer, got 'seven'" in err
+
+
+# Every option of every subcommand, in declaration order (help excluded).  A new
+# flag is a new knob to document and test, so adding one means editing this table.
+OPTIONS = {
+    "factor": ["input", "--out-dir", "--trials", "--seed"],
+    "verify": ["a", "b", "c"],
+    "lowerbound": ["-m", "--seed", "--out"],
+    "sweep": ["--m", "--seeds", "--trials", "--out"],
+    "lattice": ["m", "--out"],
+    "filtration": ["s", "t", "m_basis", "--lam", "--out"],
+}
+
+
+def test_option_lists_are_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    got = {
+        name: [opt for action in sub._actions if action.dest != "help"
+               for opt in (action.option_strings or [action.dest])]
+        for name, sub in subparsers.choices.items()
+    }
+    assert got == OPTIONS

@@ -4,7 +4,13 @@ import pytest
 import traceless.filtration
 from traceless.cli import main
 from traceless.factorizer import factor
-from traceless.filtration import STRUCTURE_TOL, _chain_compression, build_filtration, verify_filtration_structure
+from traceless.filtration import (
+    RANK_TOL,
+    STRUCTURE_TOL,
+    _chain_compression,
+    build_filtration,
+    verify_filtration_structure,
+)
 from traceless.linalg import hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
 from traceless.matio import write_matrix
@@ -175,6 +181,7 @@ class TestVerifyFiltrationStructure:
 def test_witness_filtration_complete(m):
     b, c = normalized_witness_factors(m)
     filt = build_filtration(b, c, seed_vector(m))
+    assert filt.rank_tolerance == RANK_TOL * m == 1e-8 * m
     assert filt.total_dim == m
     assert all(d <= n + 1 for n, d in enumerate(filt.dims))
     tol = 1e-8 * (operator_norm(b) + operator_norm(c))
@@ -186,10 +193,10 @@ def test_witness_filtration_complete(m):
 # every image S^k T^l M with k + l = n (not the package's S H_{n-1} and T^n M),
 # re-stacks the accepted columns for every candidate, runs both Gram-Schmidt
 # passes on every column, and returns the blocks (not the residuals).
-def reference_build(s, t, mb, rank_tol=None):
+def reference_build(s, t, mb):
     m = s.shape[0]
     dim_m = mb.shape[1]
-    rank_tol = 1e-8 * m if rank_tol is None else rank_tol
+    rank_tol = 1e-8 * m
     s_unit = s / (operator_norm(s) or 1.0)
     t_unit = t / (operator_norm(t) or 1.0)
 
@@ -304,13 +311,6 @@ def test_build_candidates_follow_accepted_dims(monkeypatch):
     monkeypatch.setattr(np, "column_stack", counted)
     filt = build_filtration(b, c, seed_vector(256))
     assert sum(columns) <= filt.total_dim + len(filt.dims) * filt.dim_m
-
-
-@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1e-8, 0.0, 1.0, 2.0])
-def test_build_rejects_meaningless_rank_tol(rng, rank_tol):
-    s, t = random_complex(rng, 6), random_complex(rng, 6)
-    with pytest.raises(ValueError, match="rank tolerance"):
-        build_filtration(s, t, seed_vector(6), rank_tol=rank_tol)
 
 
 def test_stored_spectrum_is_the_generator_spectrum(rng):

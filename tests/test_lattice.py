@@ -6,7 +6,6 @@ import pytest
 from traceless.lattice import (
     LatticePointSet,
     gaussian_points,
-    optimize_configuration,
     pair_energy,
     pair_expectation,
 )
@@ -95,31 +94,3 @@ class TestPairExpectation:
         excess = m * rep.expectation - math.pi * math.log(m)
         assert abs(excess) <= 10.0
         assert rep.expectation <= rep.bound_value
-
-
-class TestOptimizeConfiguration:
-    def test_zero_iterations_is_identity(self):
-        pts, energy = optimize_configuration(5, 0, seed=3)
-        assert np.array_equal(pts, gaussian_points(5).points)
-        assert energy == pytest.approx(13.0)
-
-    def test_two_points_spread_out(self):
-        pts, energy = optimize_configuration(2, 500, seed=1)
-        assert energy <= 2.0  # lattice value for {0, -1}
-
-    def test_never_increases_and_stays_distinct(self):
-        for m, iters, seed in ((16, 10_000, 7), (6, 300, 11)):
-            base = pair_energy(gaussian_points(m).points)
-            pts, energy = optimize_configuration(m, iters, seed)
-            assert energy <= base
-            assert len(pts) == m
-            diffs = np.abs(pts[:, None] - pts[None, :])
-            np.fill_diagonal(diffs, np.inf)
-            assert np.min(diffs) > 0.0
-            radius = 1.0 + math.sqrt(m / math.pi)
-            assert np.max(np.abs(pts)) <= radius + 1e-12
-
-    def test_deterministic(self):
-        a = optimize_configuration(8, 200, seed=5)
-        b = optimize_configuration(8, 200, seed=5)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]

@@ -254,15 +254,6 @@ class TestLowerBoundReport:
         with pytest.raises(ValueError):
             lower_bound_report(1)
 
-    @pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), 0.0, 1.0])
-    def test_rejects_meaningless_rank_tol_before_factoring(self, monkeypatch, rank_tol):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("factored before checking the rank tolerance")
-
-        monkeypatch.setattr(traceless.lowerbound, "witness_factorization", unreachable)
-        with pytest.raises(ValueError, match="rank tolerance"):
-            lower_bound_report(8, rank_tol=rank_tol)
-
     def test_existing_certificate_path(self):
         cert = factor(extremal_matrix(4), trials=8, seed=5)
         report = lower_bound_report(4, certificate=cert)

@@ -7,7 +7,6 @@ from traceless.matio import (
     MatrixFormatError,
     format_matrix,
     read_matrix,
-    read_points,
     write_matrix,
     write_points,
 )
@@ -62,14 +61,7 @@ def test_points_roundtrip(tmp_path, rng):
     path = tmp_path / "pts.txt"
     write_points(path, pts)
     assert path.read_text().splitlines()[0] == "7 1"
-    assert np.array_equal(read_points(path), pts)
-
-
-def test_points_rejects_matrix(tmp_path):
-    path = tmp_path / "m.txt"
-    write_matrix(path, np.eye(2))
-    with pytest.raises(MatrixFormatError):
-        read_points(path)
+    assert np.array_equal(read_matrix(path)[:, 0], pts)
 
 
 def reference_format(a) -> str:

@@ -51,13 +51,13 @@ def _reference_conjugate(w, q, i, j, rot):
     q[:, idx] = q[:, idx] @ rot
 
 
-def _reference_reduce(a, tol=1e-10, max_sweeps=MAX_SWEEPS):
+def _reference_reduce(a, max_sweeps=MAX_SWEEPS):
     """(q, atilde, diag_residual, converged, sweeps) by one rotation at a time."""
     m = a.shape[0]
     scale = hs_norm(a)
     w = a.astype(complex)
     q = np.eye(m, dtype=complex)
-    target = min(tol, 1e-13) * scale
+    target = 1e-13 * scale
     sweeps_done = 0
     for sweep in range(max_sweeps):
         d = np.diag(w)
@@ -87,14 +87,14 @@ def _reference_reduce(a, tol=1e-10, max_sweeps=MAX_SWEEPS):
                 w[i, i] = 0.0
                 break
     resid = float(np.max(np.abs(np.diag(w))))
-    return q, w, resid, resid <= tol * scale, sweeps_done
+    return q, w, resid, resid <= 1e-10 * scale, sweeps_done
 
 
-def _assert_reduced(a, q, atilde, diag_residual, converged, tol=1e-10):
+def _assert_reduced(a, q, atilde, diag_residual, converged):
     m = a.shape[0]
     scale = hs_norm(a)
     assert converged
-    assert diag_residual <= tol * scale
+    assert diag_residual <= 1e-10 * scale
     assert hs_norm(q.conj().T @ q - np.eye(m)) <= 1e-12 * m
     assert hs_norm(q.conj().T @ a @ q - atilde) <= 1e-12 * scale
 
@@ -149,11 +149,6 @@ class TestZeroDiagonalReduce:
         res = zero_diagonal_reduce(a)
         assert res.converged
         assert res.diag_residual <= 1e-10 * hs_norm(a)
-
-    def test_tolerance_parameter(self, rng):
-        a = random_trace_zero(rng, 6)
-        res = zero_diagonal_reduce(a, tol=1e-6)
-        assert res.diag_residual <= 1e-6 * max(1.0, hs_norm(a))
 
 
 def _block(rng, kind, scale):
