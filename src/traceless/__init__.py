@@ -9,16 +9,10 @@ witness matrix P - I/m.
 
 from .factorizer import FactorizationCertificate, c_from_b, factor
 from .filtration import Filtration, StructureReport, build_filtration, verify_filtration_structure
-from .lattice import (
-    EnergyReport,
-    LatticePointSet,
-    gaussian_points,
-    pair_expectation,
-)
+from .lattice import EnergyReport, gaussian_points, pair_expectation, radius_bound
 from .linalg import (
     CommutatorCheck,
     NonzeroTraceError,
-    SingularProfile,
     certify,
     commutator,
     hs_norm,
@@ -50,11 +44,10 @@ __all__ = [
     "StructureReport",
     "build_filtration",
     "verify_filtration_structure",
-    "LatticePointSet",
     "EnergyReport",
     "gaussian_points",
+    "radius_bound",
     "pair_expectation",
-    "SingularProfile",
     "CommutatorCheck",
     "NonzeroTraceError",
     "certify",

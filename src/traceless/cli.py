@@ -63,13 +63,17 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _pick(obj, *names) -> dict:
-    """The named attributes of a result object, as a JSON payload."""
-    return {name: getattr(obj, name) for name in names}
+def _record(value):
+    """A result record as a dict, and a list of records as a list of dicts."""
+    if isinstance(value, list):
+        return [_record(v) for v in value]
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
 
 
-def _partial_sums(records) -> list[dict]:
-    return [{"l": r.l, "sum": r.partial_sum, "bound": r.bound, "passed": r.passed} for r in records]
+def _pick(obj, *names, **renamed) -> dict:
+    """The named attributes of a result object as a JSON payload; ``key="attr"`` renames one."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {key: _record(getattr(obj, attr)) for key, attr in pairs}
 
 
 def _read_matrix_or_exit(path: str) -> np.ndarray:
@@ -123,13 +127,8 @@ def cmd_lowerbound(args) -> int:
     report = lower_bound_report(args.m, seed=seed)
     payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
                     "block_residual", "block_tol", "quarter_log_sum", "iso_residual_v",
-                    "iso_residual_w", "v_norm", "w_norm", "hs_lower_pass", "all_strict_passed")
-    payload.update(
-        trace_inequality=[dataclasses.asdict(r) for r in report.trace_records],
-        partial_sums=_partial_sums(report.partial_sums.records),
-        partial_sums_triangular=_partial_sums(report.partial_sums.triangular_records),
-        hs_lower=[dataclasses.asdict(r) for r in report.hs_lower.records],
-    )
+                    "iso_residual_w", "v_norm", "w_norm", "partial_sums", "partial_sums_triangular",
+                    "hs_lower", "hs_lower_pass", "all_strict_passed", trace_inequality="trace_records")
     _emit_json(payload, args.out)
     return EXIT_OK if report.all_strict_passed else EXIT_FAIL
 
@@ -175,18 +174,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    base = lattice_mod.gaussian_points(args.m)
-    report = lattice_mod.pair_expectation(base)
+    points = lattice_mod.gaussian_points(args.m)
+    report = lattice_mod.pair_expectation(points)
     payload = {
         "m": args.m,
-        "radius_bound": base.radius_bound,
+        "radius_bound": lattice_mod.radius_bound(args.m),
         "pair_energy": report.pair_energy,
         "expectation": report.expectation,
         "bound_value": report.bound_value,
         "excess_over_pi_log_m": args.m * report.expectation - math.pi * math.log(args.m),
     }
     if args.out:
-        write_points(args.out, base.points)
+        write_points(args.out, points)
     _emit_json(payload, None)
     return EXIT_OK
 
@@ -195,13 +194,8 @@ def cmd_filtration(args) -> int:
     s = _read_matrix_or_exit(args.s)
     t = _read_matrix_or_exit(args.t)
     mb = _read_matrix_or_exit(args.m_basis)
-    try:
-        lam_re, lam_im = (float(p) for p in args.lam.split(","))
-    except ValueError:
-        print(f"error: bad --lam value {args.lam!r}, expected re,im", file=sys.stderr)
-        return EXIT_PARSE
     filt = build_filtration(s, t, mb)
-    report = verify_filtration_structure(filt, complex(lam_re, lam_im))
+    report = verify_filtration_structure(filt)
     payload = dataclasses.asdict(report)
     payload.update(rank_tolerance=filt.rank_tolerance, all_ok=report.all_ok)
     _emit_json(payload, args.out)
@@ -251,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s")
     p.add_argument("t")
     p.add_argument("m_basis")
-    p.add_argument("--lam", default="0,0", help="shift lambda as re,im")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_filtration)
     return parser

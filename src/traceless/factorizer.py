@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import gaussian_points
+from .lattice import gaussian_points, radius_bound
 from .linalg import as_matrix, certify, hs_norm, unit_defect
 from .reduction import zero_diagonal_reduce
 
@@ -34,6 +34,10 @@ __all__ = [
 RATIO_WINDOW = 10.0
 
 RNG_NAME = "numpy-pcg64-fisher-yates"
+
+ZERO_DIAG_TOL = 1e-8  # c_from_b accepts max |a_ii| <= ZERO_DIAG_TOL ||A-tilde||_2
+NORMALITY_TOL = 1e-10  # valid needs 2 delta (1 + delta) <= NORMALITY_TOL, delta = ||Q*Q - I||_2
+LATTICE_SLACK = 1e-9  # valid needs ||B|| <= radius_bound(m) + LATTICE_SLACK
 
 DEFAULT_TRIALS = 32
 
@@ -78,7 +82,7 @@ def c_from_b(atilde, b) -> np.ndarray:
     """
     atilde = as_matrix(atilde, square=True)
     dmax = float(np.max(np.abs(np.diag(atilde)))) if atilde.size else 0.0
-    if dmax > 1e-8 * hs_norm(atilde):
+    if dmax > ZERO_DIAG_TOL * hs_norm(atilde):
         raise ValueError(f"matrix diagonal is not zero (max |a_ii| = {dmax:.3e})")
     bvec = np.asarray(b, dtype=complex).ravel()
     m = atilde.shape[0]
@@ -141,7 +145,7 @@ def factor(a, trials: int = DEFAULT_TRIALS, seed: int = 0) -> FactorizationCerti
     red = zero_diagonal_reduce(a)
     atilde = red.atilde.copy()
     np.fill_diagonal(atilde, 0.0)  # residual diagonal is certified separately
-    points = gaussian_points(m).points
+    points = gaussian_points(m)
 
     abs2 = _scaled_abs2(atilde)
     diff = points[:, None] - points[None, :]
@@ -192,11 +196,11 @@ def certified_factorization(
 
     With the unitarity defect delta = ||Q*Q - I||_2 (one GEMM),
     ||B|| <= (1 + delta) max |b_i| is the certified ``op_norm_b``, and
-    2 delta (1 + delta) <= 1e-10 implies ||BB* - B*B||_2 <= 1e-10 max |b_i|^2,
-    which is at most 1e-10 op_norm_b^2.  The residual ||A - [B, C]||_2 and
-    ||C||_2 are measured on the given B and C by ``certify``.  The remaining
-    keywords are recorded as given; ``reduction_converged`` also gates
-    ``valid``.
+    2 delta (1 + delta) <= NORMALITY_TOL implies ||BB* - B*B||_2 <=
+    NORMALITY_TOL max |b_i|^2, which is at most NORMALITY_TOL op_norm_b^2.
+    The residual ||A - [B, C]||_2 and ||C||_2 are measured on the given B
+    and C by ``certify``.  The remaining keywords are recorded as given;
+    ``reduction_converged`` also gates ``valid``.
     """
     m = a.shape[0]
     # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|
@@ -206,12 +210,12 @@ def certified_factorization(
     bound = math.sqrt(RATIO_WINDOW + math.log(m)) if m > 1 else math.sqrt(RATIO_WINDOW)
 
     # BB* - B*B = Q (D E D* - D* E D) Q* with D = diag(b) and E = Q*Q - I, so
-    # ||BB* - B*B||_2 <= 2 defect (1 + defect) max |b_i|^2 <= 1e-10 op_b^2 here
+    # ||BB* - B*B||_2 <= 2 defect (1 + defect) max |b_i|^2 <= NORMALITY_TOL op_b^2 here
     valid = (
         reduction_converged
         and check.residual_ok
-        and 2.0 * defect * (1.0 + defect) <= 1e-10
-        and op_b <= 1.0 + math.sqrt(m / math.pi) + 1e-9
+        and 2.0 * defect * (1.0 + defect) <= NORMALITY_TOL
+        and op_b <= radius_bound(m) + LATTICE_SLACK
     )
     return FactorizationCertificate(
         m=m,

@@ -21,13 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SingularProfile, as_matrix, hs_norm, operator_norm, singular_profile, unit_defect
+from .linalg import as_matrix, hs_norm, operator_norm, singular_profile, unit_defect
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
 DEGREE_CAP_FACTOR = 2  # degree cap = 2m; an m-dim space stabilizes far earlier
 STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks and the report's block_tol
 RANK_TOL = 1e-8  # times m: a candidate is a new direction iff its new part exceeds RANK_TOL m of its norm
+SEED_TOL = 1e-10  # times max(1, dim M): the seed basis M must have ||M*M - I||_2 within it
 
 
 @dataclass
@@ -52,8 +53,8 @@ class Filtration:
     # per block pair n, (X_n, Y_n) = (B_{n+1}* S B_n, B_{n+1}* S* B_n), read from the
     # build's compression basis* S basis
     boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    # full singular spectrum of S (norm_s is its top value), for the partial-sum check
-    spectrum_s: SingularProfile = field(repr=False)
+    # full singular spectrum of S, non-increasing (norm_s is its top value), for the partial-sum check
+    spectrum_s: np.ndarray = field(repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -148,12 +149,12 @@ def build_filtration(s, t, m_basis) -> Filtration:
     if mb.shape[0] != m:
         raise ValueError(f"seed basis has {mb.shape[0]} rows, expected {m}")
     dim_m = mb.shape[1]
-    if unit_defect(mb) > 1e-10 * max(1.0, dim_m):
+    if unit_defect(mb) > SEED_TOL * max(1.0, dim_m):
         raise ValueError("seed basis columns are not orthonormal")
     rank_tol = RANK_TOL * m
 
     spectrum_s = singular_profile(s)
-    norm_s, norm_t = float(spectrum_s.values[0]), operator_norm(t)
+    norm_s, norm_t = float(spectrum_s[0]), operator_norm(t)
     s_unit, t_unit = s / (norm_s or 1.0), t / (norm_t or 1.0)
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
@@ -246,19 +247,24 @@ class StructureReport:
         )
 
 
-def verify_filtration_structure(filt: Filtration, lam: complex) -> StructureReport:
+def verify_filtration_structure(filt: Filtration) -> StructureReport:
     """Check the range hypothesis and the filtration's structural claims.
 
     Hypothesis: ([S,T] + lambda I) maps everything into M, the span of the
-    seed block, for the S and T that ``filt`` was built from.  Conclusions:
-    dims[n] <= (n+1) dim M, block-tridiagonality of S and T, and invariance
-    of the chain's total span under both operators; their residuals and the
-    norms behind the tolerances are the build's own.
+    seed block, for the S and T that ``filt`` was built from.  lambda is
+    the one that minimizes the residual ||(I - MM*)([S,T] + lambda I)||_2,
+    (tr M*[S,T]M - tr [S,T]) / (m - dim M), or 0 when M is everything.
+    Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
+    and invariance of the chain's total span under both operators; their
+    residuals and the norms behind the tolerances are the build's own.
     """
     s, t, mb = filt.s, filt.t, filt.blocks[0]
-    hyp_op = s @ t - t @ s + lam * np.eye(s.shape[0])
-    proj_m = mb @ mb.conj().T
-    hypothesis_residual = hs_norm(hyp_op - proj_m @ hyp_op)
+    m = s.shape[0]
+    hyp_op = s @ t - t @ s
+    if filt.dim_m < m:
+        lam = (np.trace(mb.conj().T @ hyp_op @ mb) - np.trace(hyp_op)) / (m - filt.dim_m)
+        hyp_op[np.diag_indices(m)] += lam
+    hypothesis_residual = hs_norm(hyp_op - mb @ (mb.conj().T @ hyp_op))
     hypothesis_tol = STRUCTURE_TOL * hs_norm(hyp_op)
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 

@@ -13,58 +13,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "LatticePointSet",
-    "EnergyReport",
-    "gaussian_points",
-    "pair_energy",
-    "pair_expectation",
-    "A1_CALIBRATED",
-]
-
-# Empirical additive constant in the pair-energy bound (a1 + pi*log m)/m.
-# Measured m*expectation - pi*log m stays in [-4.2, -1.5] for 4 <= m <= 16384,
-# so 0.0 already gives a valid upper envelope at desk scale.
-A1_CALIBRATED = 0.0
-
-
-@dataclass
-class LatticePointSet:
-    """The m Gaussian integers of smallest modulus, in canonical order.
-
-    Ties in modulus are broken by (real, imaginary) lexicographic order so
-    the set and its ordering are reproducible.
-    """
-
-    m: int
-    points: np.ndarray
-    radius_bound: float
+__all__ = ["EnergyReport", "gaussian_points", "radius_bound", "pair_energy", "pair_expectation"]
 
 
 @dataclass
 class EnergyReport:
     pair_energy: float      # sum over ordered pairs of 1/|z_i - z_j|^2
     expectation: float      # pair_energy / (m (m-1))
-    bound_value: float      # (A1_CALIBRATED + pi log m) / m
+    # pi log m / m: the measured m*expectation - pi log m lies in [-4.2, -1.5] for 4 <= m <= 16384
+    bound_value: float
 
 
-def gaussian_points(m: int) -> LatticePointSet:
-    """The m Gaussian integers with smallest absolute values.
+def radius_bound(m: int) -> float:
+    """1 + sqrt(m/pi): the disc of this radius holds at least m Gaussian integers."""
+    return 1.0 + math.sqrt(m / math.pi)
 
-    The disc of radius 1 + sqrt(m/pi) always contains at least m lattice
-    points, so the maximum modulus of the selection is bounded by it.
+
+def gaussian_points(m: int) -> np.ndarray:
+    """The m Gaussian integers with smallest absolute values, in canonical order.
+
+    Ties in modulus are broken by (real, imaginary) lexicographic order, so
+    the set and its ordering are reproducible.  Every modulus is at most
+    ``radius_bound(m)``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    radius = 1.0 + math.sqrt(m / math.pi)
-    r = int(math.ceil(radius))
+    r = int(math.ceil(radius_bound(m)))
     span = np.arange(-r, r + 1)
     re, im = np.meshgrid(span, span, indexing="ij")
     re, im = re.ravel(), im.ravel()
     norm2 = re * re + im * im
     order = np.lexsort((im, re, norm2))[:m]
-    pts = re[order].astype(float) + 1j * im[order].astype(float)
-    return LatticePointSet(m=m, points=pts, radius_bound=radius)
+    return re[order].astype(float) + 1j * im[order].astype(float)
 
 
 def pair_energy(points) -> float:
@@ -84,14 +64,14 @@ def pair_energy(points) -> float:
     return total
 
 
-def pair_expectation(point_set: LatticePointSet) -> EnergyReport:
-    """Exact pair energy and its expectation over a random distinct pair."""
-    m = point_set.m
+def pair_expectation(points) -> EnergyReport:
+    """Exact pair energy of ``points`` and its expectation over a random distinct pair."""
+    m = len(points)
     if m < 2:
         raise ValueError(f"pair expectation needs m >= 2, got {m}")
-    energy = pair_energy(point_set.points)
+    energy = pair_energy(points)
     return EnergyReport(
         pair_energy=energy,
         expectation=energy / (m * (m - 1)),
-        bound_value=(A1_CALIBRATED + math.pi * math.log(m)) / m,
+        bound_value=math.pi * math.log(m) / m,
     )

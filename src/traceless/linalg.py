@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "CommutatorCheck",
     "NonzeroTraceError",
-    "SingularProfile",
     "as_matrix",
     "commutator",
     "operator_norm",
@@ -94,33 +93,13 @@ def nuclear_norm(m) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-@dataclass
-class SingularProfile:
-    """Singular values in non-increasing order together with partial sums.
-
-    ``partial_sums[k]`` is the sum of the first k+1 values, so the sum of
-    the leading l values is ``partial_sums[l - 1]``.
-    """
-
-    values: np.ndarray
-    partial_sums: np.ndarray
-
-    def leading_sum(self, l: int) -> float:
-        """Sum of the l largest singular values."""
-        if not 1 <= l <= len(self.values):
-            raise ValueError(f"l={l} out of range 1..{len(self.values)}")
-        return float(self.partial_sums[l - 1])
-
-
-def singular_profile(m) -> SingularProfile:
+def singular_profile(m) -> np.ndarray:
     """Full singular spectrum of a square matrix, sorted non-increasing.
 
     Raises ``numpy.linalg.LinAlgError`` if the SVD fails to converge; the
     failure is deliberately not swallowed.
     """
-    m = as_matrix(m, square=True)
-    values = np.linalg.svd(m, compute_uv=False)
-    return SingularProfile(values=values, partial_sums=np.cumsum(values))
+    return np.linalg.svd(as_matrix(m, square=True), compute_uv=False)
 
 
 class NonzeroTraceError(ValueError):

@@ -26,7 +26,7 @@ import numpy as np
 from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
 from .filtration import STRUCTURE_TOL, Filtration, build_filtration
 from .lattice import gaussian_points
-from .linalg import SingularProfile, commutator, hs_norm, residual_ok, unit_defect
+from .linalg import commutator, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
@@ -40,8 +40,8 @@ __all__ = [
     "verify_hs_lower_bound",
     "lower_bound_report",
     "TraceIneqRecord",
-    "PartialSumReport",
-    "HsLowerBoundReport",
+    "PartialSumRecord",
+    "HsLowerRecord",
     "LowerBoundReport",
     "HS_LOWER_WINDOW",
 ]
@@ -54,6 +54,8 @@ TRACE_INEQ_TOL = 1e-8  # slack of the per-degree trace inequalities
 WITNESS_RESIDUAL_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
 PARTIAL_SUM_TOL = 1e-9
+UNIT_NORM_TOL = 1e-10  # the trace check needs |op_norm_b - 1| <= UNIT_NORM_TOL
+ISOMETRY_NORM_TOL = 1e-10  # the bounds on ||V|| and ||W|| must be at most 1 + ISOMETRY_NORM_TOL
 
 
 def extremal_matrix(m: int) -> np.ndarray:
@@ -147,7 +149,7 @@ def verify_trace_inequality(filt: Filtration) -> list[TraceIneqRecord]:
     """
     b, c, op_b = filt.t, filt.s, filt.norm_t
     m = b.shape[0]
-    if abs(op_b - 1.0) > 1e-10:
+    if abs(op_b - 1.0) > UNIT_NORM_TOL:
         raise ValueError("B is not normalized to unit operator norm")
     residual = hs_norm(extremal_matrix(m) - commutator(b, c))
     if not residual_ok(residual, op_b, hs_norm(c), WITNESS_RESIDUAL_TOL):
@@ -255,46 +257,31 @@ def partial_isometry_residuals(filt: Filtration, v, w) -> tuple[float, float]:
 @dataclass
 class PartialSumRecord:
     l: int
-    partial_sum: float
+    sum: float  # of the l largest singular values
     bound: float
     passed: bool
 
 
-@dataclass
-class PartialSumReport:
-    records: list[PartialSumRecord]
-    triangular_records: list[PartialSumRecord]
-    all_passed: bool
+def verify_partial_sums(spectrum) -> tuple[list[PartialSumRecord], list[PartialSumRecord]]:
+    """Leading singular-value sums of C against sqrt(l)/6, and (k+1)/4 at l = (k+1)(k+2)/2.
 
-
-def verify_partial_sums(spectrum: SingularProfile) -> PartialSumReport:
-    """Leading singular-value sums of C against sqrt(l)/6 and (k+1)/4.
-
-    ``spectrum`` is C's singular profile, ``filt.spectrum_s`` for a
-    filtration built from (C, B).  C must come from a factorization of the
-    witness matrix with B normalized to unit operator norm; the triangular
-    checks run for every k >= 0 with (k+1)(k+2) <= m.
+    ``spectrum`` holds C's singular values in non-increasing order,
+    ``filt.spectrum_s`` for a filtration built from (C, B).  C must come
+    from a factorization of the witness matrix with B normalized to unit
+    operator norm.  Returns the records for every l, then the triangular
+    records for every k >= 0 with (k+1)(k+2) <= m.
     """
-    m = len(spectrum.values)
-    records = []
-    for l in range(1, m + 1):
-        total = spectrum.leading_sum(l)
-        bound = math.sqrt(l) / 6.0
-        records.append(
-            PartialSumRecord(l=l, partial_sum=total, bound=bound, passed=total >= bound - PARTIAL_SUM_TOL)
-        )
-    triangular = []
-    k = 0
-    while (k + 1) * (k + 2) <= m:
-        l = (k + 1) * (k + 2) // 2
-        total = spectrum.leading_sum(l)
-        bound = (k + 1) / 4.0
-        triangular.append(
-            PartialSumRecord(l=l, partial_sum=total, bound=bound, passed=total >= bound - PARTIAL_SUM_TOL)
-        )
-        k += 1
-    all_passed = all(r.passed for r in records) and all(r.passed for r in triangular)
-    return PartialSumReport(records=records, triangular_records=triangular, all_passed=all_passed)
+    sums = np.cumsum(spectrum)
+    m = len(sums)
+
+    def record(l: int, bound: float) -> PartialSumRecord:
+        total = float(sums[l - 1])
+        return PartialSumRecord(l=l, sum=total, bound=bound, passed=total >= bound - PARTIAL_SUM_TOL)
+
+    records = [record(l, math.sqrt(l) / 6.0) for l in range(1, m + 1)]
+    triangular = [record(_triangular(k), (k + 1) / 4.0)
+                  for k in range(math.isqrt(m)) if (k + 1) * (k + 2) <= m]
+    return records, triangular
 
 
 @dataclass
@@ -309,15 +296,8 @@ class HsLowerRecord:
     o1_empirical: float       # log m - ratio^2
 
 
-@dataclass
-class HsLowerBoundReport:
-    records: list[HsLowerRecord]
-    window: float
-    all_passed: bool
-
-
-def verify_hs_lower_bound(certificates) -> HsLowerBoundReport:
-    """Window check ratio^2 >= (log m - window)/4 for witness factorizations.
+def verify_hs_lower_bound(certificates) -> list[HsLowerRecord]:
+    """Window check ratio^2 >= (log m - HS_LOWER_WINDOW)/4 for witness factorizations.
 
     Every certificate must actually factor the witness matrix of its size;
     near-factorizations with a visible residual are rejected outright.
@@ -334,7 +314,7 @@ def verify_hs_lower_bound(certificates) -> HsLowerBoundReport:
     return _hs_lower_report(certificates)
 
 
-def _hs_lower_report(certificates) -> HsLowerBoundReport:
+def _hs_lower_report(certificates) -> list[HsLowerRecord]:
     """The window records of ``verify_hs_lower_bound``, for certificates already checked."""
     records = []
     for cert in certificates:
@@ -353,11 +333,7 @@ def _hs_lower_report(certificates) -> HsLowerBoundReport:
                 o1_empirical=log_m - ratio_sq,
             )
         )
-    return HsLowerBoundReport(
-        records=records,
-        window=HS_LOWER_WINDOW,
-        all_passed=all(r.passed for r in records),
-    )
+    return records
 
 
 @dataclass
@@ -367,9 +343,10 @@ class LowerBoundReport:
     m: int
     normalization: float
     trace_records: list[TraceIneqRecord]
-    partial_sums: PartialSumReport
+    partial_sums: list[PartialSumRecord]
+    partial_sums_triangular: list[PartialSumRecord]
     quarter_log_sum: float
-    hs_lower: HsLowerBoundReport
+    hs_lower: list[HsLowerRecord]
     iso_residual_v: float
     iso_residual_w: float
     v_norm: float
@@ -385,21 +362,22 @@ class LowerBoundReport:
 
     @property
     def hs_lower_pass(self) -> bool:
-        return self.hs_lower.all_passed
+        return all(r.passed for r in self.hs_lower)
 
     @property
     def all_strict_passed(self) -> bool:
         """Every constant-free inequality at its stated tolerance."""
         return bool(
             all(r.passed and r.normbd_passed for r in self.trace_records)
-            and self.partial_sums.all_passed
+            and all(r.passed for r in self.partial_sums + self.partial_sums_triangular)
             and self.iso_residual_v <= ISOMETRY_TOL
             and self.iso_residual_w <= ISOMETRY_TOL
-            and self.v_norm <= 1.0 + 1e-10
-            and self.w_norm <= 1.0 + 1e-10
+            and self.v_norm <= 1.0 + ISOMETRY_NORM_TOL
+            and self.w_norm <= 1.0 + ISOMETRY_NORM_TOL
             and self.dims_ok
             and self.filtration_complete
             and self.block_residual <= self.block_tol
+            and self.invariance_residual <= self.block_tol
         )
 
 
@@ -425,7 +403,7 @@ def lower_bound_report(
         raise ValueError(f"m must be >= 2, got {m}")
     cert = certificate
     if cert is None:
-        points = gaussian_points(m).points[_fisher_yates(np.random.default_rng(seed), m)]
+        points = gaussian_points(m)[_fisher_yates(np.random.default_rng(seed), m)]
         cert = witness_factorization(points, seed=seed)
     if cert.m != m:
         raise ValueError(f"certificate is for m={cert.m}, expected {m}")
@@ -447,7 +425,7 @@ def lower_bound_report(
     v, w = construct_partial_isometries(filt)
     res_v, res_w = partial_isometry_residuals(filt, v, w)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
-    psums = verify_partial_sums(filt.spectrum_s)
+    psums, psums_triangular = verify_partial_sums(filt.spectrum_s)
     # verify_trace_inequality has checked this pair against the witness
     hs_lower = _hs_lower_report([cert])
 
@@ -457,6 +435,7 @@ def lower_bound_report(
         normalization=norm_b,
         trace_records=trace_records,
         partial_sums=psums,
+        partial_sums_triangular=psums_triangular,
         quarter_log_sum=quarter_log_sum(m),
         hs_lower=hs_lower,
         iso_residual_v=res_v,

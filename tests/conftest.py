@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import traceless.factorizer
-from traceless.lattice import LatticePointSet, gaussian_points, pair_expectation
+from traceless.lattice import gaussian_points, pair_expectation
 from traceless.linalg import hs_norm, operator_norm
 
 
@@ -68,13 +68,13 @@ def is_normal(m, tol: float = 1e-10) -> bool:
     return defect <= tol * operator_norm(m) ** 2
 
 
-def mean_c2_over_permutations(atilde, points: LatticePointSet) -> float:
+def mean_c2_over_permutations(atilde, points) -> float:
     """Exact average of ||C||_2^2 = sum |a_ij|^2 / |b_i - b_j|^2 over all m! assignments b."""
     atilde = np.asarray(atilde, dtype=complex)
     m = atilde.shape[0]
     if m > 8:
         raise ValueError(f"m = {m} too large for factorial enumeration (max 8)")
-    pts = np.asarray(points.points, dtype=complex)
+    pts = np.asarray(points, dtype=complex)
     d2 = np.abs(pts[:, None] - pts[None, :]) ** 2
     np.fill_diagonal(d2, np.inf)
     inv_d = 1.0 / d2
@@ -86,7 +86,7 @@ def mean_c2_over_permutations(atilde, points: LatticePointSet) -> float:
     return total / math.factorial(m)
 
 
-def expectation_identity_gap(atilde, points: LatticePointSet) -> float:
+def expectation_identity_gap(atilde, points) -> float:
     """Relative gap between the m! average and ||A-tilde||_2^2 times the pair expectation."""
     mean = mean_c2_over_permutations(atilde, points)
     closed = hs_norm(atilde) ** 2 * pair_expectation(points).expectation
@@ -150,7 +150,7 @@ def exact_witness_dims(m: int, p: int) -> list[int]:
     if p % 4 != 1 or pow(2, p - 1, p) != 1:
         raise ValueError(f"p = {p} is not a prime = 1 (mod 4)")
     i_p = next(r for r in (pow(g, (p - 1) // 4, p) for g in range(2, 100)) if r * r % p == p - 1)
-    z = gaussian_points(m).points
+    z = gaussian_points(m)
     zp = (z.real.astype(np.int64) + z.imag.astype(np.int64) * i_p) % p
     t = _pow_mod((zp[:, None] - zp[None, :]) % p, p - 2, p)  # 1/(z_i - z_j); 0 on the diagonal
     echelon = np.zeros((0, m), dtype=np.int64)  # rows in reduced row echelon form

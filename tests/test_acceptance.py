@@ -109,12 +109,9 @@ def test_criterion_5_lower_bound_chain(witness_reports):
             assert rec.normbd_passed, (m, seed, rec)
         assert rep.iso_residual_v <= 1e-9 and rep.iso_residual_w <= 1e-9, (m, seed)
         assert rep.v_norm <= 1.0 + 1e-10 and rep.w_norm <= 1.0 + 1e-10, (m, seed)
-        for rec in rep.partial_sums.records:
-            assert rec.partial_sum >= rec.bound - 1e-9, (m, seed, rec.l)
-            worst_slack = min(worst_slack, rec.partial_sum - rec.bound)
-        for rec in rep.partial_sums.triangular_records:
-            assert rec.partial_sum >= rec.bound - 1e-9, (m, seed, rec.l)
-            worst_slack = min(worst_slack, rec.partial_sum - rec.bound)
+        for rec in rep.partial_sums + rep.partial_sums_triangular:
+            assert rec.sum >= rec.bound - 1e-9, (m, seed, rec.l)
+            worst_slack = min(worst_slack, rec.sum - rec.bound)
     print(f"\nPASS 5: trace/normbd/isometry/partial-sum chain holds, "
           f"min partial-sum slack {worst_slack:.4f}")
 

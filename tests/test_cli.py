@@ -281,22 +281,11 @@ class TestFiltrationCommand:
         write_matrix(tmp_path / "T.txt", c)
         write_matrix(tmp_path / "M.txt", e1)
         code, out, _ = run(capsys, "filtration", str(tmp_path / "S.txt"),
-                           str(tmp_path / "T.txt"), str(tmp_path / "M.txt"),
-                           "--lam", "0.25,0")
+                           str(tmp_path / "T.txt"), str(tmp_path / "M.txt"))
         assert code == 0
         payload = json.loads(out)
         assert payload["all_ok"] is True
         assert sum(payload["dims"]) == m
-
-    def test_bad_lam_exit_2(self, tmp_path, capsys):
-        write_matrix(tmp_path / "S.txt", np.zeros((2, 2)))
-        e1 = np.zeros((2, 1), dtype=complex)
-        e1[0, 0] = 1.0
-        write_matrix(tmp_path / "M.txt", e1)
-        code, _, _ = run(capsys, "filtration", str(tmp_path / "S.txt"),
-                         str(tmp_path / "S.txt"), str(tmp_path / "M.txt"),
-                         "--lam", "bogus")
-        assert code == 2
 
 
 def _small_inputs(tmp_path) -> dict[str, list[str]]:
@@ -317,13 +306,15 @@ def _small_inputs(tmp_path) -> dict[str, list[str]]:
     }
 
 
-# Tolerances are module constants and the lattice points are never optimized,
-# so none of these options exists any more.
+# Tolerances are module constants, the lattice points are never optimized and
+# the filtration check works its shift lambda out, so none of these options
+# exists any more.
 @pytest.mark.parametrize("command, flag", [
     pytest.param("factor", ["--tol", "1e-10"], id="factor--tol"),
     pytest.param("verify", ["--tol", "1e-10"], id="verify--tol"),
     pytest.param("lowerbound", ["--rank-tol", "1e-6"], id="lowerbound--rank-tol"),
     pytest.param("filtration", ["--rank-tol", "1e-6"], id="filtration--rank-tol"),
+    pytest.param("filtration", ["--lam", "0.25,0"], id="filtration--lam"),
     pytest.param("lattice", ["--optimize"], id="lattice--optimize"),
     pytest.param("lattice", ["--iterations", "10"], id="lattice--iterations"),
     pytest.param("lattice", ["--seed", "1"], id="lattice--seed"),
@@ -360,7 +351,7 @@ OPTIONS = {
     "lowerbound": ["-m", "--seed", "--out"],
     "sweep": ["--m", "--seeds", "--trials", "--out"],
     "lattice": ["m", "--out"],
-    "filtration": ["s", "t", "m_basis", "--lam", "--out"],
+    "filtration": ["s", "t", "m_basis", "--out"],
 }
 
 
@@ -372,3 +363,48 @@ def test_option_lists_are_pinned():
         for name, sub in subparsers.choices.items()
     }
     assert got == OPTIONS
+
+
+# The keys of every JSON report: "" lists the top level, and each list of
+# record rows lists the keys of its rows.  A change to the result types must
+# not drop or rename an output key, so changing one means editing this table.
+TRACE_ROW = ["lhs", "n", "normbd_bound", "normbd_passed", "passed", "rank_cum", "rhs", "slack"]
+PARTIAL_SUM_ROW = ["bound", "l", "passed", "sum"]
+HS_LOWER_ROW = ["c_prime_empirical", "log_m", "m", "o1_empirical", "passed", "ratio", "ratio_sq",
+                "window_lower"]
+JSON_KEYS = {
+    "factor": {"": ["b_path", "bound", "c_path", "diag_residual", "hs_norm_a", "hs_norm_c", "m",
+                    "op_norm_b", "q_path", "ratio", "residual", "rng", "seed", "trials", "valid"]},
+    "verify": {"": ["hs_norm_a", "hs_norm_c", "op_norm_b", "ratio", "residual", "residual_ok",
+                    "sanity_hs_le_2_opb_hsc"]},
+    "lowerbound": {
+        "": ["all_strict_passed", "block_residual", "block_tol", "dims", "dims_ok",
+             "filtration_complete", "hs_lower", "hs_lower_pass", "iso_residual_v", "iso_residual_w",
+             "m", "normalization", "partial_sums", "partial_sums_triangular", "quarter_log_sum",
+             "trace_inequality", "v_norm", "w_norm"],
+        "trace_inequality": TRACE_ROW,
+        "partial_sums": PARTIAL_SUM_ROW,
+        "partial_sums_triangular": PARTIAL_SUM_ROW,
+        "hs_lower": HS_LOWER_ROW,
+    },
+    "lattice": {"": ["bound_value", "excess_over_pi_log_m", "expectation", "m", "pair_energy",
+                     "radius_bound"]},
+    "filtration": {"": ["all_ok", "dims", "dims_ok", "hypothesis_ok", "hypothesis_residual",
+                        "hypothesis_tol", "invariance_ok", "invariance_residual", "invariance_tol",
+                        "rank_tolerance", "structure_ok", "structure_residual_s",
+                        "structure_residual_t", "structure_tol"]},
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_KEYS))
+def test_json_keys_are_pinned(tmp_path, capsys, command):
+    code, out, _ = run(capsys, command, *_small_inputs(tmp_path)[command])
+    assert code == 0
+    if command == "factor":
+        out = (tmp_path / "out" / "certificate.json").read_text()
+    payload = json.loads(out)
+    got = {"": sorted(payload)}
+    for key, value in payload.items():
+        if isinstance(value, list) and any(isinstance(row, dict) for row in value):
+            got[key] = sorted({name for row in value for name in row})
+    assert got == JSON_KEYS[command]

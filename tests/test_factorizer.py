@@ -37,7 +37,7 @@ class TestCFromB:
     def test_commutator_identity(self, rng):
         for m in (3, 5, 8):
             atilde = random_zero_diagonal(rng, m)
-            b = gaussian_points(m).points
+            b = gaussian_points(m)
             c = c_from_b(atilde, b)
             resid = hs_norm(commutator(np.diag(b), c) - atilde)
             assert resid <= 1e-12 * max(1.0, hs_norm(atilde))
@@ -168,7 +168,7 @@ class TestMeanOverPermutations:
         atilde = random_zero_diagonal(rng, 2)
         pts = gaussian_points(2)
         mean = mean_c2_over_permutations(atilde, pts)
-        d2 = abs(pts.points[0] - pts.points[1]) ** 2
+        d2 = abs(pts[0] - pts[1]) ** 2
         assert mean == pytest.approx(hs_norm(atilde) ** 2 / d2, rel=1e-14)
 
     def test_too_large_rejected(self):

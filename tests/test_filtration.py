@@ -126,12 +126,30 @@ class TestBuildFiltration:
 
 
 # The checks below build in lower_bound_report's order, S = C and T = B, where
-# [S, T] + lambda I = -A + lambda I maps into span{e_1} for lambda = -1/m.
+# [S, T] + lambda I = -A + lambda I maps into span{e_1} for lambda = -1/m, the
+# lambda that verify_filtration_structure works out.
 class TestVerifyFiltrationStructure:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 7.5])
+    def test_recovers_lambda_in_both_orders(self, rng, scale):
+        # [C, sB] = -sA needs lambda = -s/m and [sB, C] = sA needs +s/m; both
+        # shifted operators equal +-s (P - I/m) + lambda I = +-s P, of norm s
+        m = 9
+        b, c = normalized_witness_factors(m)
+        for s_op, t_op in ((c, scale * b), (scale * b, c)):
+            report = verify_filtration_structure(build_filtration(s_op, t_op, seed_vector(m)))
+            assert report.all_ok
+            assert report.hypothesis_residual <= 1e-12 * scale
+            assert report.hypothesis_tol == pytest.approx(STRUCTURE_TOL * scale, rel=1e-12)
+        s, t = random_complex(rng, m), random_complex(rng, m)
+        report = verify_filtration_structure(build_filtration(scale * s, t, seed_vector(m)))
+        assert not report.hypothesis_ok and not report.all_ok
+        # a seed spanning everything needs no shift: every operator maps into it
+        assert verify_filtration_structure(build_filtration(s, t, np.eye(m))).all_ok
+
     def test_m2_witness_all_pass(self):
         b, c = normalized_witness_factors(2)
         filt = build_filtration(c, b, seed_vector(2))
-        report = verify_filtration_structure(filt, -0.5)
+        report = verify_filtration_structure(filt)
         assert report.hypothesis_ok
         assert report.hypothesis_residual <= 1e-10
         assert report.structure_ok and report.invariance_ok and report.dims_ok
@@ -143,7 +161,7 @@ class TestVerifyFiltrationStructure:
         m = 5
         s, t = random_complex(rng, m), random_complex(rng, m)
         filt = build_filtration(s, t, seed_vector(m))
-        report = verify_filtration_structure(filt, 0.0)
+        report = verify_filtration_structure(filt)
         assert not report.hypothesis_ok
         assert report.structure_ok is None  # flagged as skipped
         assert report.invariance_ok is None
@@ -153,11 +171,11 @@ class TestVerifyFiltrationStructure:
     def test_checks_are_scale_free(self, rng, scale):
         m = 5
         s, t = random_complex(rng, m), random_complex(rng, m)
-        report = verify_filtration_structure(build_filtration(scale * s, scale * t, seed_vector(m)), 0.0)
+        report = verify_filtration_structure(build_filtration(scale * s, scale * t, seed_vector(m)))
         assert not report.hypothesis_ok and not report.all_ok
         b, c = normalized_witness_factors(9)
         filt = build_filtration(c, scale * b, seed_vector(9))
-        report = verify_filtration_structure(filt, -scale / 9.0)
+        report = verify_filtration_structure(filt)
         assert report.all_ok
 
     def test_tridiagonal_by_construction(self):
@@ -316,7 +334,7 @@ def test_build_candidates_follow_accepted_dims(monkeypatch):
 def test_stored_spectrum_is_the_generator_spectrum(rng):
     s, t = random_complex(rng, 9), random_complex(rng, 9)
     filt = build_filtration(s, t, seed_vector(9))
-    assert np.array_equal(filt.spectrum_s.values, np.linalg.svd(s, compute_uv=False))
+    assert np.array_equal(filt.spectrum_s, np.linalg.svd(s, compute_uv=False))
     assert filt.norm_s == operator_norm(s)
     assert filt.norm_t == operator_norm(t)
 
@@ -383,7 +401,7 @@ def test_stored_generator_norms(rng):
 def test_verify_reuses_build_numbers_exactly(m):
     b, c = normalized_witness_factors(m)
     filt = build_filtration(c, b, seed_vector(m))
-    report = verify_filtration_structure(filt, -1.0 / m)
+    report = verify_filtration_structure(filt)
     assert report.all_ok
     # the build's residuals and norms, equal to a fresh compression bit for bit
     fresh = _chain_compression(np.column_stack(filt.blocks), filt.dims, c, b)[:3]
@@ -406,6 +424,6 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
             return orig(mat)
 
         monkeypatch.setattr(traceless.filtration, name, counted)
-    assert main(["filtration", *paths, "--lam", f"{1.0 / m!r},0", "--out", str(tmp_path / "f.json")]) == 0
+    assert main(["filtration", *paths, "--out", str(tmp_path / "f.json")]) == 0
     # the spectrum of S (whose top is ||S||) and ||T|| in the build; verify reuses them
     assert calls == [("singular_profile", (m, m)), ("operator_norm", (m, m))]

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from traceless.lattice import (
-    LatticePointSet,
-    gaussian_points,
-    pair_energy,
-    pair_expectation,
-)
+from traceless.lattice import gaussian_points, pair_energy, pair_expectation, radius_bound
 
 
 def brute_force_moduli(m: int) -> np.ndarray:
@@ -20,40 +15,39 @@ def brute_force_moduli(m: int) -> np.ndarray:
 
 class TestGaussianPoints:
     def test_m1(self):
-        ps = gaussian_points(1)
-        assert ps.points.tolist() == [0j]
+        assert gaussian_points(1).tolist() == [0j]
 
     def test_m5_set(self):
-        got = set(gaussian_points(5).points.tolist())
+        got = set(gaussian_points(5).tolist())
         assert got == {0j, 1 + 0j, -1 + 0j, 1j, -1j}
 
     def test_m9_set(self):
-        got = set(gaussian_points(9).points.tolist())
+        got = set(gaussian_points(9).tolist())
         expect = {0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j}
         assert got == expect
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 25, 64, 137, 1000])
     def test_minimal_moduli_against_enumeration(self, m):
-        pts = gaussian_points(m).points
+        pts = gaussian_points(m)
         got = np.sort(np.abs(pts) ** 2)
         assert np.allclose(got, brute_force_moduli(m), atol=1e-9)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 16, 100, 1024, 10_000, 100_000])
     def test_radius_bound(self, m):
-        ps = gaussian_points(m)
-        assert np.max(np.abs(ps.points)) <= 1.0 + math.sqrt(m / math.pi) + 1e-12
+        assert radius_bound(m) == 1.0 + math.sqrt(m / math.pi)
+        assert np.max(np.abs(gaussian_points(m))) <= radius_bound(m) + 1e-12
 
     def test_points_distinct_and_deterministic(self):
-        a = gaussian_points(50).points
-        b = gaussian_points(50).points
+        a = gaussian_points(50)
+        b = gaussian_points(50)
         assert np.array_equal(a, b)
         assert len(set(a.tolist())) == 50
 
     def test_prefix_nesting(self):
         # the canonical total order makes smaller sets exact prefixes
-        big = gaussian_points(40).points
+        big = gaussian_points(40)
         for m in (1, 5, 12, 39):
-            assert np.array_equal(gaussian_points(m).points, big[:m])
+            assert np.array_equal(gaussian_points(m), big[:m])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -62,8 +56,7 @@ class TestGaussianPoints:
 
 class TestPairExpectation:
     def test_two_points_unit_distance(self):
-        ps = LatticePointSet(m=2, points=np.array([0j, 1 + 0j]), radius_bound=2.0)
-        rep = pair_expectation(ps)
+        rep = pair_expectation(np.array([0j, 1 + 0j]))
         assert rep.pair_energy == pytest.approx(2.0)
         assert rep.expectation == pytest.approx(1.0)
 
@@ -74,7 +67,7 @@ class TestPairExpectation:
         assert rep.expectation == pytest.approx(13.0 / 20.0, rel=1e-14)
 
     def test_scaling_homogeneity(self, rng):
-        pts = gaussian_points(8).points
+        pts = gaussian_points(8)
         base = pair_energy(pts)
         for t in (2.0, 0.5, 3.7):
             assert pair_energy(t * pts) == pytest.approx(base / t**2, rel=1e-12)
@@ -84,9 +77,8 @@ class TestPairExpectation:
             pair_expectation(gaussian_points(1))
 
     def test_coincident_points_rejected(self):
-        ps = LatticePointSet(m=2, points=np.array([1j, 1j]), radius_bound=2.0)
         with pytest.raises(ValueError):
-            pair_expectation(ps)
+            pair_expectation(np.array([1j, 1j]))
 
     @pytest.mark.parametrize("m", [4, 16, 100, 1000, 10_000])
     def test_energy_window(self, m):

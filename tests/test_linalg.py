@@ -104,36 +104,25 @@ class TestNorms:
 
 class TestSingularProfile:
     def test_identity(self):
-        prof = singular_profile(np.eye(3))
-        assert np.allclose(prof.values, [1.0, 1.0, 1.0])
-        assert np.allclose(prof.partial_sums, [1.0, 2.0, 3.0])
+        assert np.allclose(singular_profile(np.eye(3)), [1.0, 1.0, 1.0])
 
     def test_half_half(self):
-        prof = singular_profile(np.diag([0.5, 0.5]))
-        assert np.allclose(prof.values, [0.5, 0.5])
+        assert np.allclose(singular_profile(np.diag([0.5, 0.5])), [0.5, 0.5])
 
     def test_zero_matrix(self):
-        prof = singular_profile(np.zeros((4, 4)))
-        assert np.all(prof.values == 0.0)
+        assert np.all(singular_profile(np.zeros((4, 4))) == 0.0)
 
     def test_sorted_nonincreasing(self, rng):
-        prof = singular_profile(random_complex(rng, 8))
-        assert np.all(np.diff(prof.values) <= 0.0)
-        assert np.all(prof.values >= 0.0)
+        values = singular_profile(random_complex(rng, 8))
+        assert np.all(np.diff(values) <= 0.0)
+        assert np.all(values >= 0.0)
 
     def test_unitary_invariance(self, rng):
         m = random_complex(rng, 6)
         u, v = random_unitary(rng, 6), random_unitary(rng, 6)
-        p1 = singular_profile(m).values
-        p2 = singular_profile(u @ m @ v).values
+        p1 = singular_profile(m)
+        p2 = singular_profile(u @ m @ v)
         assert np.allclose(p1, p2, atol=1e-10)
-
-    def test_leading_sum_bounds(self, rng):
-        prof = singular_profile(random_complex(rng, 5))
-        with pytest.raises(ValueError):
-            prof.leading_sum(0)
-        with pytest.raises(ValueError):
-            prof.leading_sum(6)
 
 
 class TestIsNormal:

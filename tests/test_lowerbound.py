@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,7 +79,7 @@ class TestQuarterLogSum:
 
 def trial0_points(m: int, seed: int) -> np.ndarray:
     """The lattice points in the order of ``factor``'s first trial at ``seed``."""
-    return gaussian_points(m).points[_fisher_yates(np.random.default_rng(seed), m)]
+    return gaussian_points(m)[_fisher_yates(np.random.default_rng(seed), m)]
 
 
 class TestWitnessFactorization:
@@ -191,34 +192,37 @@ class TestPartialIsometries:
 class TestPartialSums:
     def test_m2_hand_values(self, witness_m2):
         _, c, _, _ = witness_m2
-        report = verify_partial_sums(singular_profile(c))
-        assert [r.l for r in report.records] == [1, 2]
-        assert report.records[0].partial_sum == pytest.approx(0.5, abs=1e-12)
-        assert report.records[0].bound == pytest.approx(1.0 / 6.0)
-        assert report.records[1].partial_sum == pytest.approx(1.0, abs=1e-12)
-        assert report.records[1].bound == pytest.approx(math.sqrt(2.0) / 6.0)
-        assert report.all_passed
+        records, triangular = verify_partial_sums(singular_profile(c))
+        assert [r.l for r in records] == [1, 2]
+        assert records[0].sum == pytest.approx(0.5, abs=1e-12)
+        assert records[0].bound == pytest.approx(1.0 / 6.0)
+        assert records[1].sum == pytest.approx(1.0, abs=1e-12)
+        assert records[1].bound == pytest.approx(math.sqrt(2.0) / 6.0)
+        assert [r.l for r in triangular] == [1]
+        assert all(r.passed for r in records + triangular)
 
     def test_scaling_up_preserves_passes(self, witness_m2):
         _, c, _, _ = witness_m2
         for t in (1.0, 2.5, 10.0):
-            assert verify_partial_sums(singular_profile(t * c)).all_passed
+            records, triangular = verify_partial_sums(singular_profile(t * c))
+            assert all(r.passed for r in records + triangular)
 
     def test_triangular_records(self):
         cert = factor(extremal_matrix(16), trials=16, seed=0)
         c = cert.c * cert.op_norm_b
-        report = verify_partial_sums(singular_profile(c))
-        ls = [r.l for r in report.triangular_records]
+        _, triangular = verify_partial_sums(singular_profile(c))
+        ls = [r.l for r in triangular]
         assert ls == [1, 3, 6]  # (k+1)(k+2)/2 for (k+1)(k+2) <= 16
-        assert all(r.passed for r in report.triangular_records)
+        assert all(r.passed for r in triangular)
 
 
 class TestHsLowerBound:
     def test_factorizer_certificates_pass(self):
         certs = [factor(extremal_matrix(m), trials=16, seed=0) for m in (2, 16, 64)]
-        report = verify_hs_lower_bound(certs)
-        assert report.all_passed
-        for rec in report.records:
+        records = verify_hs_lower_bound(certs)
+        assert [r.m for r in records] == [2, 16, 64]
+        for rec in records:
+            assert rec.passed
             assert rec.ratio_sq >= rec.window_lower
             assert rec.c_prime_empirical == pytest.approx(4 * rec.ratio_sq - rec.log_m)
 
@@ -247,7 +251,7 @@ class TestLowerBoundReport:
     def test_sandwich_window_sample(self):
         for m in (16, 64):
             report = lower_bound_report(m, trials=32, seed=0)
-            ratio_sq = report.hs_lower.records[0].ratio_sq
+            ratio_sq = report.hs_lower[0].ratio_sq
             assert 0.25 * (math.log(m) - 10.0) <= ratio_sq <= math.log(m) + 10.0
 
     def test_rejects_m1(self):
@@ -449,14 +453,14 @@ def test_generator_changed_in_place_after_build(rng):
     s, t = random_complex(rng, 12), random_complex(rng, 12)
     filt = build_filtration(s, t, seed_vector(12))
     kept = filt.s.copy(), filt.t.copy(), [tuple(x.copy() for x in pair) for pair in filt.boundary]
-    report = verify_filtration_structure(filt, 0.0)
+    report = verify_filtration_structure(filt)
     assert not (filt.s.flags.writeable or filt.t.flags.writeable)
     s *= 2.0
     t[0, 0] += 1.0
     assert np.array_equal(filt.s, kept[0]) and np.array_equal(filt.t, kept[1])
     for pair, kept_pair in zip(filt.boundary, kept[2], strict=True):
         assert all(np.array_equal(x, y) for x, y in zip(pair, kept_pair))
-    assert verify_filtration_structure(filt, 0.0) == report
+    assert verify_filtration_structure(filt) == report
 
 
 def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
@@ -473,8 +477,20 @@ def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
 
     monkeypatch.setattr(traceless.filtration, "singular_profile", counted)
     report = lower_bound_report(64, certificate=cert)
-    assert report.partial_sums == direct  # bit for bit: the same LAPACK call on C
+    # bit for bit: the same LAPACK call on C
+    assert (report.partial_sums, report.partial_sums_triangular) == direct
     assert calls == [(64, 64)]
+
+
+def test_invariance_residual_is_judged(monkeypatch):
+    # a chain whose total span is not invariant fails the strict checks, as
+    # verify_filtration_structure fails it, whatever else holds
+    orig = traceless.lowerbound.build_filtration
+    monkeypatch.setattr(traceless.lowerbound, "build_filtration",
+                        lambda *args: dataclasses.replace(orig(*args), invariance_residual=1.0))
+    report = lower_bound_report(16, seed=0)
+    assert report.invariance_residual == 1.0 > report.block_tol
+    assert not report.all_strict_passed
 
 
 def test_single_block_gives_zero_isometries():
