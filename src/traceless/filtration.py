@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,10 +36,9 @@ SEED_TOL = 1e-10  # times max(1, dim M): the seed basis M must have ||M*M - I||_
 class Filtration:
     """Orthonormal block bases of the chain, plus build diagnostics.
 
-    The blocks are adjacent column ranges of one m x m buffer.
+    The blocks are adjacent column ranges of ``basis``, a view of one m x m buffer.
     """
 
-    blocks: list[np.ndarray]
     dims: list[int]
     dim_m: int
     rank_tolerance: float
@@ -50,15 +50,45 @@ class Filtration:
     # read-only copies of those S and T, so that changing the caller's arrays changes nothing here
     s: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
-    # per block pair n, (X_n, Y_n) = (B_{n+1}* S B_n, B_{n+1}* S* B_n), read from the
-    # build's compression basis* S basis
-    boundary: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    # read-only view of the blocks side by side
+    basis: np.ndarray = field(repr=False)
+    # read-only G_S = basis* S basis from the build's residual check: block (i, j) is B_i* S B_j
+    compression_s: np.ndarray = field(repr=False)
     # full singular spectrum of S, non-increasing (norm_s is its top value), for the partial-sum check
     spectrum_s: np.ndarray = field(repr=False)
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @property
+    def spans(self) -> list[slice]:
+        """Column ranges of the blocks in ``basis``, and so of the block rows and columns of G_S."""
+        return _spans(self.dims)
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """The orthonormal block bases B_n = basis[:, spans[n]], as read-only views."""
+        return [self.basis[:, span] for span in self.spans]
+
+    @cached_property
+    def boundary(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block pair n, (X_n, Y_n) = (B_{n+1}* S B_n, B_{n+1}* S* B_n), read from ``compression_s``.
+
+        X_n is a view of block (n+1, n).  Y_n is the adjoint of block (n, n+1),
+        a read-only copy, as conjugation cannot be a view.
+        """
+        comp, pairs = self.compression_s, []
+        for lo, hi in zip(self.spans, self.spans[1:]):
+            y = comp[lo, hi].conj().T
+            y.flags.writeable = False
+            pairs.append((comp[hi, lo], y))
+        return pairs
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """basis* basis, the identity up to rounding, computed on first use."""
+        return self.basis.conj().T @ self.basis
 
     @cached_property
     def boundary_svds(self) -> list[tuple[tuple, tuple]]:
@@ -102,21 +132,24 @@ def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]
     return block_res, outside, comp
 
 
-def _chain_compression(basis, dims, s, t):
-    """Block residuals of S and T, the summed invariance residual, and S's boundary blocks.
+def _spans(dims) -> list[slice]:
+    """Adjacent index ranges of widths ``dims``, starting at 0."""
+    ends = list(accumulate(dims))
+    return [slice(end - d, end) for end, d in zip(ends, dims)]
 
-    ``basis`` holds the blocks side by side, ``dims`` their widths.  Block
-    (n+1, n) of G_S = basis* S basis is X_n = B_{n+1}* S B_n, and block
-    (n, n+1) is the adjoint of Y_n = B_{n+1}* S* B_n; both are copied out so
-    that G_S itself is not kept.  Of T only the residuals are kept.
+
+def _chain_compression(basis, dims, s, t):
+    """Block residuals of S and T, the summed invariance residual, and G_S = basis* S basis.
+
+    ``basis`` holds the blocks side by side, ``dims`` their widths.  G_S is
+    kept whole: block (n+1, n) is X_n = B_{n+1}* S B_n, block (n, n+1) is
+    the adjoint of Y_n = B_{n+1}* S* B_n, and the partial-isometry residuals
+    read the bands beyond.  Of T only the residuals are kept.
     """
-    starts = np.cumsum([0] + dims[:-1])
-    spans = [slice(a, a + d) for a, d in zip(starts, dims)]
+    starts = [span.start for span in _spans(dims)]
     res_s, out_s, comp = _compression_residuals(basis, starts, s)
-    bands = [(comp[hi, lo].copy(), comp[lo, hi].conj().T) for lo, hi in zip(spans, spans[1:])]
-    del comp
     res_t, out_t, _ = _compression_residuals(basis, starts, t)
-    return res_s, res_t, out_s + out_t, bands
+    return res_s, res_t, out_s + out_t, comp
 
 
 def build_filtration(s, t, m_basis) -> Filtration:
@@ -135,10 +168,11 @@ def build_filtration(s, t, m_basis) -> Filtration:
     is reached.
 
     Accepted directions are written into one preallocated m x m buffer, so
-    the blocks are adjacent column ranges of it and nothing is re-stacked.
-    The residual check's compression basis* S basis also gives the
-    boundary blocks of S, and the full singular spectrum of S (whose top
-    value is ||S||) is kept for the partial-sum check.
+    the blocks are adjacent column ranges of it (``basis``) and nothing is
+    re-stacked.  The residual check's compression basis* S basis is kept
+    (``compression_s``) for the boundary blocks of S and the
+    partial-isometry residuals, and the full singular spectrum of S (whose
+    top value is ||S||) for the partial-sum check.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -193,13 +227,11 @@ def build_filtration(s, t, m_basis) -> Filtration:
         nb += na
         dims.append(na)
 
-    starts = np.cumsum([0] + dims)
-    blocks = [buf[:, a:b] for a, b in zip(starts, starts[1:])]
-    res_s, res_t, inv_res, boundary = _chain_compression(buf[:, :nb], dims, s, t)
+    basis = buf[:, :nb]
+    res_s, res_t, inv_res, comp = _chain_compression(basis, dims, s, t)
     s, t = s.copy(), t.copy()
-    s.flags.writeable = t.flags.writeable = False
+    s.flags.writeable = t.flags.writeable = basis.flags.writeable = comp.flags.writeable = False
     return Filtration(
-        blocks=blocks,
         dims=dims,
         dim_m=dim_m,
         rank_tolerance=rank_tol,
@@ -210,7 +242,8 @@ def build_filtration(s, t, m_basis) -> Filtration:
         norm_t=norm_t,
         s=s,
         t=t,
-        boundary=boundary,
+        basis=basis,
+        compression_s=comp,
         spectrum_s=spectrum_s,
     )
 

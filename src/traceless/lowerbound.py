@@ -187,16 +187,19 @@ def construct_partial_isometries(filt: Filtration) -> tuple[np.ndarray, np.ndarr
         P_n V C  P_n = |P_{n+1} C  P_n|   and
         P_n W C* P_n = |P_{n+1} C* P_n|.
 
-    Each of V and W is one product L H*, where H stacks blocks 1, 2, ...
-    and L stacks B_n (U V^H)* of the matching pairs.  Block supports are
-    orthogonal, so all singular values of V and W lie in [0, 1];
-    ``isometry_norm_bounds`` certifies that in floats without an SVD.
+    Each of V and W is one product L H*, where H is ``filt.basis`` from
+    block 1 on and L stacks B_n (U V^H)* of the matching pairs.  Block
+    supports are orthogonal, so all singular values of V and W lie in
+    [0, 1]; ``isometry_norm_bounds`` certifies that in floats without an
+    SVD.  The report needs neither matrix: ``partial_isometry_residuals``
+    checks the identities in block coordinates.  These are the paper's V
+    and W as m x m matrices, for callers that want them.
     """
     m = filt.s.shape[0]
     svds = filt.boundary_svds
     if not svds:  # a single block: nothing to move
         return np.zeros((m, m), dtype=complex), np.zeros((m, m), dtype=complex)
-    hi_h = np.column_stack(filt.blocks[1:]).conj().T  # H*, shared by V and W
+    hi_h = filt.basis[:, filt.dims[0]:].conj().T  # H*, shared by V and W
     lo_iso = np.empty((m, hi_h.shape[0]), dtype=complex)  # L, refilled for W
     ends = np.cumsum(filt.dims[1:])
     products = []
@@ -222,35 +225,46 @@ def isometry_norm_bounds(filt: Filtration) -> tuple[float, float, float]:
     V = basis K basis*, where K holds (U_n V_n^H)* in block (n, n+1).  Those
     blocks lie in disjoint block rows and columns, so ||K|| is the largest
     ||U_n V_n^H||, and ||V|| <= (1 + delta_H) max_n ||U_n V_n^H|| with
-    delta_H = ||basis* basis - I||_2, one Gram GEMM over all the blocks.
+    delta_H = ||basis* basis - I||_2, read from the filtration's Gram
+    (``filt.gram``, one GEMM over all the blocks, shared with
+    ``partial_isometry_residuals``).
     Each ||U_n V_n^H||^2 is at most (1 + ||U_n^H U_n - I||_2)(1 + ||V_n^H V_n - I||_2),
     read from the shared boundary-block SVDs; W is bounded alike from the
     factors of Y_n.  Returns (bound on ||V||, bound on ||W||, delta_H).
     """
     svds = filt.boundary_svds
-    basis_defect = unit_defect(np.column_stack(filt.blocks))
+    gram = filt.gram
+    basis_defect = hs_norm(gram - np.eye(gram.shape[0]))
     scale = 1.0 + basis_defect
     return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), basis_defect
 
 
-def partial_isometry_residuals(filt: Filtration, v, w) -> tuple[float, float]:
+def partial_isometry_residuals(filt: Filtration) -> tuple[float, float]:
     """Max deviation of the two displayed identities over all block pairs, for C = ``filt.s``.
 
-    The right sides |X_n| = R* diag(sigma) R (R the right singular factor)
-    come from the shared boundary-block SVDs, while the left sides
-    P_n V C P_n and P_n W C* P_n are formed from the assembled V and W, so
-    this still checks the assembly independently.
+    With V = basis K basis* (K holds (U_n V_n^H)* in block (n, n+1)), the
+    left side B_n* V C B_n is block (n, n) of Gram K G_S, where
+    Gram = basis* basis (``filt.gram``) and G_S = basis* C basis
+    (``filt.compression_s``): the same product as B_n* (V C) B_n, with its
+    factors grouped differently.  So P = Gram K is formed one column block
+    at a time, then only the diagonal blocks of P G_S, and every product is
+    block sized; W alike, with the factors of Y_n and G_S*.  The right
+    sides |X_n| = R* diag(sigma) R (R the right singular factor) come from
+    the shared boundary-block SVDs.
     """
-    c = filt.s
-    res = [0.0, 0.0]
-    prods = (v @ c, w @ c.conj().T)
-    blocks = filt.blocks
-    for n, svds in enumerate(filt.boundary_svds):
-        lo = blocks[n]
-        lo_h = lo.conj().T
-        for k, ((_, s_, vh_), prod) in enumerate(zip(svds, prods)):
-            absolute = vh_.conj().T @ (s_[:, None] * vh_)
-            res[k] = max(res[k], hs_norm(lo_h @ prod @ lo - absolute))
+    svds = filt.boundary_svds
+    if not svds:  # a single block: nothing to move
+        return 0.0, 0.0
+    gram, comp, spans, d0 = filt.gram, filt.compression_s, filt.spans, filt.dims[0]
+    # block column n of G_S and of G_S* from block row 1 on: B_{k+1}* C B_n and B_{k+1}* C* B_n
+    columns = (lambda lo: comp[d0:, lo], lambda lo: comp[lo, d0:].conj().T)
+    res = []
+    for factors, column in zip(zip(*svds), columns):  # the SVDs of every X_n, then of every Y_n
+        p = np.hstack([gram[:, lo] @ (u_ @ vh_).conj().T for lo, (u_, _, vh_) in zip(spans, factors)])
+        res.append(max(
+            hs_norm(p[lo] @ column(lo) - vh_.conj().T @ (s_[:, None] * vh_))
+            for lo, (_, s_, vh_) in zip(spans, factors)
+        ))
     return res[0], res[1]
 
 
@@ -422,8 +436,7 @@ def lower_bound_report(
     filt = build_filtration(c_scaled, b_unit, e1)
 
     trace_records = verify_trace_inequality(filt)
-    v, w = construct_partial_isometries(filt)
-    res_v, res_w = partial_isometry_residuals(filt, v, w)
+    res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt.spectrum_s)
     # verify_trace_inequality has checked this pair against the witness

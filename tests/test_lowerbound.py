@@ -152,8 +152,7 @@ class TestPartialIsometries:
         b, _, _, _ = witness_m2
         filt = build_filtration(np.zeros((2, 2)), b, seed_vector(2))  # B alone grows the chain
         assert filt.dims == [1, 1]
-        v, w = construct_partial_isometries(filt)
-        res_v, res_w = partial_isometry_residuals(filt, v, w)
+        res_v, res_w = partial_isometry_residuals(filt)
         assert res_v == 0.0 and res_w == 0.0
 
     def test_single_block_degenerate(self):
@@ -178,7 +177,7 @@ class TestPartialIsometries:
         # the compressed residual equals the honest full-matrix residual
         _, c, filt, _ = witness_m2
         v, w = construct_partial_isometries(filt)
-        res_v, res_w = partial_isometry_residuals(filt, v, w)
+        res_v, res_w = partial_isometry_residuals(filt)
         for n in range(len(filt.blocks) - 1):
             lo = filt.blocks[n] @ filt.blocks[n].conj().T
             hi = filt.blocks[n + 1] @ filt.blocks[n + 1].conj().T
@@ -310,6 +309,19 @@ def test_report_runs_no_reduction_and_no_trial(monkeypatch):
     assert report.certificate.seed == 1
 
 
+def test_report_assembles_no_isometry(monkeypatch):
+    # the residuals are checked in the filtration's block coordinates, so the
+    # report forms no m x m V or W
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the report assembled V and W")
+
+    for mod in (traceless, traceless.lowerbound):
+        monkeypatch.setattr(mod, "construct_partial_isometries", unreachable)
+    report = lower_bound_report(64, seed=0)
+    assert report.all_strict_passed
+    assert max(report.iso_residual_v, report.iso_residual_w) <= 1e-14
+
+
 def test_commutator_calls_per_report(monkeypatch):
     calls = []
     orig = traceless.linalg.commutator
@@ -391,7 +403,8 @@ def assert_chain_matches_references(filt):
     v, w = construct_partial_isometries(filt)
     ref_v, ref_w = reference_partial_isometries(c, filt.blocks)
     assert hs_norm(v - ref_v) <= tol and hs_norm(w - ref_w) <= tol
-    res = partial_isometry_residuals(filt, v, w)
+    # the block-coordinate residuals against the full-matrix ones of the assembled V and W
+    res = partial_isometry_residuals(filt)
     ref = reference_isometry_residuals(c, filt.blocks, v, w)
     assert abs(res[0] - ref[0]) <= tol and abs(res[1] - ref[1]) <= tol
     return rhs
@@ -448,19 +461,28 @@ def test_stored_bands_are_the_boundary_blocks(rng):
 
 
 def test_generator_changed_in_place_after_build(rng):
-    # the filtration keeps read-only copies of S and T, so changing the
+    # the filtration keeps read-only copies of S and T, and its basis, G_S and
+    # the boundary blocks read from G_S are read-only too, so changing the
     # caller's arrays in place after the build changes nothing it reports
     s, t = random_complex(rng, 12), random_complex(rng, 12)
     filt = build_filtration(s, t, seed_vector(12))
     kept = filt.s.copy(), filt.t.copy(), [tuple(x.copy() for x in pair) for pair in filt.boundary]
+    kept_comp = filt.compression_s.copy()
     report = verify_filtration_structure(filt)
-    assert not (filt.s.flags.writeable or filt.t.flags.writeable)
+    residuals = partial_isometry_residuals(filt)
+    stored = [filt.s, filt.t, filt.basis, filt.compression_s, *filt.blocks]
+    stored += [x for pair in filt.boundary for x in pair]
+    assert not any(x.flags.writeable for x in stored)
+    with pytest.raises(ValueError, match="read-only"):
+        filt.compression_s[0, 0] = 1.0
     s *= 2.0
     t[0, 0] += 1.0
     assert np.array_equal(filt.s, kept[0]) and np.array_equal(filt.t, kept[1])
+    assert np.array_equal(filt.compression_s, kept_comp)
     for pair, kept_pair in zip(filt.boundary, kept[2], strict=True):
         assert all(np.array_equal(x, y) for x, y in zip(pair, kept_pair))
     assert verify_filtration_structure(filt) == report
+    assert partial_isometry_residuals(filt) == residuals
 
 
 def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
@@ -500,6 +522,7 @@ def test_single_block_gives_zero_isometries():
     for iso in construct_partial_isometries(filt):
         assert iso.shape == (5, 5) and not iso.any()
     assert isometry_norm_bounds(filt)[:2] == (0.0, 0.0)
+    assert partial_isometry_residuals(filt) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("m", [16, 64, 128])
