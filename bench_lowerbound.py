@@ -1,12 +1,12 @@
 """Per-stage timings of the lower-bound report, written to BENCH_lowerbound.json.
 
-    python3 bench_lowerbound.py --side NAME [--src DIR] [--repeats N] [--out PATH]
+    python3 bench_lowerbound.py --side NAME [--src DIR] [--out PATH]
 
 Run it from the repository root.  It pins BLAS and the process as
 perfbench/run.py does (``run.pin_process``), installs the span tracer of
 perfbench/tracer.py and runs ``lower_bound_report(m, seed=0)`` on the
 witness at each m in SIZES.  For each m it records, as the median over
-``--repeats`` reports, the report's seconds, the total seconds of every
+REPEATS reports, the report's seconds, the total seconds of every
 traced function in it and the report's self time (the witness
 factorization and the norm bounds, which are not traced), plus the SVD
 count, the dims' tail and the verdict.  The machine facts come from
@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 SIZES = (128, 256, 512, 1024)
 SEED = 0
+REPEATS = 3  # reports per size; the median is kept
 WARMUP_M = 64  # one untimed report first, so library loading and lazy set-up are not timed
 REPORT = "lowerbound.lower_bound_report"
 
@@ -64,11 +65,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", required=True, help="name of this run's side, e.g. before or after")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the traceless package")
-    parser.add_argument("--repeats", type=int, default=3, help="reports per size; the median is kept")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_lowerbound.json")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if not (args.src / "traceless" / "__init__.py").is_file():
         parser.error(f"no traceless package under {args.src}")
 
@@ -87,7 +85,7 @@ def main(argv=None) -> int:
     traceless.lower_bound_report(WARMUP_M, seed=SEED)
     by_m = {}
     for m in SIZES:
-        runs = [traced_report(m) for _ in range(args.repeats)]
+        runs = [traced_report(m) for _ in range(REPEATS)]
         names = sorted(set().union(*(r["stages_s"] for r in runs)))
         stages = {name: statistics.median(r["stages_s"].get(name, 0.0) for r in runs) for name in names}
         by_m[str(m)] = {
@@ -107,7 +105,7 @@ def main(argv=None) -> int:
         "sizes": list(SIZES),
     })
     data.setdefault("sides", {})[args.side] = {
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "machine": run.machine_facts(nproc, cpu_index),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "by_m": by_m,

@@ -20,6 +20,7 @@ __all__ = [
     "hs_norm",
     "nuclear_norm",
     "unit_defect",
+    "gram_defect",
     "singular_profile",
     "require_trace_zero",
     "residual_ok",
@@ -82,7 +83,13 @@ def hs_norm(m) -> float:
 def unit_defect(x) -> float:
     """||X*X - I||_2 over the columns of X, so that ||X||^2 <= 1 + the returned value."""
     x = as_matrix(x)
-    return hs_norm(x.conj().T @ x - np.eye(x.shape[1]))
+    return gram_defect(x.conj().T @ x)
+
+
+def gram_defect(gram) -> float:
+    """||G - I||_2 for a Gram matrix G = X*X already formed: ``unit_defect`` of X."""
+    gram = as_matrix(gram, square=True)
+    return hs_norm(gram - np.eye(gram.shape[0]))
 
 
 def nuclear_norm(m) -> float:

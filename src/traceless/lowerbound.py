@@ -26,7 +26,7 @@ import numpy as np
 from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
 from .filtration import STRUCTURE_TOL, Filtration, build_filtration
 from .lattice import gaussian_points
-from .linalg import commutator, hs_norm, residual_ok, unit_defect
+from .linalg import commutator, gram_defect, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
@@ -233,8 +233,7 @@ def isometry_norm_bounds(filt: Filtration) -> tuple[float, float, float]:
     factors of Y_n.  Returns (bound on ||V||, bound on ||W||, delta_H).
     """
     svds = filt.boundary_svds
-    gram = filt.gram
-    basis_defect = hs_norm(gram - np.eye(gram.shape[0]))
+    basis_defect = gram_defect(filt.gram)
     scale = 1.0 + basis_defect
     return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), basis_defect
 
