@@ -37,6 +37,8 @@ class Filtration:
     """Orthonormal block bases of the chain, plus build diagnostics.
 
     The blocks are adjacent column ranges of ``basis``, a view of one m x m buffer.
+    ||S|| comes with the build's spectrum of S; ||T|| (``norm_t``) is measured
+    only when read, as the build needs no norm of T.
     """
 
     dims: list[int]
@@ -45,8 +47,7 @@ class Filtration:
     block_residual_s: float
     block_residual_t: float
     invariance_residual: float
-    norm_s: float  # ||S|| and ||T|| of the generators the chain was built from
-    norm_t: float
+    norm_s: float  # ||S|| of the generator the chain was built from, the top of spectrum_s
     # read-only copies of those S and T, so that changing the caller's arrays changes nothing here
     s: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
@@ -56,6 +57,11 @@ class Filtration:
     compression_s: np.ndarray = field(repr=False)
     # full singular spectrum of S, non-increasing (norm_s is its top value), for the partial-sum check
     spectrum_s: np.ndarray = field(repr=False)
+
+    @cached_property
+    def norm_t(self) -> float:
+        """||T||, measured by one SVD on first use; the build itself never needs it."""
+        return operator_norm(self.t)
 
     @property
     def total_dim(self) -> int:
@@ -162,10 +168,12 @@ def build_filtration(s, t, m_basis) -> Filtration:
     column contributes a new direction iff its component orthogonal to
     everything accepted so far exceeds RANK_TOL m (``rank_tolerance``)
     times the candidate's own norm.
-    Internally S and T are rescaled by their operator norms, which leaves
-    every span unchanged but keeps image magnitudes tame.  The build stops
-    when a degree adds nothing, the span is complete, or the degree cap 2m
-    is reached.
+    Internally S is rescaled by its operator norm and each column of the
+    T-chain T^n M by its own norm at every degree.  Neither changes a span
+    or a rank decision, and both keep image magnitudes tame, so no norm of
+    T is needed (``Filtration.norm_t`` measures it on first use).  The
+    build stops when a degree adds nothing, the span is complete, or the
+    degree cap 2m is reached.
 
     Accepted directions are written into one preallocated m x m buffer, so
     the blocks are adjacent column ranges of it (``basis``) and nothing is
@@ -188,19 +196,27 @@ def build_filtration(s, t, m_basis) -> Filtration:
     rank_tol = RANK_TOL * m
 
     spectrum_s = singular_profile(s)
-    norm_s, norm_t = float(spectrum_s[0]), operator_norm(t)
-    s_unit, t_unit = s / (norm_s or 1.0), t / (norm_t or 1.0)
+    norm_s = float(spectrum_s[0])
+    s_unit = s / (norm_s or 1.0)
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
     buf[:, :dim_m] = mb
     nb = dim_m
     dims = [dim_m]
-    t_chain = mb  # T^(n-1) M, unnormalized
+    t_chain = mb  # T^(n-1) M, each column scaled to unit norm (or zero)
     for _degree in range(1, DEGREE_CAP_FACTOR * m + 1):
         if nb >= m:
             break
         basis = buf[:, :nb]
-        t_chain = t_unit @ t_chain
+        t_chain = t @ t_chain
+        # each column times the power of two that brings its largest modulus into
+        # [0.5, 1) (a float view interleaves real and imaginary parts): exact, so
+        # no square in its norm under- or overflows, and the unit column below is
+        # the same bit for bit at every scale of T
+        exps = np.frexp(np.max(np.abs(t_chain), axis=0))[1]
+        t_chain = np.ldexp(t_chain.view(float), np.repeat(-exps, 2)).view(complex)
+        norms = np.linalg.norm(t_chain, axis=0)
+        t_chain /= np.where(norms > 0.0, norms, 1.0)  # zero columns stay zero
         imgs = np.column_stack([s_unit @ buf[:, nb - dims[-1] : nb], t_chain])
         norms0 = np.linalg.norm(imgs, axis=0)
         work = _project_once(basis, imgs)
@@ -239,7 +255,6 @@ def build_filtration(s, t, m_basis) -> Filtration:
         block_residual_t=res_t,
         invariance_residual=inv_res,
         norm_s=norm_s,
-        norm_t=norm_t,
         s=s,
         t=t,
         basis=basis,

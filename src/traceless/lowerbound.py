@@ -54,7 +54,7 @@ TRACE_INEQ_TOL = 1e-8  # slack of the per-degree trace inequalities
 WITNESS_RESIDUAL_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
 PARTIAL_SUM_TOL = 1e-9
-UNIT_NORM_TOL = 1e-10  # the trace check needs |op_norm_b - 1| <= UNIT_NORM_TOL
+UNIT_NORM_TOL = 1e-10  # the trace check needs |norm_b - 1| <= UNIT_NORM_TOL for the ||B|| it is given
 ISOMETRY_NORM_TOL = 1e-10  # the bounds on ||V|| and ||W|| must be at most 1 + ISOMETRY_NORM_TOL
 
 
@@ -135,24 +135,26 @@ class TraceIneqRecord:
     normbd_passed: bool
 
 
-def verify_trace_inequality(filt: Filtration) -> list[TraceIneqRecord]:
+def verify_trace_inequality(filt: Filtration, norm_b: float) -> list[TraceIneqRecord]:
     """Per-degree trace inequality records for a normalized factorization.
 
-    ``filt`` is built from (C, B): C is its S and B its T.  Requires
-    ||B|| = 1 (rescale (B, C) -> (B/||B||, C ||B||) first, which leaves the
-    commutator unchanged) and [B, C] equal to the witness matrix.  Ranks are
+    ``filt`` is built from (C, B): C is its S and B its T.  ``norm_b`` is
+    ||B|| as the caller knows it, measured or certified; the check never
+    measures it.  Requires |norm_b - 1| <= UNIT_NORM_TOL (rescale (B, C) ->
+    (B/||B||, C ||B||) first, which leaves the commutator unchanged) and
+    [B, C] equal to the witness matrix, judged with norm_b.  Ranks are
     the filtration's numerical dimensions, and the rhs at degree n is
     sum sigma(X_n) + sum sigma(Y_n) from the boundary-block SVDs shared with
     the partial isometries.  Degrees past the last block use an empty
     block, so an exhausted filtration yields lhs <= 0 and the record passes
     trivially.
     """
-    b, c, op_b = filt.t, filt.s, filt.norm_t
+    b, c = filt.t, filt.s
     m = b.shape[0]
-    if abs(op_b - 1.0) > UNIT_NORM_TOL:
+    if abs(norm_b - 1.0) > UNIT_NORM_TOL:
         raise ValueError("B is not normalized to unit operator norm")
     residual = hs_norm(extremal_matrix(m) - commutator(b, c))
-    if not residual_ok(residual, op_b, hs_norm(c), WITNESS_RESIDUAL_TOL):
+    if not residual_ok(residual, norm_b, hs_norm(c), WITNESS_RESIDUAL_TOL):
         raise ValueError("[B, C] does not reproduce the witness matrix")
     nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in filt.boundary_svds]
     records = []
@@ -407,10 +409,18 @@ def lower_bound_report(
     ``factor(extremal_matrix(m), trials=1, seed=seed)`` up to rounding.
     ``trials`` has no effect: every order of the points gives the same
     ||C||_2, so trials beyond the first could only tie.  The factorization
-    is rescaled to ||B|| = 1 (C absorbs the norm), the filtration is seeded
-    at span{e_1} = range(A + I/m), and every inequality in the chain is
-    measured.  Pass ``certificate`` to verify an existing factorization
-    instead of producing one.
+    is rescaled by the certificate's op_norm_b = (1 + delta) max |b_i| (C
+    absorbs the factor), the filtration is seeded at span{e_1} =
+    range(A + I/m), and every inequality in the chain is measured.  Pass
+    ``certificate`` to verify an existing factorization instead of
+    producing one.
+
+    No SVD measures ||B||: with delta = ||Q*Q - I||_2 the certificate's
+    ``unitarity_defect``, sigma_min(Q)^2 >= 1 - delta, so
+    (1 - delta) max |b_i| <= ||B|| <= op_norm_b and the rescaled B has norm
+    in [(1 - delta)/(1 + delta), 1].  The trace check and ``block_tol`` take
+    the lower end, which can only tighten each tolerance; the trace check
+    refuses a certificate whose interval is wider than UNIT_NORM_TOL.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -429,12 +439,15 @@ def lower_bound_report(
     # [B, C] + I/m maps into span{e_1}, so words in B and C reorder modulo
     # lower degrees and span{B^k C^l e_1} = span{C^k B^l e_1}: the chain may be
     # built with C in the S slot, C applied to each newest orthonormal block and
-    # B^n e_1 as the raw chain.  B is normal with a spread spectrum, so B^n e_1
+    # B^n e_1 as the T-chain.  B is normal with a spread spectrum, so B^n e_1
     # keeps a large part outside V_(n-1); C^n e_1 collapses onto C's top singular
     # vectors, and a chain grown on it leaves T-block residuals near 1e-8 at m=256.
     filt = build_filtration(c_scaled, b_unit, e1)
 
-    trace_records = verify_trace_inequality(filt)
+    # the certified lower end of ||B / op_norm_b||, whose upper end is 1
+    delta = cert.unitarity_defect
+    norm_b_unit = (1.0 - delta) / (1.0 + delta)
+    trace_records = verify_trace_inequality(filt, norm_b_unit)
     res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt.spectrum_s)
@@ -458,7 +471,7 @@ def lower_bound_report(
         dims_ok=dims_ok,
         filtration_complete=filt.complete(m),
         block_residual=max(filt.block_residual_s, filt.block_residual_t),
-        block_tol=STRUCTURE_TOL * (filt.norm_s + filt.norm_t),
+        block_tol=STRUCTURE_TOL * (filt.norm_s + norm_b_unit),
         invariance_residual=filt.invariance_residual,
         certificate=cert,
         basis_defect=basis_defect,

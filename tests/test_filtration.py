@@ -391,6 +391,44 @@ def test_compression_matches_references_random(rng, m):
     assert stored == (res_s, res_t, inv)
 
 
+def test_build_measures_no_norm_of_t(rng, monkeypatch):
+    # the T-chain is scaled column by column, so the build takes no SVD of T;
+    # ||T|| is measured on the first read of norm_t, for the structure check
+    def unreachable(mat):
+        raise AssertionError("the build measured an operator norm")
+
+    s, t = random_complex(rng, 9), random_complex(rng, 9)
+    monkeypatch.setattr(traceless.filtration, "operator_norm", unreachable)
+    filt = build_filtration(s, t, seed_vector(9))
+    assert "norm_t" not in vars(filt)
+    monkeypatch.undo()
+    assert filt.norm_t == operator_norm(t)
+
+
+@pytest.mark.parametrize("k", [1e150, 1e-150])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_hostile_scale_of_t(k, shift):
+    # entries scaled by 1e+-150: the chain's spans are scale-free, so T = kB
+    # gives the dims and the verdict of T = B, for the witness pair and for
+    # C + B/2 in the S slot
+    b, c = normalized_witness_factors(64)
+    s = c + shift * b
+    base = build_filtration(s, b, seed_vector(64))
+    scaled = build_filtration(s, k * b, seed_vector(64))
+    assert scaled.dims == base.dims
+    assert verify_filtration_structure(scaled).all_ok == verify_filtration_structure(base).all_ok
+
+
+def test_power_of_two_scale_of_t_is_exact():
+    # the T-chain is rescaled by powers of two before its norms are taken, so
+    # T = kB builds the very basis of T = B, bit for bit, also at k = 2^-600,
+    # where the squares of the chain's entries underflow
+    b, c = normalized_witness_factors(64)
+    base = build_filtration(c, b, seed_vector(64))
+    for k in (2.0**500, 2.0**-600):
+        assert np.array_equal(build_filtration(c, k * b, seed_vector(64)).basis, base.basis)
+
+
 def test_stored_generator_norms(rng):
     s, t = random_complex(rng, 6), np.zeros((6, 6))
     filt = build_filtration(s, t, seed_vector(6))

@@ -11,7 +11,7 @@ import traceless.linalg
 import traceless.lowerbound
 import traceless.reduction
 from traceless.factorizer import _fisher_yates, factor
-from traceless.filtration import build_filtration, verify_filtration_structure
+from traceless.filtration import STRUCTURE_TOL, build_filtration, verify_filtration_structure
 from traceless.lattice import gaussian_points
 from traceless.linalg import commutator, hs_norm, nuclear_norm, operator_norm, singular_profile
 from traceless.lowerbound import (
@@ -82,6 +82,15 @@ def trial0_points(m: int, seed: int) -> np.ndarray:
     return gaussian_points(m)[_fisher_yates(np.random.default_rng(seed), m)]
 
 
+def assert_norm_interval(cert):
+    """The measured ||B|| lies in the certificate's interval (1 -+ delta) max |b_i|, up to 8 ulps."""
+    eps = np.finfo(np.float64).eps
+    peak, delta = float(np.max(np.abs(gaussian_points(cert.m)))), cert.unitarity_defect
+    norm = operator_norm(cert.b)
+    assert (1.0 - delta) * peak * (1.0 - 8 * eps) <= norm <= (1.0 + delta) * peak * (1.0 + 8 * eps)
+    assert cert.op_norm_b == (1.0 + delta) * peak  # the upper end is the certificate's own bound
+
+
 class TestWitnessFactorization:
     @pytest.mark.parametrize("m", [2, 3, 7, 16, 64, 128])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -98,8 +107,27 @@ class TestWitnessFactorization:
         cert = witness_factorization(trial0_points(m, 0))
         assert cert.valid
         assert operator_norm(cert.b) <= cert.op_norm_b * (1.0 + 8 * np.finfo(np.float64).eps)
+        assert_norm_interval(cert)
         assert is_normal(cert.b)
         assert cert.residual <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["witness", "factor"])
+    @pytest.mark.parametrize("m", [2, 9, 16, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_norm_interval_holds_measured_norm(self, kind, m, seed):
+        # the report trusts (1 - delta) max |b_i| <= ||B|| <= (1 + delta) max |b_i|
+        # without an SVD; here one SVD checks it, for both kinds of certificate
+        if kind == "witness":
+            cert = witness_factorization(trial0_points(m, seed), seed=seed)
+        else:
+            cert = factor(extremal_matrix(m), trials=4, seed=seed)
+        assert_norm_interval(cert)
+
+    def test_wide_norm_interval_refused(self):
+        # a defect of 1e-9 leaves ||B / op_norm_b|| only known within 2e-9 of 1
+        cert = witness_factorization(trial0_points(64, 0))
+        with pytest.raises(ValueError, match="normalized"):
+            lower_bound_report(64, certificate=dataclasses.replace(cert, unitarity_defect=1e-9))
 
     def test_rejects_repeated_points(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -118,7 +146,7 @@ def witness_m2():
 class TestTraceInequality:
     def test_m2_hand_numbers(self, witness_m2):
         _, _, filt, _ = witness_m2
-        records = verify_trace_inequality(filt)
+        records = verify_trace_inequality(filt, operator_norm(filt.t))
         first = records[0]
         assert first.lhs == pytest.approx(0.5, abs=1e-12)
         assert first.rhs == pytest.approx(1.0, abs=1e-10)
@@ -129,7 +157,7 @@ class TestTraceInequality:
 
     def test_exhausted_tail_passes_trivially(self, witness_m2):
         _, _, filt, _ = witness_m2
-        records = verify_trace_inequality(filt)
+        records = verify_trace_inequality(filt, operator_norm(filt.t))
         last = records[-1]
         assert last.rhs == 0.0
         assert last.lhs <= 1e-12
@@ -137,14 +165,16 @@ class TestTraceInequality:
 
     def test_unnormalized_rejected(self, witness_m2):
         b, c, _, _ = witness_m2
+        filt = build_filtration(c, 2.0 * b, seed_vector(2))
         with pytest.raises(ValueError, match="normalized"):
-            verify_trace_inequality(build_filtration(c, 2.0 * b, seed_vector(2)))
+            verify_trace_inequality(filt, operator_norm(filt.t))
 
     def test_wrong_commutator_rejected(self, witness_m2):
         b, c, _, _ = witness_m2
         bad = c + 0.3 * np.diag([1.0, -1.0])  # does not commute with B
+        filt = build_filtration(bad, b, seed_vector(2))
         with pytest.raises(ValueError, match="witness"):
-            verify_trace_inequality(build_filtration(bad, b, seed_vector(2)))
+            verify_trace_inequality(filt, operator_norm(filt.t))
 
 
 class TestPartialIsometries:
@@ -289,10 +319,23 @@ def test_operator_norm_calls_per_report(monkeypatch):
             monkeypatch.setattr(mod, "operator_norm", counted)
     report = lower_bound_report(16, trials=8, seed=0)
     assert report.all_strict_passed
-    # factor bounds ||B|| in its eigenframe and ||V||, ||W|| are bounded from
-    # the Gram defects; the build measures ||T|| = ||B|| once, ||S|| is the top
-    # of its spectrum of C, and the trace check reads ||B|| from the build
-    assert calls == [(16, 16)]
+    # the certificate bounds ||B|| on both sides in its eigenframe, ||V|| and
+    # ||W|| are bounded from the Gram defects, ||S|| is the top of the build's
+    # spectrum of C, and the build scales the T-chain column by column
+    assert calls == []
+
+
+@pytest.mark.parametrize("m, seed", [(64, 0), (256, 3)])
+def test_block_tol_takes_the_certified_lower_end(m, seed):
+    # block_tol uses (1 - delta)/(1 + delta) for ||B / op_norm_b||, which is at
+    # most the measured norm, so the tolerance is no looser than a measured one
+    report = lower_bound_report(m, seed=seed)
+    cert = report.certificate
+    delta = cert.unitarity_defect
+    lower = (1.0 - delta) / (1.0 + delta)
+    filt = build_filtration(cert.c * cert.op_norm_b, cert.b / cert.op_norm_b, seed_vector(m))
+    assert report.block_tol == STRUCTURE_TOL * (filt.norm_s + lower)
+    assert lower <= filt.norm_t <= 1.0 + 8 * np.finfo(np.float64).eps
 
 
 def test_report_runs_no_reduction_and_no_trial(monkeypatch):
@@ -353,8 +396,8 @@ def test_svd_calls_per_report(monkeypatch, m):
     report = lower_bound_report(m, trials=8, seed=0)
     assert report.all_strict_passed
     matrices = [s for s in shapes if len(s) == 2]  # the reduction's stacked solves are 3-d
-    # only the spectra of S (= C) and T (= B) in the build
-    assert matrices.count((m, m)) == 2
+    # only the spectrum of S (= C) in the build
+    assert matrices.count((m, m)) == 1
     # one SVD of X_n and one of Y_n per block pair, both (dims[n+1], dims[n])
     pairs = list(zip(report.dims[1:], report.dims))
     assert sorted(s for s in matrices if s != (m, m)) == sorted(2 * pairs)
@@ -421,7 +464,7 @@ def test_shared_blocks_match_references_witness(m):
     _, _, filt = witness_filtration(m)
     rhs = assert_chain_matches_references(filt)
     assert "boundary_svds" in vars(filt)  # factored once, then read by every check
-    records = verify_trace_inequality(filt)
+    records = verify_trace_inequality(filt, operator_norm(filt.t))
     assert [r.rhs for r in records] == rhs + [0.0]
 
 
@@ -433,7 +476,7 @@ def test_direct_blocks_match_references_witness(m):
     filt = build_filtration(c + 0.5 * b, b, seed_vector(m))
     assert filt.complete(m)
     rhs = assert_chain_matches_references(filt)
-    records = verify_trace_inequality(filt)
+    records = verify_trace_inequality(filt, operator_norm(filt.t))
     assert [r.rhs for r in records] == rhs + [0.0]
     assert all(r.passed for r in records)
 
@@ -542,12 +585,15 @@ def test_isometry_norm_bounds_are_tight_upper_bounds(m):
         assert bound <= 1.0 + 1e-12
 
 
-def test_trace_inequality_reuses_norm_t(monkeypatch):
-    # ||B|| is the build's ||T|| and the boundary SVDs are factored once, so a
-    # second check takes no SVD at all
+def test_trace_inequality_takes_norm_b_and_makes_no_svd(monkeypatch):
+    # ||B|| comes from the caller and the boundary SVDs are shared with the
+    # partial isometries, so once those are factored the check takes no SVD
     _, _, filt = witness_filtration(16)
-    expected = verify_trace_inequality(filt)
+    norm_b = operator_norm(filt.t)
+    assert len(filt.boundary_svds) == len(filt.dims) - 1  # factored here, as the report's isometry checks do
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args))
-    assert verify_trace_inequality(filt) == expected
+    records = verify_trace_inequality(filt, norm_b)
     assert calls == []
+    assert "norm_t" not in vars(filt)  # the build's ||T|| is never measured
+    assert all(r.passed for r in records)
