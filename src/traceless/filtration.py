@@ -115,25 +115,37 @@ def _project_once(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _project_out(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Remove basis components twice (classical reorthogonalization)."""
+    """Remove basis components twice (classical reorthogonalization: "twice is enough").
+
+    The build uses it only within a degree, against the few directions that
+    degree has accepted so far; against the whole basis each candidate gets
+    one pass before its rank decision and one before the block's QR.
+    """
     return _project_once(basis, _project_once(basis, vecs))
 
 
-def _compression_residuals(basis, starts, op) -> tuple[float, float, np.ndarray]:
-    """Block-tridiagonality and invariance residuals of ``op`` on the chain.
+def _compression_residuals(basis, starts, image) -> tuple[float, float, np.ndarray]:
+    """Block-tridiagonality and invariance residuals of an operator on the chain.
 
-    One image op*basis and one compression G = basis* op basis give both:
+    From its image op basis, one compression G = basis* op basis gives both:
     block (i, j) of G (blocks start at column ``starts``) is P_i op P_j, so
     the first residual is the largest ||P_i op P_j||_2 over i > j + 1; the
     second is ||op basis - basis G||_2, the part of the image outside the
     span (zero when the span is everything).  G itself is returned third.
+    The block norms are taken of G times the power of two that brings its
+    largest real or imaginary part into [0.5, 1), as in ``hs_norm``: that
+    scaling is exact, so the squares neither under- nor overflow and a
+    power-of-two scale of op scales the first residual by the same power,
+    bit for bit.
     """
-    image = op @ basis
     comp = basis.conj().T @ image
     block_res = 0.0
     if len(starts) > 2:
-        sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
-        block_res = float(np.sqrt(np.max(sq[np.tril_indices(len(starts), -2)])))
+        parts = comp.view(float)  # real and imaginary parts side by side
+        exp = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+        parts = np.square(np.ldexp(parts, -exp))
+        sq = np.add.reduceat(np.add.reduceat(parts, starts, axis=0), 2 * np.asarray(starts), axis=1)
+        block_res = float(np.ldexp(np.sqrt(np.max(sq[np.tril_indices(len(starts), -2)])), exp))
     outside = 0.0 if basis.shape[1] == basis.shape[0] else hs_norm(image - basis @ comp)
     return block_res, outside, comp
 
@@ -144,17 +156,18 @@ def _spans(dims) -> list[slice]:
     return [slice(end - d, end) for end, d in zip(ends, dims)]
 
 
-def _chain_compression(basis, dims, s, t):
+def _chain_compression(basis, dims, image_s, image_t):
     """Block residuals of S and T, the summed invariance residual, and G_S = basis* S basis.
 
-    ``basis`` holds the blocks side by side, ``dims`` their widths.  G_S is
-    kept whole: block (n+1, n) is X_n = B_{n+1}* S B_n, block (n, n+1) is
-    the adjoint of Y_n = B_{n+1}* S* B_n, and the partial-isometry residuals
-    read the bands beyond.  Of T only the residuals are kept.
+    ``basis`` holds the blocks side by side, ``dims`` their widths, and
+    ``image_s``, ``image_t`` are S basis and T basis.  G_S is kept whole:
+    block (n+1, n) is X_n = B_{n+1}* S B_n, block (n, n+1) is the adjoint of
+    Y_n = B_{n+1}* S* B_n, and the partial-isometry residuals read the bands
+    beyond.  Of T only the residuals are kept.
     """
     starts = [span.start for span in _spans(dims)]
-    res_s, out_s, comp = _compression_residuals(basis, starts, s)
-    res_t, out_t, _ = _compression_residuals(basis, starts, t)
+    res_s, out_s, comp = _compression_residuals(basis, starts, image_s)
+    res_t, out_t, _ = _compression_residuals(basis, starts, image_t)
     return res_s, res_t, out_s + out_t, comp
 
 
@@ -168,19 +181,22 @@ def build_filtration(s, t, m_basis) -> Filtration:
     column contributes a new direction iff its component orthogonal to
     everything accepted so far exceeds RANK_TOL m (``rank_tolerance``)
     times the candidate's own norm.
-    Internally S is rescaled by its operator norm and each column of the
-    T-chain T^n M by its own norm at every degree.  Neither changes a span
-    or a rank decision, and both keep image magnitudes tame, so no norm of
-    T is needed (``Filtration.norm_t`` measures it on first use).  The
+    Internally the candidates S H_{n-1} are divided by ||S|| and each
+    column of the T-chain T^n M by its own norm at every degree.  Neither
+    changes a span or a rank decision, and both keep image magnitudes tame,
+    so no norm of T is needed (``Filtration.norm_t`` measures it on first use).  The
     build stops when a degree adds nothing, the span is complete, or the
     degree cap 2m is reached.
 
     Accepted directions are written into one preallocated m x m buffer, so
     the blocks are adjacent column ranges of it (``basis``) and nothing is
-    re-stacked.  The residual check's compression basis* S basis is kept
-    (``compression_s``) for the boundary blocks of S and the
-    partial-isometry residuals, and the full singular spectrum of S (whose
-    top value is ||S||) for the partial-sum check.
+    re-stacked.  Each block's image S H_n goes into a second one as the
+    block is accepted; the next degree's candidates are read from it, and
+    so is S basis for the residual check, which does not form it again.
+    That check's compression basis* S basis is kept (``compression_s``) for
+    the boundary blocks of S and the partial-isometry residuals, and the
+    full singular spectrum of S (whose top value is ||S||) for the
+    partial-sum check.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -197,10 +213,11 @@ def build_filtration(s, t, m_basis) -> Filtration:
 
     spectrum_s = singular_profile(s)
     norm_s = float(spectrum_s[0])
-    s_unit = s / (norm_s or 1.0)
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
+    img = np.empty((m, m), dtype=complex, order="F")  # S buf[:, :nb], formed block by block
     buf[:, :dim_m] = mb
+    img[:, :dim_m] = s @ buf[:, :dim_m]
     nb = dim_m
     dims = [dim_m]
     t_chain = mb  # T^(n-1) M, each column scaled to unit norm (or zero)
@@ -217,18 +234,18 @@ def build_filtration(s, t, m_basis) -> Filtration:
         t_chain = np.ldexp(t_chain.view(float), np.repeat(-exps, 2)).view(complex)
         norms = np.linalg.norm(t_chain, axis=0)
         t_chain /= np.where(norms > 0.0, norms, 1.0)  # zero columns stay zero
-        imgs = np.column_stack([s_unit @ buf[:, nb - dims[-1] : nb], t_chain])
+        imgs = np.column_stack([img[:, nb - dims[-1] : nb] / (norm_s or 1.0), t_chain])
         norms0 = np.linalg.norm(imgs, axis=0)
         work = _project_once(basis, imgs)
-        # The second pass and the in-degree projections below are orthogonal
-        # projections, so they can only shrink a column, and their rounding is
+        # One pass leaves a column's part in span(basis) at about u sqrt(nb) of its
+        # norm, far below the threshold; the in-degree projections below are
+        # orthogonal, so they can only shrink a column, and their rounding is
         # relative to the column's own norm, far below the 1e-6 margin.  A
         # column already at or below the threshold (less the margin) is thus
         # rejected here, as those steps would reject it; so are zero images.
         keep = np.linalg.norm(work, axis=0) > (1.0 - 1e-6) * rank_tol * norms0
-        work = _project_once(basis, work[:, keep])
         na = 0
-        for vec, norm0 in zip(work.T, norms0[keep]):
+        for vec, norm0 in zip(work[:, keep].T, norms0[keep]):
             if na:
                 acc = buf[:, nb : nb + na]
                 vec = _project_out(acc, vec)
@@ -238,13 +255,16 @@ def build_filtration(s, t, m_basis) -> Filtration:
                 na += 1
         if not na:
             break
-        block, _ = np.linalg.qr(_project_out(basis, buf[:, nb : nb + na]))
+        # normalized, an accepted column keeps a part in span(basis) of at most
+        # about u sqrt(nb) / (RANK_TOL m); the second pass takes it back to rounding
+        block, _ = np.linalg.qr(_project_once(basis, buf[:, nb : nb + na]))
         buf[:, nb : nb + na] = block
+        img[:, nb : nb + na] = s @ buf[:, nb : nb + na]
         nb += na
         dims.append(na)
 
     basis = buf[:, :nb]
-    res_s, res_t, inv_res, comp = _chain_compression(basis, dims, s, t)
+    res_s, res_t, inv_res, comp = _chain_compression(basis, dims, img[:, :nb], t @ basis)
     s, t = s.copy(), t.copy()
     s.flags.writeable = t.flags.writeable = basis.flags.writeable = comp.flags.writeable = False
     return Filtration(

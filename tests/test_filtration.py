@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -191,7 +194,8 @@ class TestVerifyFiltrationStructure:
                 if i <= j + 1:
                     s_tri += pi @ c @ pj
                     t_tri += pi @ b @ pj
-        res_s, res_t, _, _ = _chain_compression(np.column_stack(filt.blocks), filt.dims, s_tri, t_tri)
+        basis = np.column_stack(filt.blocks)
+        res_s, res_t, _, _ = _chain_compression(basis, filt.dims, s_tri @ basis, t_tri @ basis)
         assert max(res_s, res_t) <= 1e-12
 
 
@@ -357,13 +361,20 @@ def reference_invariance_residual(basis, s, t, m):
     return hs_norm(comp @ s @ pi) + hs_norm(comp @ t @ pi)
 
 
+def build_compression(filt, s, t):
+    # the build's own operands: S's image formed block by block, as the build forms it
+    basis = np.column_stack(filt.blocks)
+    return _chain_compression(basis, filt.dims, np.column_stack([s @ blk for blk in filt.blocks]), t @ basis)
+
+
 def assert_matches_references(blocks, s, t):
     # fixed from the dtype: a few hundred roundings per entry of an m x m product
     m = s.shape[0]
     tol = 100 * m * np.finfo(np.float64).eps * (operator_norm(s) + operator_norm(t))
-    res_s, res_t, inv, _ = _chain_compression(np.column_stack(blocks), [b.shape[1] for b in blocks], s, t)
+    basis = np.column_stack(blocks)
+    res_s, res_t, inv, _ = _chain_compression(basis, [b.shape[1] for b in blocks], s @ basis, t @ basis)
     ref_s, ref_t = reference_structure_residuals(blocks, s, t)
-    ref_inv = reference_invariance_residual(np.column_stack(blocks), s, t, m)
+    ref_inv = reference_invariance_residual(basis, s, t, m)
     assert abs(res_s - ref_s) <= tol
     assert abs(res_t - ref_t) <= tol
     assert abs(inv - ref_inv) <= tol
@@ -386,7 +397,7 @@ def test_compression_matches_references_random(rng, m):
     assert filt.block_residual_t > 1e-3  # T leaves the chain: a nonzero case
     for k in (len(filt.blocks), 3, 2):
         assert_matches_references(filt.blocks[:k], s, t)
-    res_s, res_t, inv, _ = _chain_compression(np.column_stack(filt.blocks), filt.dims, s, t)
+    res_s, res_t, inv, _ = build_compression(filt, s, t)
     stored = (filt.block_residual_s, filt.block_residual_t, filt.invariance_residual)
     assert stored == (res_s, res_t, inv)
 
@@ -405,16 +416,18 @@ def test_build_measures_no_norm_of_t(rng, monkeypatch):
     assert filt.norm_t == operator_norm(t)
 
 
-@pytest.mark.parametrize("k", [1e150, 1e-150])
+@pytest.mark.parametrize("k", [1e200, 1e150, 1e-150])
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_hostile_scale_of_t(k, shift):
-    # entries scaled by 1e+-150: the chain's spans are scale-free, so T = kB
-    # gives the dims and the verdict of T = B, for the witness pair and for
-    # C + B/2 in the S slot
+    # entries scaled by 1e200 and 1e+-150: the chain's spans are scale-free, so
+    # T = kB gives the dims and the verdict of T = B, for the witness pair and
+    # for C + B/2 in the S slot; the compression is rescaled before its entries
+    # are squared, so T's block residual stays finite and nonzero
     b, c = normalized_witness_factors(64)
     s = c + shift * b
     base = build_filtration(s, b, seed_vector(64))
     scaled = build_filtration(s, k * b, seed_vector(64))
+    assert 0.0 < scaled.block_residual_t < np.inf
     assert scaled.dims == base.dims
     assert verify_filtration_structure(scaled).all_ok == verify_filtration_structure(base).all_ok
 
@@ -422,11 +435,55 @@ def test_hostile_scale_of_t(k, shift):
 def test_power_of_two_scale_of_t_is_exact():
     # the T-chain is rescaled by powers of two before its norms are taken, so
     # T = kB builds the very basis of T = B, bit for bit, also at k = 2^-600,
-    # where the squares of the chain's entries underflow
+    # where the squares of the chain's entries underflow; the compression is
+    # rescaled the same way, so its block residual is k times that of T = B
     b, c = normalized_witness_factors(64)
     base = build_filtration(c, b, seed_vector(64))
     for k in (2.0**500, 2.0**-600):
-        assert np.array_equal(build_filtration(c, k * b, seed_vector(64)).basis, base.basis)
+        scaled = build_filtration(c, k * b, seed_vector(64))
+        assert np.array_equal(scaled.basis, base.basis)
+        assert scaled.block_residual_t == k * base.block_residual_t
+
+
+@pytest.mark.parametrize("k", [1e200, 1e-150])
+def test_hostile_scale_of_s(k):
+    # S = kC: plain squares of the compression's entries would over- or
+    # underflow here; rescaled first, both block residuals stay finite and
+    # nonzero, and the dims and the verdict are those of S = C
+    b, c = normalized_witness_factors(64)
+    base = build_filtration(c, b, seed_vector(64))
+    scaled = build_filtration(k * c, b, seed_vector(64))
+    for res in (scaled.block_residual_s, scaled.block_residual_t):
+        assert 0.0 < res < np.inf
+    assert scaled.dims == base.dims
+    assert verify_filtration_structure(scaled).all_ok == verify_filtration_structure(base).all_ok
+
+
+@pytest.mark.parametrize("pair", ["witness", "random"])
+def test_two_full_basis_passes_per_degree(rng, monkeypatch, pair):
+    # one Gram-Schmidt pass of the candidates against the whole basis before the
+    # rank decisions, one of the accepted block before its QR; the in-degree
+    # passes project against the degree's own columns, which start elsewhere
+    if pair == "witness":
+        m, mb = 64, seed_vector(64)
+        b, c = normalized_witness_factors(m)
+        s, t = c, b
+    else:
+        m = 40
+        s, t = random_complex(rng, m), random_complex(rng, m)
+        mb, _ = np.linalg.qr(random_complex(rng, m)[:, :2])
+    calls = []
+    orig = traceless.filtration._project_once
+
+    def counted(basis, vecs):
+        calls.append((basis.ctypes.data, basis.shape[1]))
+        return orig(basis, vecs)
+
+    monkeypatch.setattr(traceless.filtration, "_project_once", counted)
+    filt = build_filtration(s, t, mb)
+    assert filt.complete(m)
+    full = Counter(width for start, width in calls if start == calls[0][0])
+    assert full == Counter({width: 2 for width in accumulate(filt.dims[:-1])})
 
 
 def test_stored_generator_norms(rng):
@@ -442,7 +499,7 @@ def test_verify_reuses_build_numbers_exactly(m):
     report = verify_filtration_structure(filt)
     assert report.all_ok
     # the build's residuals and norms, equal to a fresh compression bit for bit
-    fresh = _chain_compression(np.column_stack(filt.blocks), filt.dims, c, b)[:3]
+    fresh = build_compression(filt, c, b)[:3]
     assert (report.structure_residual_s, report.structure_residual_t, report.invariance_residual) == fresh
     assert report.structure_tol == report.invariance_tol == STRUCTURE_TOL * (operator_norm(c) + operator_norm(b))
 
