@@ -32,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 SIZES = (128, 256, 512, 1024)
 SEED = 0
-REPEATS = 3  # reports per size; the median is kept
+REPEATS = 7  # reports per size; the median is kept
 WARMUP_M = 64  # one untimed report first, so library loading and lazy set-up are not timed
 REPORT = "lowerbound.lower_bound_report"
 

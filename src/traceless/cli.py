@@ -2,10 +2,9 @@
 
 All commands are deterministic functions of their arguments and input
 files; wall-clock timings go to stderr so repeated runs produce
-byte-identical files and stdout.  The default seed of ``factor``,
-``lowerbound`` and ``sweep`` comes from the TRACELESS_SEED environment
-variable (0 when unset; anything but an integer is a usage error); the
-other commands take no seed and never read it.  No tolerance has a flag:
+byte-identical files and stdout.  The seed of ``factor``, ``lowerbound``
+and ``sweep`` is 0 unless ``--seed`` (``--seeds``) gives one; the other
+commands take no seed.  No tolerance has a flag:
 each is a module constant, such as the reduction's ``reduction.DIAG_TOL``
 and ``reduction.SWEEP_TARGET``, the residual rule's
 ``linalg.RESIDUAL_TOL`` (also ``verify``'s), the filtration's
@@ -42,16 +41,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_TRACE = 3
 EXIT_NUMERICAL = 4
-
-
-def _default_seed() -> int:
-    """TRACELESS_SEED as an integer, 0 when unset; exit 2 for anything else."""
-    value = os.environ.get("TRACELESS_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        print(f"error: TRACELESS_SEED must be an integer, got {value!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -93,9 +82,8 @@ def _random_trace_zero(m: int, seed: int) -> np.ndarray:
 
 
 def cmd_factor(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
     a = _read_matrix_or_exit(args.input)
-    cert = factor(a, trials=args.trials, seed=seed)
+    cert = factor(a, trials=args.trials, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, mat in (("B", cert.b), ("C", cert.c), ("Q", cert.q)):
         write_matrix(os.path.join(args.out_dir, f"{name}.txt"), mat)
@@ -123,12 +111,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
-    report = lower_bound_report(args.m, seed=seed)
+    report = lower_bound_report(args.m, seed=args.seed)
     payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
-                    "block_residual", "block_tol", "quarter_log_sum", "iso_residual_v",
-                    "iso_residual_w", "v_norm", "w_norm", "partial_sums", "partial_sums_triangular",
-                    "hs_lower", "hs_lower_pass", "all_strict_passed", trace_inequality="trace_records")
+                    "block_residual", "block_tol", "iso_residual_v", "iso_residual_w", "v_norm",
+                    "w_norm", "partial_sums", "partial_sums_triangular", "hs_lower",
+                    "all_strict_passed", trace_inequality="trace_records")
     _emit_json(payload, args.out)
     return EXIT_OK if report.all_strict_passed else EXIT_FAIL
 
@@ -137,12 +124,11 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     records = []
     invalid = []
-    seeds = [_default_seed()] if args.seeds is None else args.seeds
     for m in sorted(set(args.m)):
         if m < 2:
             print("error: all m must be >= 2", file=sys.stderr)
             return EXIT_PARSE
-        for seed in sorted(set(seeds)):
+        for seed in sorted(set(args.seeds)):
             cert = factor(_random_trace_zero(m, seed), trials=args.trials, seed=seed)
             if not cert.valid:
                 invalid.append((m, seed))
@@ -214,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="matrix file (text format)")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="check A = [B, C] and print norms and ratio")
@@ -225,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowerbound", help="factor the witness matrix and verify the whole inequality chain")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report path (stdout when omitted)")
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("sweep", help="ratio sweep over random trace-zero matrices, CSV output")
     p.add_argument("--m", type=int, nargs="*", default=[])
-    p.add_argument("--seeds", type=int, nargs="*")
+    p.add_argument("--seeds", type=int, nargs="*", default=[0])
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--out", required=True, help="CSV path")
     p.set_defaults(func=cmd_sweep)

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import as_matrix, hs_norm, operator_norm, singular_profile, unit_defect
+from .linalg import as_matrix, gram_defect, hs_norm, operator_norm, singular_profile, unit_defect
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
@@ -95,6 +95,11 @@ class Filtration:
     def gram(self) -> np.ndarray:
         """basis* basis, the identity up to rounding, computed on first use."""
         return self.basis.conj().T @ self.basis
+
+    @cached_property
+    def basis_defect(self) -> float:
+        """delta_H = ||basis* basis - I||_2, read from ``gram`` on first use."""
+        return gram_defect(self.gram)
 
     @cached_property
     def boundary_svds(self) -> list[tuple[tuple, tuple]]:

@@ -9,7 +9,8 @@ into boundary blocks of C, which yields:
       1 - (1/m) sum_{k<=n} rank P_k  <=  ||P_{n+1} C P_n||_1 + ||P_n C P_{n+1}||_1,
   * partial-sum bounds on the singular values of C
       (sum of l largest) >= sqrt(l)/6, and >= (k+1)/4 at triangular l,
-  * and the log-level lower bound ||C||_2 >= c sqrt(log m).
+  * and the log-level lower bound ||B|| ||C||_2 / ||A||_2 >= quarter_log_sum(m)^(1/2),
+    about (log m)^(1/2) / 2.
 
 Apart from ``witness_factorization``, the witness's factorization in
 closed form, everything here is a checker: it takes a factorization and
@@ -26,7 +27,7 @@ import numpy as np
 from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
 from .filtration import STRUCTURE_TOL, Filtration, build_filtration
 from .lattice import gaussian_points
-from .linalg import commutator, gram_defect, hs_norm, residual_ok, unit_defect
+from .linalg import commutator, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
@@ -43,14 +44,9 @@ __all__ = [
     "PartialSumRecord",
     "HsLowerRecord",
     "LowerBoundReport",
-    "HS_LOWER_WINDOW",
 ]
 
-# Window constant for the calibrated log-level lower bound: the check is
-# ratio^2 >= (log m - HS_LOWER_WINDOW) / 4, vacuous below m ~ e^10 by design.
-HS_LOWER_WINDOW = 10.0
-
-TRACE_INEQ_TOL = 1e-8  # slack of the per-degree trace inequalities
+TRACE_INEQ_TOL = 1e-8  # slack of the per-degree trace inequalities and of the links of hs_lower
 WITNESS_RESIDUAL_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
 PARTIAL_SUM_TOL = 1e-9
@@ -110,8 +106,8 @@ def _triangular(n: int) -> int:
 def quarter_log_sum(m: int) -> float:
     """Sum of (1 - T_n/m)^2 / (2(n+1)) over n with T_n = (n+1)(n+2)/2 < m.
 
-    Tracks log(m)/4 within a small constant (measured |gap| < 0.09 up to
-    m = 10^6).
+    Tracks log(m)/4 within a small constant: the gap, this minus log(m)/4,
+    measured over every m in [4, 10^6], lies in [-0.0497, 0.0864].
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -227,17 +223,16 @@ def isometry_norm_bounds(filt: Filtration) -> tuple[float, float, float]:
     V = basis K basis*, where K holds (U_n V_n^H)* in block (n, n+1).  Those
     blocks lie in disjoint block rows and columns, so ||K|| is the largest
     ||U_n V_n^H||, and ||V|| <= (1 + delta_H) max_n ||U_n V_n^H|| with
-    delta_H = ||basis* basis - I||_2, read from the filtration's Gram
-    (``filt.gram``, one GEMM over all the blocks, shared with
+    delta_H = ||basis* basis - I||_2, the filtration's ``basis_defect``, read
+    from its Gram (``filt.gram``, one GEMM over all the blocks, shared with
     ``partial_isometry_residuals``).
     Each ||U_n V_n^H||^2 is at most (1 + ||U_n^H U_n - I||_2)(1 + ||V_n^H V_n - I||_2),
     read from the shared boundary-block SVDs; W is bounded alike from the
     factors of Y_n.  Returns (bound on ||V||, bound on ||W||, delta_H).
     """
     svds = filt.boundary_svds
-    basis_defect = gram_defect(filt.gram)
-    scale = 1.0 + basis_defect
-    return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), basis_defect
+    scale = 1.0 + filt.basis_defect
+    return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), filt.basis_defect
 
 
 def partial_isometry_residuals(filt: Filtration) -> tuple[float, float]:
@@ -301,54 +296,48 @@ def verify_partial_sums(spectrum) -> tuple[list[PartialSumRecord], list[PartialS
 
 @dataclass
 class HsLowerRecord:
-    m: int
-    ratio: float
-    ratio_sq: float
-    log_m: float
-    window_lower: float
+    """Both sides of each link of the chain behind ratio^2 >= quarter_log_sum(m)."""
+
+    quarter_log_sum: float  # quarter_log_sum(m)
+    rhs_sum: float          # sum over the trace records of rhs_n^2 / (2(n+1))
+    c_bound: float          # (1 + delta_H)^2 ||C||_2^2
+    ratio_sq: float         # (||B|| ||C||_2 / ||A||_2)^2 at the certified lower end of ||B||
     passed: bool
-    c_prime_empirical: float  # 4 ratio^2 - log m
-    o1_empirical: float       # log m - ratio^2
 
 
-def verify_hs_lower_bound(certificates) -> list[HsLowerRecord]:
-    """Window check ratio^2 >= (log m - HS_LOWER_WINDOW)/4 for witness factorizations.
+def verify_hs_lower_bound(filt: Filtration, trace_records, norm_b: float) -> HsLowerRecord:
+    """The log-level lower bound ratio^2 >= quarter_log_sum(m), with no fitted constant.
 
-    Every certificate must actually factor the witness matrix of its size;
-    near-factorizations with a visible residual are rejected outright.
-    Both empirical constant forms are reported per record so the fit of
-    either parametrization can be read off; neither is asserted.
+    ``filt`` is built from (C, B), C its S and B its T, ``trace_records``
+    are ``verify_trace_inequality``'s for it, and ``norm_b`` is a certified
+    lower bound on ||B||.  Each link is judged at TRACE_INEQ_TOL:
+
+      1. quarter_log_sum(m) <= sum_n rhs_n^2 / (2(n+1)), as rhs_n >= 1 - T_n/m
+         (``normbd_passed``) for every n with T_n < m.
+      2. That sum <= (1 + delta_H)^2 ||C||_2^2, delta_H = ||basis* basis - I||_2:
+         with d_n <= n+1 (``dims_ok``), ||X_n||_1 <= sqrt(n+1) ||X_n||_2, so
+         rhs_n^2 <= 2(n+1)(||X_n||_2^2 + ||Y_n||_2^2); X_n and Y_n* are distinct
+         blocks of basis* C basis, whose ||.||_2 is at most (1 + delta_H) ||C||_2.
+      3. Hence ratio^2 = ||B||^2 ||C||_2^2 / ||A||_2^2 >= quarter_log_sum(m),
+         with ||B|| taken at ``norm_b``.
+
+    It reads the records' rhs, the filtration's cached ``basis_defect`` and
+    ||C||_2, and forms no commutator, SVD or matrix product.
     """
-    for cert in certificates:
-        gap = hs_norm(extremal_matrix(cert.m) - commutator(cert.b, cert.c))
-        if not residual_ok(gap, cert.op_norm_b, cert.hs_norm_c, WITNESS_RESIDUAL_TOL):
-            raise ValueError(
-                f"certificate (m={cert.m}) does not factor the witness matrix: "
-                f"residual {gap:.3e}"
-            )
-    return _hs_lower_report(certificates)
-
-
-def _hs_lower_report(certificates) -> list[HsLowerRecord]:
-    """The window records of ``verify_hs_lower_bound``, for certificates already checked."""
-    records = []
-    for cert in certificates:
-        log_m = math.log(cert.m)
-        ratio_sq = cert.ratio**2
-        window_lower = 0.25 * (log_m - HS_LOWER_WINDOW)
-        records.append(
-            HsLowerRecord(
-                m=cert.m,
-                ratio=cert.ratio,
-                ratio_sq=ratio_sq,
-                log_m=log_m,
-                window_lower=window_lower,
-                passed=ratio_sq >= window_lower,
-                c_prime_empirical=4.0 * ratio_sq - log_m,
-                o1_empirical=log_m - ratio_sq,
-            )
-        )
-    return records
+    m = filt.s.shape[0]
+    lower = quarter_log_sum(m)
+    rhs_sum = math.fsum(r.rhs**2 / (2.0 * (r.n + 1)) for r in trace_records)
+    hs_c = hs_norm(filt.s)
+    c_bound = ((1.0 + filt.basis_defect) * hs_c) ** 2
+    ratio_sq = (norm_b * hs_c) ** 2 / (1.0 - 1.0 / m)  # ||A||_2^2 = 1 - 1/m for the witness
+    return HsLowerRecord(
+        quarter_log_sum=lower,
+        rhs_sum=rhs_sum,
+        c_bound=c_bound,
+        ratio_sq=ratio_sq,
+        passed=(lower <= rhs_sum + TRACE_INEQ_TOL and rhs_sum <= c_bound + TRACE_INEQ_TOL
+                and lower <= ratio_sq + TRACE_INEQ_TOL),
+    )
 
 
 @dataclass
@@ -360,8 +349,7 @@ class LowerBoundReport:
     trace_records: list[TraceIneqRecord]
     partial_sums: list[PartialSumRecord]
     partial_sums_triangular: list[PartialSumRecord]
-    quarter_log_sum: float
-    hs_lower: list[HsLowerRecord]
+    hs_lower: HsLowerRecord
     iso_residual_v: float
     iso_residual_w: float
     v_norm: float
@@ -374,10 +362,6 @@ class LowerBoundReport:
     invariance_residual: float = 0.0
     certificate: FactorizationCertificate | None = None
     basis_defect: float = 0.0  # ||basis* basis - I||_2 of the filtration, behind v_norm and w_norm
-
-    @property
-    def hs_lower_pass(self) -> bool:
-        return all(r.passed for r in self.hs_lower)
 
     @property
     def all_strict_passed(self) -> bool:
@@ -393,6 +377,7 @@ class LowerBoundReport:
             and self.filtration_complete
             and self.block_residual <= self.block_tol
             and self.invariance_residual <= self.block_tol
+            and self.hs_lower.passed
         )
 
 
@@ -451,8 +436,7 @@ def lower_bound_report(
     res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt.spectrum_s)
-    # verify_trace_inequality has checked this pair against the witness
-    hs_lower = _hs_lower_report([cert])
+    hs_lower = verify_hs_lower_bound(filt, trace_records, norm_b_unit)
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
     return LowerBoundReport(
@@ -461,7 +445,6 @@ def lower_bound_report(
         trace_records=trace_records,
         partial_sums=psums,
         partial_sums_triangular=psums_triangular,
-        quarter_log_sum=quarter_log_sum(m),
         hs_lower=hs_lower,
         iso_residual_v=res_v,
         iso_residual_w=res_w,

@@ -14,7 +14,7 @@ import pytest
 from traceless.cli import main as cli_main
 from traceless.factorizer import factor
 from traceless.lattice import gaussian_points, pair_expectation
-from traceless.lowerbound import extremal_matrix, lower_bound_report
+from traceless.lowerbound import extremal_matrix, lower_bound_report, quarter_log_sum
 
 from conftest import expectation_identity_gap, is_normal, quarter_log_sum_sweep, random_zero_diagonal
 
@@ -121,7 +121,7 @@ def test_criterion_6_matching_bounds():
     for m in (16, 64, 256, 1024):
         cert = factor(extremal_matrix(m), trials=SWEEP_TRIALS, seed=0)
         ratio_sq = cert.ratio**2
-        lo = 0.25 * (math.log(m) - 10.0)
+        lo = quarter_log_sum(m)
         hi = math.log(m) + 10.0
         assert lo <= ratio_sq <= hi, (m, ratio_sq)
         lines.append(f"m={m}: {lo:.2f} <= {ratio_sq:.2f} <= {hi:.2f}")
@@ -134,9 +134,9 @@ def test_criterion_7_quarter_log_sum_window():
     vals = quarter_log_sum_sweep(ms)
     gap = np.max(np.abs(vals - 0.25 * np.log(ms)))
     elapsed = time.perf_counter() - t0
-    assert gap <= 1.0
+    assert gap <= 0.1
     assert elapsed < 5.0
-    print(f"\nPASS 7: |sum - log(m)/4| <= {gap:.4f} (<= 1) on [4, 1e6], {elapsed:.2f}s")
+    print(f"\nPASS 7: |sum - log(m)/4| <= {gap:.4f} (<= 0.1) on [4, 1e6], {elapsed:.2f}s")
 
 
 def test_criterion_8_sweep_determinism(tmp_path):

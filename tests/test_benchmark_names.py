@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import traceless
+import traceless.lowerbound
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -64,3 +65,18 @@ def test_witness_report_is_a_function_of_its_seed():
     assert first.b.tobytes() == again.b.tobytes() and first.c.tobytes() == again.c.tobytes()
     digests = {traceless.lower_bound_report(32, trials=32, seed=s).certificate.b.tobytes() for s in range(6)}
     assert len(digests) == 6
+
+
+def test_report_calls_the_traced_chain_check_once(monkeypatch):
+    # the tracer times lowerbound.hs_lower_s by replacing the module global
+    # verify_hs_lower_bound, so the report must look it up there
+    calls = []
+    orig = traceless.lowerbound.verify_hs_lower_bound
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(traceless.lowerbound, "verify_hs_lower_bound", counted)
+    rep = traceless.lower_bound_report(16, seed=0)
+    assert len(calls) == 1 and rep.hs_lower.passed

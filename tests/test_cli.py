@@ -97,19 +97,12 @@ class TestFactorCommand:
         assert code == 2
         assert "square" in err
 
-    def test_bad_env_seed_exit_2(self, tmp_path, witness_file, capsys, monkeypatch):
-        monkeypatch.setenv("TRACELESS_SEED", "seven")
-        code, _, err = run(capsys, "factor", witness_file, "--out-dir", str(tmp_path))
-        assert code == 2
-        assert "TRACELESS_SEED" in err and "seven" in err
-
-    def test_env_seed_default(self, tmp_path, witness_file, capsys, monkeypatch):
-        d1, d2 = tmp_path / "env", tmp_path / "flag"
-        monkeypatch.setenv("TRACELESS_SEED", "7")
+    def test_default_seed_is_0(self, tmp_path, witness_file, capsys):
+        d1, d2 = tmp_path / "default", tmp_path / "flag"
         run(capsys, "factor", witness_file, "--out-dir", str(d1), "--trials", "4")
-        monkeypatch.delenv("TRACELESS_SEED")
-        run(capsys, "factor", witness_file, "--out-dir", str(d2), "--trials", "4", "--seed", "7")
-        assert (d1 / "certificate.json").read_bytes() == (d2 / "certificate.json").read_bytes()
+        run(capsys, "factor", witness_file, "--out-dir", str(d2), "--trials", "4", "--seed", "0")
+        for name in ("B.txt", "C.txt", "Q.txt", "certificate.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 class TestVerifyCommand:
@@ -195,6 +188,7 @@ class TestLowerBoundCommand:
         assert payload["all_strict_passed"] is True
         assert all(r["passed"] for r in payload["trace_inequality"])
         assert all(r["passed"] for r in payload["partial_sums"])
+        assert payload["hs_lower"]["passed"] is True
 
     def test_m2_dims(self, capsys):
         code, out, _ = run(capsys, "lowerbound", "-m", "2")
@@ -327,20 +321,14 @@ def test_removed_option_is_a_usage_error(tmp_path, capsys, command, flag):
     assert flag[0] in err
 
 
-@pytest.mark.parametrize("command", ["verify", "filtration", "lattice"])
-def test_seedless_command_ignores_bad_env_seed(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("TRACELESS_SEED", "seven")
-    code, _, err = run(capsys, command, *_small_inputs(tmp_path)[command])
-    assert code == 0
-    assert "TRACELESS_SEED" not in err
-
-
-@pytest.mark.parametrize("argv", [["lowerbound", "-m", "4"], ["sweep", "--m", "4", "--trials", "2"]])
-def test_seeded_command_rejects_bad_env_seed(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setenv("TRACELESS_SEED", "seven")
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.txt"))
-    assert code == 2 and out == ""
-    assert "error: TRACELESS_SEED must be an integer, got 'seven'" in err
+@pytest.mark.parametrize("argv, seed", [(["lowerbound", "-m", "4"], ["--seed", "0"]),
+                                        (["sweep", "--m", "4", "--trials", "2"], ["--seeds", "0"])],
+                         ids=["lowerbound", "sweep"])
+def test_seeded_command_defaults_to_seed_0(tmp_path, capsys, argv, seed):
+    default, given = tmp_path / "default.txt", tmp_path / "given.txt"
+    assert run(capsys, *argv, "--out", str(default))[0] == 0
+    assert run(capsys, *argv, *seed, "--out", str(given))[0] == 0
+    assert default.read_bytes() == given.read_bytes()
 
 
 # Every option of every subcommand, in declaration order (help excluded).  A new
@@ -365,13 +353,13 @@ def test_option_lists_are_pinned():
     assert got == OPTIONS
 
 
-# The keys of every JSON report: "" lists the top level, and each list of
-# record rows lists the keys of its rows.  A change to the result types must
-# not drop or rename an output key, so changing one means editing this table.
+# The keys of every JSON report: "" lists the top level, each list of record
+# rows lists the keys of its rows, and each nested record lists its own keys.
+# A change to the result types must not drop or rename an output key, so
+# changing one means editing this table.
 TRACE_ROW = ["lhs", "n", "normbd_bound", "normbd_passed", "passed", "rank_cum", "rhs", "slack"]
 PARTIAL_SUM_ROW = ["bound", "l", "passed", "sum"]
-HS_LOWER_ROW = ["c_prime_empirical", "log_m", "m", "o1_empirical", "passed", "ratio", "ratio_sq",
-                "window_lower"]
+HS_LOWER = ["c_bound", "passed", "quarter_log_sum", "ratio_sq", "rhs_sum"]
 JSON_KEYS = {
     "factor": {"": ["b_path", "bound", "c_path", "diag_residual", "hs_norm_a", "hs_norm_c", "m",
                     "op_norm_b", "q_path", "ratio", "residual", "rng", "seed", "trials", "valid"]},
@@ -379,13 +367,13 @@ JSON_KEYS = {
                     "sanity_hs_le_2_opb_hsc"]},
     "lowerbound": {
         "": ["all_strict_passed", "block_residual", "block_tol", "dims", "dims_ok",
-             "filtration_complete", "hs_lower", "hs_lower_pass", "iso_residual_v", "iso_residual_w",
-             "m", "normalization", "partial_sums", "partial_sums_triangular", "quarter_log_sum",
+             "filtration_complete", "hs_lower", "iso_residual_v", "iso_residual_w",
+             "m", "normalization", "partial_sums", "partial_sums_triangular",
              "trace_inequality", "v_norm", "w_norm"],
         "trace_inequality": TRACE_ROW,
         "partial_sums": PARTIAL_SUM_ROW,
         "partial_sums_triangular": PARTIAL_SUM_ROW,
-        "hs_lower": HS_LOWER_ROW,
+        "hs_lower": HS_LOWER,
     },
     "lattice": {"": ["bound_value", "excess_over_pi_log_m", "expectation", "m", "pair_energy",
                      "radius_bound"]},
@@ -407,4 +395,6 @@ def test_json_keys_are_pinned(tmp_path, capsys, command):
     for key, value in payload.items():
         if isinstance(value, list) and any(isinstance(row, dict) for row in value):
             got[key] = sorted({name for row in value for name in row})
+        elif isinstance(value, dict):
+            got[key] = sorted(value)
     assert got == JSON_KEYS[command]

@@ -73,7 +73,7 @@ class TestQuarterLogSum:
     def test_window_and_monotone_sample(self):
         ms = np.arange(4, 20_000)
         vals = quarter_log_sum_sweep(ms)
-        assert np.max(np.abs(vals - 0.25 * np.log(ms))) <= 1.0
+        assert np.max(np.abs(vals - 0.25 * np.log(ms))) <= 0.1
         assert np.all(np.diff(vals) >= -1e-15)
 
 
@@ -245,15 +245,26 @@ class TestPartialSums:
         assert all(r.passed for r in triangular)
 
 
+def report_filtration(cert) -> traceless.Filtration:
+    """The filtration ``lower_bound_report`` builds from ``cert``: C, B rescaled by op_norm_b."""
+    return build_filtration(cert.c * cert.op_norm_b, cert.b / cert.op_norm_b, seed_vector(cert.m))
+
+
+def certified_lower_norm_b(cert) -> float:
+    delta = cert.unitarity_defect
+    return (1.0 - delta) / (1.0 + delta)
+
+
 class TestHsLowerBound:
     def test_factorizer_certificates_pass(self):
-        certs = [factor(extremal_matrix(m), trials=16, seed=0) for m in (2, 16, 64)]
-        records = verify_hs_lower_bound(certs)
-        assert [r.m for r in records] == [2, 16, 64]
-        for rec in records:
+        for m in (2, 16, 64):
+            cert = factor(extremal_matrix(m), trials=16, seed=0)
+            rec = lower_bound_report(m, certificate=cert).hs_lower
             assert rec.passed
-            assert rec.ratio_sq >= rec.window_lower
-            assert rec.c_prime_empirical == pytest.approx(4 * rec.ratio_sq - rec.log_m)
+            assert rec.quarter_log_sum == quarter_log_sum(m)
+            assert rec.quarter_log_sum <= rec.rhs_sum <= rec.c_bound + traceless.lowerbound.TRACE_INEQ_TOL
+            # the certified lower end of ratio^2, at most the certificate's upper end
+            assert rec.quarter_log_sum <= rec.ratio_sq <= cert.ratio**2 * (1.0 + 1e-12)
 
     def test_cheating_certificate_rejected(self):
         cert = factor(extremal_matrix(8), trials=8, seed=0)
@@ -261,7 +272,40 @@ class TestHsLowerBound:
         cert.c = cert.c + 0.1 * np.outer(cert.q[:, 0], cert.q[:, 1].conj())
         assert hs_norm(extremal_matrix(8) - commutator(cert.b, cert.c)) >= 0.05  # visible residual
         with pytest.raises(ValueError, match="witness"):
-            verify_hs_lower_bound([cert])
+            lower_bound_report(8, certificate=cert)
+
+    def test_halved_rhs_fails(self):
+        report = lower_bound_report(4, certificate=factor(extremal_matrix(4), trials=8, seed=0))
+        assert report.all_strict_passed
+        filt = report_filtration(report.certificate)
+        norm_b = certified_lower_norm_b(report.certificate)
+        halved = [dataclasses.replace(r, rhs=r.rhs / 2.0) for r in report.trace_records]
+        rec = verify_hs_lower_bound(filt, halved, norm_b)
+        assert rec.rhs_sum < rec.quarter_log_sum and not rec.passed
+        assert not dataclasses.replace(report, hs_lower=rec).all_strict_passed
+        assert verify_hs_lower_bound(filt, report.trace_records, norm_b) == report.hs_lower
+
+    def test_reads_only_numbers_already_formed(self, monkeypatch):
+        cert = factor(extremal_matrix(16), trials=8, seed=0)
+        filt = report_filtration(cert)
+        records = verify_trace_inequality(filt, certified_lower_norm_b(cert))
+        filt.basis_defect  # cached, as the report's isometry bounds leave it
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the chain recomputed a commutator or an SVD")
+
+        monkeypatch.setattr(traceless.lowerbound, "commutator", unreachable)
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
+        assert verify_hs_lower_bound(filt, records, certified_lower_norm_b(cert)).passed
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 16, 33, 64, 100, 128, 256, 512])
+def test_hs_lower_chain_holds(m):
+    for seed in range(3 if m == 512 else 10):
+        report = lower_bound_report(m, seed=seed)
+        rec = report.hs_lower
+        assert rec.passed, (seed, rec)
+        assert rec.quarter_log_sum <= rec.ratio_sq <= report.certificate.ratio**2 * (1.0 + 1e-12)
 
 
 class TestLowerBoundReport:
@@ -271,7 +315,7 @@ class TestLowerBoundReport:
         assert report.all_strict_passed
         assert report.filtration_complete
         assert report.normalization > 0.0
-        assert report.quarter_log_sum == pytest.approx(quarter_log_sum(m))
+        assert report.hs_lower.quarter_log_sum == quarter_log_sum(m)
 
     def test_m2_dims(self):
         report = lower_bound_report(2, trials=4, seed=0)
@@ -280,8 +324,8 @@ class TestLowerBoundReport:
     def test_sandwich_window_sample(self):
         for m in (16, 64):
             report = lower_bound_report(m, trials=32, seed=0)
-            ratio_sq = report.hs_lower[0].ratio_sq
-            assert 0.25 * (math.log(m) - 10.0) <= ratio_sq <= math.log(m) + 10.0
+            ratio_sq = report.certificate.ratio**2
+            assert quarter_log_sum(m) <= ratio_sq <= math.log(m) + 10.0
 
     def test_rejects_m1(self):
         with pytest.raises(ValueError):
@@ -300,7 +344,7 @@ def test_report_passes_with_margin_at_scale(m, seed):
     # 2.4e-8 (seed 0) and 3.2e-8 (seed 2) at m=256 against a 1.83e-8
     # tolerance, and 8e-3 at m=512, where the dims also left the exact ones
     report = lower_bound_report(m, trials=32, seed=seed)
-    assert report.all_strict_passed
+    assert report.all_strict_passed and report.hs_lower.passed
     assert report.block_residual <= 0.01 * report.block_tol
     assert report.dims == exact_witness_dims(m, 2147483629)
 
@@ -330,10 +374,8 @@ def test_block_tol_takes_the_certified_lower_end(m, seed):
     # block_tol uses (1 - delta)/(1 + delta) for ||B / op_norm_b||, which is at
     # most the measured norm, so the tolerance is no looser than a measured one
     report = lower_bound_report(m, seed=seed)
-    cert = report.certificate
-    delta = cert.unitarity_defect
-    lower = (1.0 - delta) / (1.0 + delta)
-    filt = build_filtration(cert.c * cert.op_norm_b, cert.b / cert.op_norm_b, seed_vector(m))
+    lower = certified_lower_norm_b(report.certificate)
+    filt = report_filtration(report.certificate)
     assert report.block_tol == STRUCTURE_TOL * (filt.norm_s + lower)
     assert lower <= filt.norm_t <= 1.0 + 8 * np.finfo(np.float64).eps
 
@@ -378,9 +420,8 @@ def test_commutator_calls_per_report(monkeypatch):
     report = lower_bound_report(64, seed=0)
     assert report.all_strict_passed
     # the certificate's residual and the trace check's witness test; the
-    # window records read the certificate's ratio
+    # log-level chain reads the trace records and the filtration
     assert calls == [(64, 64)] * 2
-    assert report.hs_lower == verify_hs_lower_bound([report.certificate])
 
 
 @pytest.mark.parametrize("m", [16, 64])
