@@ -37,8 +37,8 @@ class Filtration:
     """Orthonormal block bases of the chain, plus build diagnostics.
 
     The blocks are adjacent column ranges of ``basis``, a view of one m x m buffer.
-    ||S|| comes with the build's spectrum of S; ||T|| (``norm_t``) is measured
-    only when read, as the build needs no norm of T.
+    The build needs no norm of S or T, so the spectrum of S (``spectrum_s``,
+    whose top is ``norm_s``) and ||T|| (``norm_t``) are measured only when read.
     """
 
     dims: list[int]
@@ -47,7 +47,6 @@ class Filtration:
     block_residual_s: float
     block_residual_t: float
     invariance_residual: float
-    norm_s: float  # ||S|| of the generator the chain was built from, the top of spectrum_s
     # read-only copies of those S and T, so that changing the caller's arrays changes nothing here
     s: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
@@ -55,8 +54,16 @@ class Filtration:
     basis: np.ndarray = field(repr=False)
     # read-only G_S = basis* S basis from the build's residual check: block (i, j) is B_i* S B_j
     compression_s: np.ndarray = field(repr=False)
-    # full singular spectrum of S, non-increasing (norm_s is its top value), for the partial-sum check
-    spectrum_s: np.ndarray = field(repr=False)
+
+    @cached_property
+    def spectrum_s(self) -> np.ndarray:
+        """The full singular spectrum of S, non-increasing, measured by one SVD on first use."""
+        return singular_profile(self.s)
+
+    @cached_property
+    def norm_s(self) -> float:
+        """||S||, the top of ``spectrum_s``."""
+        return float(self.spectrum_s[0])
 
     @cached_property
     def norm_t(self) -> float:
@@ -186,10 +193,13 @@ def build_filtration(s, t, m_basis) -> Filtration:
     column contributes a new direction iff its component orthogonal to
     everything accepted so far exceeds RANK_TOL m (``rank_tolerance``)
     times the candidate's own norm.
-    Internally the candidates S H_{n-1} are divided by ||S|| and each
+    Internally the candidates S H_{n-1} are scaled by the power of two that
+    brings the largest real or imaginary part of S into [0.5, 1), and each
     column of the T-chain T^n M by its own norm at every degree.  Neither
     changes a span or a rank decision, and both keep image magnitudes tame,
-    so no norm of T is needed (``Filtration.norm_t`` measures it on first use).  The
+    so no norm of S or T is needed (``Filtration.norm_s`` and ``norm_t``
+    measure them on first use).  The power of two is exact, so S = 2^k C
+    builds the very basis of S = C.  The
     build stops when a degree adds nothing, the span is complete, or the
     degree cap 2m is reached.
 
@@ -199,9 +209,8 @@ def build_filtration(s, t, m_basis) -> Filtration:
     block is accepted; the next degree's candidates are read from it, and
     so is S basis for the residual check, which does not form it again.
     That check's compression basis* S basis is kept (``compression_s``) for
-    the boundary blocks of S and the partial-isometry residuals, and the
-    full singular spectrum of S (whose top value is ||S||) for the
-    partial-sum check.
+    the boundary blocks of S, the partial-isometry residuals and the
+    partial sums.
     """
     s = as_matrix(s, square=True)
     t = as_matrix(t, square=True)
@@ -216,8 +225,10 @@ def build_filtration(s, t, m_basis) -> Filtration:
         raise ValueError("seed basis columns are not orthonormal")
     rank_tol = RANK_TOL * m
 
-    spectrum_s = singular_profile(s)
-    norm_s = float(spectrum_s[0])
+    # the candidates S H_n are scaled by 2^-exp_s, which brings S's largest real or
+    # imaginary part into [0.5, 1): exact, as for the T-chain below, and it keeps
+    # each candidate's norm below 2m
+    exp_s = int(np.frexp(np.max(np.abs(s.ravel(order="K").view(float)), initial=0.0))[1])
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
     img = np.empty((m, m), dtype=complex, order="F")  # S buf[:, :nb], formed block by block
@@ -239,7 +250,8 @@ def build_filtration(s, t, m_basis) -> Filtration:
         t_chain = np.ldexp(t_chain.view(float), np.repeat(-exps, 2)).view(complex)
         norms = np.linalg.norm(t_chain, axis=0)
         t_chain /= np.where(norms > 0.0, norms, 1.0)  # zero columns stay zero
-        imgs = np.column_stack([img[:, nb - dims[-1] : nb] / (norm_s or 1.0), t_chain])
+        cands = img[:, nb - dims[-1] : nb].T  # row-major, so its float view interleaves re and im
+        imgs = np.column_stack([np.ldexp(cands.view(float), -exp_s).view(complex).T, t_chain])
         norms0 = np.linalg.norm(imgs, axis=0)
         work = _project_once(basis, imgs)
         # One pass leaves a column's part in span(basis) at about u sqrt(nb) of its
@@ -279,12 +291,10 @@ def build_filtration(s, t, m_basis) -> Filtration:
         block_residual_s=res_s,
         block_residual_t=res_t,
         invariance_residual=inv_res,
-        norm_s=norm_s,
         s=s,
         t=t,
         basis=basis,
         compression_s=comp,
-        spectrum_s=spectrum_s,
     )
 
 

@@ -267,22 +267,51 @@ def partial_isometry_residuals(filt: Filtration) -> tuple[float, float]:
 @dataclass
 class PartialSumRecord:
     l: int
-    sum: float  # of the l largest singular values
+    sum: float  # certified lower bound on the sum of C's l largest singular values
     bound: float
     passed: bool
 
 
-def verify_partial_sums(spectrum) -> tuple[list[PartialSumRecord], list[PartialSumRecord]]:
+def verify_partial_sums(filt: Filtration) -> tuple[list[PartialSumRecord], list[PartialSumRecord]]:
     """Leading singular-value sums of C against sqrt(l)/6, and (k+1)/4 at l = (k+1)(k+2)/2.
 
-    ``spectrum`` holds C's singular values in non-increasing order,
-    ``filt.spectrum_s`` for a filtration built from (C, B).  C must come
-    from a factorization of the witness matrix with B normalized to unit
-    operator norm.  Returns the records for every l, then the triangular
-    records for every k >= 0 with (k+1)(k+2) <= m.
+    ``filt`` is built from (C, B), C its S: C must come from a factorization
+    of the witness matrix with B normalized to unit operator norm.  No SVD
+    of C is taken.  The sum at l is a certified lower bound on ||C||_(l),
+    the sum of C's l largest singular values (Ky Fan's l-norm): the larger,
+    at that l, of the cumulative sums of the sorted union of sigma(X_n) and
+    of the sorted union of sigma(Y_n), read from the shared boundary-block
+    SVDs, divided by (1 + delta_H), delta_H = ||basis* basis - I||_2 the
+    filtration's cached ``basis_defect``.  The proof, for the X side:
+
+      1. Let G = basis* C basis (``filt.compression_s``) and K its band of
+         blocks (n+1, n), the X_n.  With p = blocks + 1, w = exp(2 pi i/p)
+         and D = diag(w^n I) on block n, K = (1/p) sum_r w^-r D^r G D^-r: a
+         pinching, the average of p unitary conjugates of G times unimodular
+         scalars, as block (i, j) survives the average iff i - j = 1 mod p,
+         which for block indices i, j in 0..p-2 means i - j = 1.
+      2. Ky Fan norms are unitarily invariant and convex, and
+         ||X Y Z||_(l) <= ||X|| ||Y||_(l) ||Z||, so, as ||basis||^2 = ||basis* basis||,
+         ||K||_(l) <= ||G||_(l) <= ||basis||^2 ||C||_(l) <= (1 + delta_H) ||C||_(l).
+      3. The X_n share no block rows or columns, so K* K is block diagonal
+         and sigma(K) is the union of the sigma(X_n): ||K||_(l) is their
+         cumulative sum.
+      4. The band of blocks (n, n+1), whose adjoints are the Y_n, is the
+         pinching at i - j = -1, so the Y side holds alike.
+
+    Rounding: G and the block SVDs are backward stable, so each singular
+    value moves by about sqrt(m) u ||C|| (u the unit roundoff) and a sum of
+    at most m of them by about m^1.5 u ||C||, 4e-12 ||C|| at m = 1024: far
+    inside PARTIAL_SUM_TOL.
+    Returns the records for every l in 1..m, then the triangular records
+    for every k >= 0 with (k+1)(k+2) <= m.
     """
-    sums = np.cumsum(spectrum)
-    m = len(sums)
+    m = filt.s.shape[0]
+    band = np.zeros((2, m))  # the union of sigma(X_n), then of sigma(Y_n), zero-padded
+    for row, factors in zip(band, zip(*filt.boundary_svds)):
+        sigma = np.concatenate([s_ for _, s_, _ in factors])
+        row[: len(sigma)] = np.sort(sigma)[::-1]
+    sums = np.max(np.cumsum(band, axis=1), axis=0) / (1.0 + filt.basis_defect)
 
     def record(l: int, bound: float) -> PartialSumRecord:
         total = float(sums[l - 1])
@@ -405,7 +434,10 @@ def lower_bound_report(
     (1 - delta) max |b_i| <= ||B|| <= op_norm_b and the rescaled B has norm
     in [(1 - delta)/(1 + delta), 1].  The trace check and ``block_tol`` take
     the lower end, which can only tighten each tolerance; the trace check
-    refuses a certificate whose interval is wider than UNIT_NORM_TOL.
+    refuses a certificate whose interval is wider than UNIT_NORM_TOL.  No
+    SVD measures ||C|| either: ``block_tol`` takes the certified lower end
+    max sigma_1(X_n or Y_n) / (1 + delta_H), ``partial_sums[0].sum``, so the
+    report factors no m x m matrix.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -435,7 +467,7 @@ def lower_bound_report(
     trace_records = verify_trace_inequality(filt, norm_b_unit)
     res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
-    psums, psums_triangular = verify_partial_sums(filt.spectrum_s)
+    psums, psums_triangular = verify_partial_sums(filt)
     hs_lower = verify_hs_lower_bound(filt, trace_records, norm_b_unit)
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
@@ -454,7 +486,7 @@ def lower_bound_report(
         dims_ok=dims_ok,
         filtration_complete=filt.complete(m),
         block_residual=max(filt.block_residual_s, filt.block_residual_t),
-        block_tol=STRUCTURE_TOL * (filt.norm_s + norm_b_unit),
+        block_tol=STRUCTURE_TOL * (psums[0].sum + norm_b_unit),
         invariance_residual=filt.invariance_residual,
         certificate=cert,
         basis_defect=basis_defect,

@@ -335,9 +335,17 @@ def test_build_candidates_follow_accepted_dims(monkeypatch):
     assert sum(columns) <= filt.total_dim + len(filt.dims) * filt.dim_m
 
 
-def test_stored_spectrum_is_the_generator_spectrum(rng):
+def test_stored_spectrum_is_the_generator_spectrum(rng, monkeypatch):
+    # the build takes no spectrum of S; the first read of spectrum_s does
     s, t = random_complex(rng, 9), random_complex(rng, 9)
+
+    def unreachable(mat):
+        raise AssertionError("the build took the spectrum of S")
+
+    monkeypatch.setattr(traceless.filtration, "singular_profile", unreachable)
     filt = build_filtration(s, t, seed_vector(9))
+    monkeypatch.undo()
+    assert "spectrum_s" not in vars(filt) and "norm_s" not in vars(filt)
     assert np.array_equal(filt.spectrum_s, np.linalg.svd(s, compute_uv=False))
     assert filt.norm_s == operator_norm(s)
     assert filt.norm_t == operator_norm(t)
@@ -445,6 +453,19 @@ def test_power_of_two_scale_of_t_is_exact():
         assert scaled.block_residual_t == k * base.block_residual_t
 
 
+def test_power_of_two_scale_of_s_is_exact():
+    # the candidates S H_n are rescaled by the power of two of S's largest real
+    # or imaginary part, so S = kC builds the very basis of S = C, bit for bit,
+    # also at k = 2^-600; the compression is rescaled the same way, so its
+    # block residual is k times that of S = C
+    b, c = normalized_witness_factors(64)
+    base = build_filtration(c, b, seed_vector(64))
+    for k in (2.0**500, 2.0**-600):
+        scaled = build_filtration(k * c, b, seed_vector(64))
+        assert np.array_equal(scaled.basis, base.basis)
+        assert scaled.block_residual_s == k * base.block_residual_s
+
+
 @pytest.mark.parametrize("k", [1e200, 1e-150])
 def test_hostile_scale_of_s(k):
     # S = kC: plain squares of the compression's entries would over- or
@@ -520,5 +541,5 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(traceless.filtration, name, counted)
     assert main(["filtration", *paths, "--out", str(tmp_path / "f.json")]) == 0
-    # the spectrum of S (whose top is ||S||) and ||T|| in the build; verify reuses them
+    # the spectrum of S (whose top is ||S||) and ||T||, each once, on verify's first read
     assert calls == [("singular_profile", (m, m)), ("operator_norm", (m, m))]

@@ -220,29 +220,63 @@ class TestPartialIsometries:
 
 class TestPartialSums:
     def test_m2_hand_values(self, witness_m2):
-        _, c, _, _ = witness_m2
-        records, triangular = verify_partial_sums(singular_profile(c))
+        # X_0 and Y_0 are 1 x 1 blocks of modulus 1/2, so each band certifies
+        # 1/2 at l = 1 and adds nothing at l = 2, against C's exact [0.5, 1.0]
+        _, c, filt, _ = witness_m2
+        records, triangular = verify_partial_sums(filt)
         assert [r.l for r in records] == [1, 2]
         assert records[0].sum == pytest.approx(0.5, abs=1e-12)
         assert records[0].bound == pytest.approx(1.0 / 6.0)
-        assert records[1].sum == pytest.approx(1.0, abs=1e-12)
+        assert records[1].sum == pytest.approx(0.5, abs=1e-12)
         assert records[1].bound == pytest.approx(math.sqrt(2.0) / 6.0)
+        assert np.allclose(np.cumsum(singular_profile(c)), [0.5, 1.0], rtol=0, atol=1e-12)
         assert [r.l for r in triangular] == [1]
         assert all(r.passed for r in records + triangular)
 
     def test_scaling_up_preserves_passes(self, witness_m2):
-        _, c, _, _ = witness_m2
+        b, c, _, _ = witness_m2
         for t in (1.0, 2.5, 10.0):
-            records, triangular = verify_partial_sums(singular_profile(t * c))
+            records, triangular = verify_partial_sums(build_filtration(t * c, b, seed_vector(2)))
             assert all(r.passed for r in records + triangular)
 
     def test_triangular_records(self):
         cert = factor(extremal_matrix(16), trials=16, seed=0)
-        c = cert.c * cert.op_norm_b
-        _, triangular = verify_partial_sums(singular_profile(c))
+        _, triangular = verify_partial_sums(report_filtration(cert))
         ls = [r.l for r in triangular]
         assert ls == [1, 3, 6]  # (k+1)(k+2)/2 for (k+1)(k+2) <= 16
         assert all(r.passed for r in triangular)
+
+
+def certified_and_exact_sums(filt) -> tuple[np.ndarray, np.ndarray]:
+    """The certified partial sums of ``filt``'s S at every l, and the exact ones from its spectrum."""
+    records, _ = verify_partial_sums(filt)
+    return np.array([r.sum for r in records]), np.cumsum(singular_profile(filt.s))
+
+
+@pytest.mark.parametrize("m", [2, 4, 16, 64, 128])
+def test_certified_partial_sums_are_lower_bounds(m):
+    # Ky Fan: the bands of X_n and of Y_n are pinchings of basis* C basis, so
+    # their sums over (1 + delta_H) never exceed C's; at m >= 4 they keep at
+    # least 0.6 of them (0.603 at m = 4; m = 2 keeps 0.5 at l = 2, see the hand values)
+    report = lower_bound_report(m, seed=0)
+    assert report.all_strict_passed
+    certified, exact = certified_and_exact_sums(report_filtration(report.certificate))
+    assert [r.sum for r in report.partial_sums] == certified.tolist()
+    assert len(certified) == m and np.all(certified <= exact)
+    if m >= 4:
+        assert np.all(certified >= 0.6 * exact)
+
+
+@pytest.mark.parametrize("pair", ["shifted", "random"])
+def test_certified_partial_sums_bound_any_generator(rng, pair):
+    # the bound needs no witness: [B, C + B/2] = [B, C], and a random S, T
+    if pair == "shifted":
+        b, c, _ = witness_filtration(64)
+        filt = build_filtration(c + 0.5 * b, b, seed_vector(64))
+    else:
+        filt = build_filtration(random_complex(rng, 40), random_complex(rng, 40), seed_vector(40))
+    certified, exact = certified_and_exact_sums(filt)
+    assert certified[-1] > 0.0 and np.all(certified <= exact)
 
 
 def report_filtration(cert) -> traceless.Filtration:
@@ -364,19 +398,22 @@ def test_operator_norm_calls_per_report(monkeypatch):
     report = lower_bound_report(16, trials=8, seed=0)
     assert report.all_strict_passed
     # the certificate bounds ||B|| on both sides in its eigenframe, ||V|| and
-    # ||W|| are bounded from the Gram defects, ||S|| is the top of the build's
-    # spectrum of C, and the build scales the T-chain column by column
+    # ||W|| are bounded from the Gram defects, block_tol takes the certified
+    # lower end of ||C||, and the build scales by powers of two and column norms
     assert calls == []
 
 
 @pytest.mark.parametrize("m, seed", [(64, 0), (256, 3)])
 def test_block_tol_takes_the_certified_lower_end(m, seed):
-    # block_tol uses (1 - delta)/(1 + delta) for ||B / op_norm_b||, which is at
-    # most the measured norm, so the tolerance is no looser than a measured one
+    # block_tol uses (1 - delta)/(1 + delta) for ||B / op_norm_b|| and the
+    # certified partial sum at l = 1 for ||C||, each at most the measured norm,
+    # so the tolerance is no looser than a measured one
     report = lower_bound_report(m, seed=seed)
     lower = certified_lower_norm_b(report.certificate)
     filt = report_filtration(report.certificate)
-    assert report.block_tol == STRUCTURE_TOL * (filt.norm_s + lower)
+    norm_c = report.partial_sums[0].sum
+    assert report.block_tol == STRUCTURE_TOL * (norm_c + lower)
+    assert norm_c <= operator_norm(filt.s)
     assert lower <= filt.norm_t <= 1.0 + 8 * np.finfo(np.float64).eps
 
 
@@ -437,11 +474,10 @@ def test_svd_calls_per_report(monkeypatch, m):
     report = lower_bound_report(m, trials=8, seed=0)
     assert report.all_strict_passed
     matrices = [s for s in shapes if len(s) == 2]  # the reduction's stacked solves are 3-d
-    # only the spectrum of S (= C) in the build
-    assert matrices.count((m, m)) == 1
-    # one SVD of X_n and one of Y_n per block pair, both (dims[n+1], dims[n])
+    # no m x m SVD: only one of X_n and one of Y_n per block pair, both (dims[n+1], dims[n])
+    assert (m, m) not in matrices
     pairs = list(zip(report.dims[1:], report.dims))
-    assert sorted(s for s in matrices if s != (m, m)) == sorted(2 * pairs)
+    assert sorted(matrices) == sorted(2 * pairs)
 
 
 # The per-pair forms of the chain's boundary-block computations, kept as
@@ -570,22 +606,19 @@ def test_generator_changed_in_place_after_build(rng):
 
 
 def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
-    # the report checks the spectrum of C that its build factored, so its
-    # partial sums are those of a fresh profile of C, and C is factored once
+    # the report certifies C's partial sums from the boundary-block SVDs of its
+    # build, so they are those of a fresh filtration of (C, B) bit for bit, and
+    # C's own spectrum is never taken
     cert = factor(extremal_matrix(64), trials=8, seed=0)
-    direct = verify_partial_sums(singular_profile(cert.c * cert.op_norm_b))
-    calls = []
-    orig = traceless.filtration.singular_profile
+    direct = verify_partial_sums(report_filtration(cert))
 
-    def counted(mat):
-        calls.append(mat.shape)
-        return orig(mat)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the report took the spectrum of C")
 
-    monkeypatch.setattr(traceless.filtration, "singular_profile", counted)
+    for mod in (traceless, traceless.linalg, traceless.filtration):
+        monkeypatch.setattr(mod, "singular_profile", unreachable)
     report = lower_bound_report(64, certificate=cert)
-    # bit for bit: the same LAPACK call on C
     assert (report.partial_sums, report.partial_sums_triangular) == direct
-    assert calls == [(64, 64)]
 
 
 def test_invariance_residual_is_judged(monkeypatch):
