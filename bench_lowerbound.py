@@ -1,23 +1,36 @@
-"""Per-stage timings of the lower-bound report, before and after a change, written to BENCH_lowerbound.json.
+"""Per-stage timings of a topic, before and after a change, written to BENCH_<topic>.json.
 
-    python3 bench_lowerbound.py --src DIR [--out PATH]
+    python3 bench_lowerbound.py --src DIR [--topic lowerbound|factor] [--out PATH]
 
 Run it from the repository root.  ``--src`` is the ``src/`` directory of
 the side called ``before`` (say, a parent commit's checkout); ``after`` is
 this checkout's ``src/``.  The script runs ROUNDS rounds, and in each round
 one child process per side, the two sides taking turns at going first.
 Each child pins BLAS and itself as perfbench/run.py does
-(``run.pin_process``), installs the span tracer of perfbench/tracer.py and
-runs ``lower_bound_report(m, seed=0)`` on the witness once at each m in
-SIZES, after one untimed report.  Alternating the sides in one invocation
-exposes both to the same machine drift; one process per side per round
-keeps a slow process from setting a side's numbers alone.
+(``run.pin_process``) and times the topic at each of its sizes.  A size
+up to SMALL_M is called at least SMALL_REPEATS times and for at least
+SMALL_SECONDS in the child, which keeps the median: a single call there is
+short next to the machine's speed spells.  Alternating the sides in one invocation exposes both to the same machine
+drift; one process per side per round keeps a slow process from setting a
+side's numbers alone.
 
-For each side and m it records, as the median over the rounds, the
-report's seconds, the total seconds of every traced function in it and
-the report's self time (the witness factorization and the norm bounds,
-which are not traced), plus each round's report seconds, the SVD count,
-the dims' tail and the verdict.  The machine facts come from
+Topics:
+
+* ``lowerbound``: the span tracer of perfbench/tracer.py is installed and
+  ``lower_bound_report(m, seed=0)`` runs on the witness at m = 128 ... 1024,
+  after one untimed report.  Per m it records the report's seconds, the
+  total seconds of every traced function in it and the report's self time
+  (the witness factorization and the norm bounds, which are not traced),
+  plus each round's report seconds, the SVD count, the dims' tail and the
+  verdict.
+* ``factor``: the CLI's Ginibre input at seed 0 (perfbench's
+  ``ginibre_trace_zero``, written once by the benchmark's own formatter) at
+  m = 256 and 1024.  Per m it records the in-process seconds of
+  ``read_matrix``, ``factor`` and each ``write_matrix`` of B, C and Q, and
+  the wall time of a ``traceless factor`` subprocess, plus each round's
+  write and CLI seconds.
+
+Every number is the median over the rounds.  The machine facts come from
 ``run.machine_facts``.
 """
 
@@ -25,20 +38,44 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
-SIZES = (128, 256, 512, 1024)
 SEED = 0
 ROUNDS = 7  # child processes per side; the median over them is kept
-WARMUP_M = 64  # one untimed report first, so library loading and lazy set-up are not timed
+SMALL_M = 256  # sizes up to this one are timed repeatedly in each child and keep the median
+SMALL_REPEATS = 7  # at least this many calls,
+SMALL_SECONDS = 3.0  # and until they span this long, so a short call samples the machine's speed spells
+WARMUP_M = 64  # one untimed call first, so library loading and lazy set-up are not timed
 REPORT = "lowerbound.lower_bound_report"
-CHILD = f"import sys; sys.path.insert(0, {str(ROOT)!r}); import bench_lowerbound; bench_lowerbound.child(sys.argv[1])"
+WRITES = ("B", "C", "Q")
+CLI_TARGET_S = 7.0  # ROADMAP item 8's target for CLI factor at m=1024
+TOPICS = {"lowerbound": (128, 256, 512, 1024), "factor": (256, 1024)}
+CHILD = (f"import sys; sys.path.insert(0, {str(ROOT)!r}); import bench_lowerbound; "
+         "bench_lowerbound.child(sys.argv[1], sys.argv[2], sys.argv[3:])")
+
+
+def median_stages(runs: list[dict]) -> dict[str, float]:
+    """Per stage, the median seconds over runs (a stage missing from a run counts as 0)."""
+    names = sorted(set().union(*runs))
+    return {name: statistics.median(r.get(name, 0.0) for r in runs) for name in names}
+
+
+def timed_runs(m: int, call) -> list:
+    """call()'s results: one, or for m <= SMALL_M at least SMALL_REPEATS and SMALL_SECONDS' worth after the first."""
+    runs = [call()]
+    end = time.perf_counter() + SMALL_SECONDS
+    while m <= SMALL_M and (len(runs) < SMALL_REPEATS or time.perf_counter() < end):
+        runs.append(call())
+    return runs
 
 
 def traced_report(m: int) -> dict:
@@ -65,8 +102,55 @@ def traced_report(m: int) -> dict:
     }
 
 
-def child(src: str) -> None:
-    """One round of one side: a traced report at each m, printed as JSON on stdout."""
+def lowerbound_child(src: str, inputs: list[str]) -> dict:
+    import traceless
+
+    traceless.lower_bound_report(WARMUP_M, seed=SEED)
+    by_m = {}
+    for m in TOPICS["lowerbound"]:
+        runs = timed_runs(m, lambda: traced_report(m))
+        by_m[str(m)] = {**runs[0], "stages_s": median_stages([r["stages_s"] for r in runs])}
+    return by_m
+
+
+def factor_stages(path: str, src: str, workdir: str) -> dict[str, float]:
+    """In-process read, factor and writes of one input, then a CLI ``factor`` subprocess on it."""
+    import traceless
+
+    stages = {}
+    t0 = time.perf_counter()
+    a = traceless.read_matrix(path)
+    stages["read_matrix"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    cert = traceless.factor(a, seed=SEED)
+    stages["factor"] = time.perf_counter() - t0
+    for name, mat in zip(WRITES, (cert.b, cert.c, cert.q)):
+        t0 = time.perf_counter()
+        traceless.write_matrix(os.path.join(workdir, f"{name}.txt"), mat)
+        stages[f"write_matrix.{name}"] = time.perf_counter() - t0
+    stages["write_matrix"] = sum(stages[f"write_matrix.{name}"] for name in WRITES)
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "traceless.cli", "factor", path, "--out-dir", workdir,
+                    "--seed", str(SEED)], env=env, check=True, capture_output=True)
+    stages["cli_factor"] = time.perf_counter() - t0
+    return stages
+
+
+def factor_child(src: str, inputs: list[str]) -> dict:
+    import traceless
+
+    with tempfile.TemporaryDirectory() as workdir:
+        traceless.write_matrix(os.path.join(workdir, "warm.txt"), traceless.read_matrix(inputs[0]))
+        by_m = {}
+        for m, path in zip(TOPICS["factor"], inputs):
+            runs = timed_runs(m, lambda: factor_stages(path, src, workdir))
+            by_m[str(m)] = {"stages_s": median_stages(runs)}
+    return by_m
+
+
+def child(topic: str, src: str, inputs: list[str]) -> None:
+    """One round of one side: the topic's stages at each m, printed as JSON on stdout."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run  # imports no numpy, so it can pin BLAS before numpy loads
 
@@ -76,8 +160,7 @@ def child(src: str) -> None:
 
     if Path(traceless.__file__).resolve().parent != Path(src) / "traceless":
         raise SystemExit(f"error: imported traceless from {traceless.__file__}, not {src}")
-    traceless.lower_bound_report(WARMUP_M, seed=SEED)
-    by_m = {str(m): traced_report(m) for m in SIZES}
+    by_m = {"lowerbound": lowerbound_child, "factor": factor_child}[topic](src, inputs)
     json.dump({
         "machine": run.machine_facts(nproc, cpu_index),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -85,21 +168,28 @@ def child(src: str) -> None:
     }, sys.stdout)
 
 
-def summarize(rounds: list[dict]) -> dict:
+def summarize(topic: str, rounds: list[dict]) -> dict:
     """One side's record: medians over its rounds, per m."""
     by_m = {}
-    for m in map(str, SIZES):
+    for m in map(str, TOPICS[topic]):
         runs = [r["by_m"][m] for r in rounds]
-        names = sorted(set().union(*(r["stages_s"] for r in runs)))
-        stages = {name: statistics.median(r["stages_s"].get(name, 0.0) for r in runs) for name in names}
-        by_m[m] = {
-            "report_s": stages[REPORT],
-            "report_s_rounds": [r["stages_s"][REPORT] for r in runs],
-            "stages_s": stages,
-            "svd_calls": runs[0]["svd_calls"],
-            "all_strict_passed": all(r["all_strict_passed"] for r in runs),
-            "dims_tail": runs[0]["dims_tail"],
-        }
+        stages = median_stages([r["stages_s"] for r in runs])
+        if topic == "lowerbound":
+            by_m[m] = {
+                "report_s": stages[REPORT],
+                "report_s_rounds": [r["stages_s"][REPORT] for r in runs],
+                "stages_s": stages,
+                "svd_calls": runs[0]["svd_calls"],
+                "all_strict_passed": all(r["all_strict_passed"] for r in runs),
+                "dims_tail": runs[0]["dims_tail"],
+            }
+        else:
+            by_m[m] = {
+                "write_s": stages["write_matrix"],
+                "write_s_rounds": [r["stages_s"]["write_matrix"] for r in runs],
+                "stages_s": stages,
+                "cli_factor_s_rounds": [r["stages_s"]["cli_factor"] for r in runs],
+            }
     return {
         "rounds": len(rounds),
         "machine": rounds[0]["machine"],
@@ -108,42 +198,82 @@ def summarize(rounds: list[dict]) -> dict:
     }
 
 
+def compare(topic: str, sides: dict) -> dict:
+    """Per m, the after side against the before side: the headline stage's medians and wins."""
+    key = {"lowerbound": "report_s", "factor": "write_s"}[topic]
+    out = {}
+    for m in map(str, TOPICS[topic]):
+        before, after = (sides[side]["by_m"][m] for side in ("before", "after"))
+        row = {f"{key}_before": before[key], f"{key}_after": after[key], "speedup": before[key] / after[key],
+               "after_faster_rounds": sum(a < b for a, b in zip(after[key + "_rounds"], before[key + "_rounds"]))}
+        if topic == "factor":
+            row["cli_factor_s_before"] = before["stages_s"]["cli_factor"]
+            row["cli_factor_s_after"] = after["stages_s"]["cli_factor"]
+        out[m] = row
+    if topic == "factor":
+        out["cli_factor_target_s"] = {"m": 1024, "target": CLI_TARGET_S,
+                                      "after": sides["after"]["by_m"]["1024"]["stages_s"]["cli_factor"]}
+    return out
+
+
+def factor_inputs(workdir: Path) -> list[str]:
+    """The CLI's Ginibre input at seed SEED for each m, written by the benchmark's own formatter."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import format_matrix_text, ginibre_trace_zero
+
+    paths = []
+    for m in TOPICS["factor"]:
+        path = workdir / f"A{m}.txt"
+        path.write_text(format_matrix_text(ginibre_trace_zero(m, SEED)), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True,
                         help="src/ directory of the before side, e.g. of a parent commit's checkout")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_lowerbound.json")
+    parser.add_argument("--topic", choices=sorted(TOPICS), default="lowerbound")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<topic>.json in the repository root")
     args = parser.parse_args(argv)
+    out = args.out or ROOT / f"BENCH_{args.topic}.json"
     srcs = {"before": args.src.resolve(), "after": ROOT / "src"}
     for src in srcs.values():
         if not (src / "traceless" / "__init__.py").is_file():
             parser.error(f"no traceless package under {src}")
 
     rounds = {side: [] for side in srcs}
-    for i in range(ROUNDS):
-        order = list(srcs) if i % 2 == 0 else list(srcs)[::-1]
-        for side in order:
-            proc = subprocess.run([sys.executable, "-c", CHILD, str(srcs[side])],
-                                  capture_output=True, text=True, check=True)
-            rounds[side].append(json.loads(proc.stdout))
-        line = ", ".join(f"{side} {rounds[side][-1]['by_m'][str(SIZES[-1])]['stages_s'][REPORT]:.3f} s"
-                         for side in srcs)
-        print(f"round {i + 1}/{ROUNDS}, m={SIZES[-1]}: {line}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as workdir:
+        inputs = factor_inputs(Path(workdir)) if args.topic == "factor" else []
+        for i in range(ROUNDS):
+            order = list(srcs) if i % 2 == 0 else list(srcs)[::-1]
+            for side in order:
+                proc = subprocess.run([sys.executable, "-c", CHILD, args.topic, str(srcs[side]), *inputs],
+                                      capture_output=True, text=True, check=True)
+                rounds[side].append(json.loads(proc.stdout))
+            print(f"round {i + 1}/{ROUNDS} done", file=sys.stderr)
 
+    sides = {side: summarize(args.topic, rounds[side]) for side in srcs}
+    workload = {
+        "lowerbound": f"lower_bound_report(m, seed={SEED}) on the witness P - I/m, traced",
+        "factor": f"the CLI's Ginibre input at seed {SEED}: in-process read_matrix, factor(seed={SEED}) "
+                  "and write_matrix of B, C, Q, then a `traceless factor` subprocess",
+    }[args.topic]
     data = {
         "script": "bench_lowerbound.py",
-        "workload": f"lower_bound_report(m, seed={SEED}) on the witness P - I/m, traced, "
-                    "one BLAS thread on one pinned CPU; one child process per side per round, "
-                    "the sides alternating; seconds are medians over the rounds",
-        "sizes": list(SIZES),
-        "sides": {side: summarize(rounds[side]) for side in srcs},
+        "topic": args.topic,
+        "workload": f"{workload}; one BLAS thread on one pinned CPU; one child process per side per "
+                    f"round, the sides alternating; sizes up to m={SMALL_M} are called at least "
+                    f"{SMALL_REPEATS} times and {SMALL_SECONDS} s per child (median); seconds are medians "
+                    "over the rounds",
+        "sizes": list(TOPICS[args.topic]),
+        "comparison": compare(args.topic, sides),
+        "sides": sides,
     }
-    args.out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    for m in map(str, SIZES):
-        before, after = (data["sides"][side]["by_m"][m] for side in srcs)
-        wins = sum(a < b for a, b in zip(after["report_s_rounds"], before["report_s_rounds"]))
-        print(f"m={m}: before {before['report_s']:.3f} s, after {after['report_s']:.3f} s, "
-              f"after faster in {wins}/{ROUNDS} rounds", file=sys.stderr)
+    out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    for key, row in data["comparison"].items():
+        print(f"{key}: {row}", file=sys.stderr)
     return 0
 
 

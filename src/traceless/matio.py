@@ -16,9 +16,20 @@ The reader accepts exactly this grammar:
 * non-finite values (``inf``, ``nan``, or an overflow such as ``1e400``)
   are rejected.
 
-Writing streams one formatted line per row, and reading parses one row at
-a time into a preallocated array, so neither side holds a Python object
-for every entry of the file.
+Writing formats the floats in chunks of ``CHUNK`` with the numpy integer
+kernel of ``_dtoa`` and produces the bytes of ``%.17g`` exactly.  A fixed
+17-digit rounding needs no bignum for ordinary magnitudes: with
+|x| = M * 2**E (M a 53-bit integer), X = floor(log10|x|) and k = 16 - X,
+the digits are D = round-half-even(M * 5**k * 2**(E + k)).  5**k is held
+exactly as a 7-bit head and four 31-bit fraction limbs, so the floor of the
+product, its half bit and whether anything lies below it (a power-of-two
+test on M) are all exact.  The text -- fixed or exponent form, trailing
+zeros stripped, sign, ``0`` and ``-0`` -- is laid out in fixed 32-byte
+slots from lookup tables and compacted once per chunk.  This covers
+1e-40 <= |x| < 1e17 and zero; any other entry (1e-150, 1e300) gets
+``"%.17g" % x`` written into the same chunk.  Reading parses one row at a
+time into a preallocated array, so neither side holds a Python object for
+every entry of the file.
 """
 
 from __future__ import annotations
@@ -40,23 +51,35 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix file cannot be parsed."""
 
 
-def _lines(a):
-    """The file's lines: the header, then one ``%``-format call per row."""
+CHUNK = 2048  # floats formatted per numpy pass; the work arrays stay a few hundred KB
+
+
+def _writable(a) -> np.ndarray:
     a = np.ascontiguousarray(as_matrix(a))
+    if 0 in a.shape:  # read_matrix requires m, n >= 1
+        raise ValueError(f"cannot write a {a.shape[0]}x{a.shape[1]} matrix: both dimensions must be at least 1")
+    return a
+
+
+def _chunks(a: np.ndarray):
+    """The file's bytes: the header, then the text of CHUNK floats at a time."""
+    from . import _dtoa  # here: where no bytecode is cached, compiling it costs every import ~2 ms
+
     rows, cols = a.shape
-    yield f"{rows} {cols}\n"
-    template = " ".join(["%.17g,%.17g"] * cols) + "\n"
-    for row in a.view(float):
-        yield template % tuple(row.tolist())
+    yield f"{rows} {cols}\n".encode()
+    floats = a.view(float).ravel()
+    for start in range(0, len(floats), CHUNK):
+        yield _dtoa.chunk_text(floats[start:start + CHUNK], start, cols)
 
 
 def format_matrix(a) -> str:
-    return "".join(_lines(a))
+    return b"".join(_chunks(_writable(a))).decode("ascii")
 
 
 def write_matrix(path: str | os.PathLike, a) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_lines(a))
+    a = _writable(a)
+    with open(path, "wb") as fh:
+        fh.writelines(_chunks(a))
 
 
 def _parse_row(fields: list[str], out: np.ndarray) -> bool:

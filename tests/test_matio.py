@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from traceless._dtoa import X_MIN
 from traceless.matio import (
     MatrixFormatError,
     format_matrix,
@@ -160,3 +161,74 @@ def test_memory_stays_row_sized(tmp_path, rng):
     assert np.array_equal(back, a)
     assert write_peak <= 0.25 * size
     assert read_peak <= 3.0 * size
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_zero_dimension_refused(tmp_path, shape):
+    path = tmp_path / "z.txt"
+    with pytest.raises(ValueError, match="at least 1"):
+        format_matrix(np.zeros(shape))
+    with pytest.raises(ValueError, match="at least 1"):
+        write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
+def _kernel_families(rng) -> dict[str, np.ndarray]:
+    """Hostile float families for the chunked %.17g writer, about 1e6 floats in all.
+
+    Most entries lie inside the kernel's exact range, since "%.17g" itself is
+    slow on huge exponents; every family outside it is still sampled.
+    """
+    n = 50_000
+    sign = rng.choice([-1.0, 1.0], size=n)
+    bits = np.frombuffer(rng.bytes(8 * n), dtype=float)
+    tens = np.array([float(f"1e{j}") for j in range(-40, 41)])
+    near = [tens]
+    for direction in (np.inf, -np.inf):
+        x = tens
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    near_ties = [float(f"{d}5e{e}") for d, e in zip(rng.integers(10**16, 10**17, size=n),
+                                                      rng.integers(-60, 3, size=n))]
+    # exact 17-digit ties: m odd with m * 2**(X - 17) in [10**X, 10**(X + 1)), so that
+    # x * 10**(16 - X) = m * 5**(16 - X) / 2 is an odd number of halves
+    exact_ties = []
+    for dec in range(-6, 15):
+        low = 2**17 * 5**dec if dec >= 0 else -(-2**17 // 5**-dec)
+        m = 2 * rng.integers(low // 2, (10 * low) // 2, size=20_000) + 1
+        exact_ties.append(np.ldexp(m.astype(float), dec - 17))
+    subnormal = np.frombuffer(rng.integers(1, 2**52, size=n // 2, dtype=np.uint64).tobytes(), dtype=float)
+    inside = rng.choice([-1.0, 1.0], size=6 * n) * 10.0 ** rng.uniform(X_MIN, 17, size=6 * n)
+    edges = []
+    for edge in (float(f"1e{X_MIN}"), 1e17):
+        for direction in (np.inf, -np.inf):
+            x = edge
+            for _ in range(6):
+                edges += [x, -x]
+                x = np.nextafter(x, direction)
+    return {
+        "random bit patterns": bits[np.isfinite(bits)],
+        "log-uniform magnitudes": sign * np.exp2(rng.uniform(-1074.0, 1023.99, size=n)),
+        "log-uniform inside the exact range": inside,
+        "powers of ten and 1-3 ulps": np.concatenate(near + [-x for x in near]),
+        "near 17-digit ties": np.array(near_ties),
+        "exact 17-digit ties": np.concatenate(exact_ties),
+        "subnormals and zeros": np.concatenate([subnormal, [0.0, -0.0, 5e-324, -5e-324]]),
+        "edges of the exact range": np.array(edges),
+        "1e150-scaled": 1e150 * rng.standard_normal(n // 4),
+        "1e-150-scaled": 1e-150 * rng.standard_normal(n // 4),
+    }
+
+
+def test_chunked_writer_matches_reference_on_a_million_floats():
+    families = _kernel_families(np.random.default_rng(20150))
+    floats = np.concatenate(list(families.values()))
+    floats = np.concatenate([floats, np.zeros(-len(floats) % 200)])
+    assert len(floats) > 900_000
+    a = floats.view(complex).reshape(-1, 100)
+    got, want = format_matrix(a), reference_format(a)
+    if got != want:
+        bad = [(g, w) for row_g, row_w in zip(got.split("\n"), want.split("\n"))
+               for g, w in zip(row_g.split(), row_w.split()) if g != w]
+        pytest.fail(f"first mismatches (written, %.17g): {bad[:5]}")
