@@ -25,10 +25,10 @@ Topics:
   verdict.
 * ``factor``: the CLI's Ginibre input at seed 0 (perfbench's
   ``ginibre_trace_zero``, written once by the benchmark's own formatter) at
-  m = 256 and 1024.  Per m it records the in-process seconds of
-  ``read_matrix``, ``factor`` and each ``write_matrix`` of B, C and Q, and
-  the wall time of a ``traceless factor`` subprocess, plus each round's
-  write and CLI seconds.
+  m = 256, 1000 and 1024.  Per m it records the in-process seconds of
+  ``read_matrix``, ``factor``, the ``zero_diagonal_reduce`` inside it and
+  each ``write_matrix`` of B, C and Q, and the wall time of a ``traceless
+  factor`` subprocess, plus each round's seconds of the headline stages.
 
 Every number is the median over the rounds.  The machine facts come from
 ``run.machine_facts``.
@@ -58,7 +58,9 @@ WARMUP_M = 64  # one untimed call first, so library loading and lazy set-up are 
 REPORT = "lowerbound.lower_bound_report"
 WRITES = ("B", "C", "Q")
 CLI_TARGET_S = 7.0  # ROADMAP item 8's target for CLI factor at m=1024
-TOPICS = {"lowerbound": (128, 256, 512, 1024), "factor": (256, 1024)}
+TOPICS = {"lowerbound": (128, 256, 512, 1024), "factor": (256, 1000, 1024)}
+# the factor topic's stages compared side by side, each with its per-round seconds
+FACTOR_HEADLINES = ("zero_diagonal_reduce", "factor", "write_matrix", "cli_factor")
 CHILD = (f"import sys; sys.path.insert(0, {str(ROOT)!r}); import bench_lowerbound; "
          "bench_lowerbound.child(sys.argv[1], sys.argv[2], sys.argv[3:])")
 
@@ -114,15 +116,28 @@ def lowerbound_child(src: str, inputs: list[str]) -> dict:
 
 
 def factor_stages(path: str, src: str, workdir: str) -> dict[str, float]:
-    """In-process read, factor and writes of one input, then a CLI ``factor`` subprocess on it."""
+    """In-process read, factor (and its reduction) and writes of one input, then a CLI ``factor`` on it."""
     import traceless
+    import traceless.factorizer as factorizer
 
     stages = {}
     t0 = time.perf_counter()
     a = traceless.read_matrix(path)
     stages["read_matrix"] = time.perf_counter() - t0
+    reduce = factorizer.zero_diagonal_reduce
+
+    def timed_reduce(x):
+        t1 = time.perf_counter()
+        res = reduce(x)
+        stages["zero_diagonal_reduce"] = time.perf_counter() - t1
+        return res
+
+    factorizer.zero_diagonal_reduce = timed_reduce
     t0 = time.perf_counter()
-    cert = traceless.factor(a, seed=SEED)
+    try:
+        cert = traceless.factor(a, seed=SEED)
+    finally:
+        factorizer.zero_diagonal_reduce = reduce
     stages["factor"] = time.perf_counter() - t0
     for name, mat in zip(WRITES, (cert.b, cert.c, cert.q)):
         t0 = time.perf_counter()
@@ -184,12 +199,10 @@ def summarize(topic: str, rounds: list[dict]) -> dict:
                 "dims_tail": runs[0]["dims_tail"],
             }
         else:
-            by_m[m] = {
-                "write_s": stages["write_matrix"],
-                "write_s_rounds": [r["stages_s"]["write_matrix"] for r in runs],
-                "stages_s": stages,
-                "cli_factor_s_rounds": [r["stages_s"]["cli_factor"] for r in runs],
-            }
+            by_m[m] = {"stages_s": stages}
+            for name in FACTOR_HEADLINES:
+                by_m[m][f"{name}_s"] = stages[name]
+                by_m[m][f"{name}_s_rounds"] = [r["stages_s"][name] for r in runs]
     return {
         "rounds": len(rounds),
         "machine": rounds[0]["machine"],
@@ -198,18 +211,21 @@ def summarize(topic: str, rounds: list[dict]) -> dict:
     }
 
 
+def versus(before: dict, after: dict, key: str) -> dict:
+    """One stage's medians on both sides, the speedup and the rounds in which after was faster."""
+    return {f"{key}_before": before[key], f"{key}_after": after[key], "speedup": before[key] / after[key],
+            "after_faster_rounds": sum(a < b for a, b in zip(after[key + "_rounds"], before[key + "_rounds"]))}
+
+
 def compare(topic: str, sides: dict) -> dict:
-    """Per m, the after side against the before side: the headline stage's medians and wins."""
-    key = {"lowerbound": "report_s", "factor": "write_s"}[topic]
+    """Per m, the after side against the before side: the headline stages' medians and wins."""
     out = {}
     for m in map(str, TOPICS[topic]):
         before, after = (sides[side]["by_m"][m] for side in ("before", "after"))
-        row = {f"{key}_before": before[key], f"{key}_after": after[key], "speedup": before[key] / after[key],
-               "after_faster_rounds": sum(a < b for a, b in zip(after[key + "_rounds"], before[key + "_rounds"]))}
-        if topic == "factor":
-            row["cli_factor_s_before"] = before["stages_s"]["cli_factor"]
-            row["cli_factor_s_after"] = after["stages_s"]["cli_factor"]
-        out[m] = row
+        if topic == "lowerbound":
+            out[m] = versus(before, after, "report_s")
+        else:
+            out[m] = {name: versus(before, after, f"{name}_s") for name in FACTOR_HEADLINES}
     if topic == "factor":
         out["cli_factor_target_s"] = {"m": 1024, "target": CLI_TARGET_S,
                                       "after": sides["after"]["by_m"]["1024"]["stages_s"]["cli_factor"]}
@@ -258,7 +274,8 @@ def main(argv=None) -> int:
     workload = {
         "lowerbound": f"lower_bound_report(m, seed={SEED}) on the witness P - I/m, traced",
         "factor": f"the CLI's Ginibre input at seed {SEED}: in-process read_matrix, factor(seed={SEED}) "
-                  "and write_matrix of B, C, Q, then a `traceless factor` subprocess",
+                  "with the zero_diagonal_reduce inside it timed, and write_matrix of B, C, Q, then a "
+                  "`traceless factor` subprocess",
     }[args.topic]
     data = {
         "script": "bench_lowerbound.py",

@@ -3,10 +3,12 @@
 The workhorse is a 2x2 primitive: for any 2x2 block and any target value
 inside the block's numerical range (an ellipse centered at half the trace),
 there is a closed-form unitary whose conjugation puts the target in the
-(0,0) slot.  Averaging sweeps drive every diagonal entry of the full matrix
-toward the common mean trace/m = 0 geometrically; a final chain of
-exact-zeroing rotations mops up what is left above roundoff.  A diagonal
-A = D starts from Q = F, the unitary DFT: F* D F is circulant with every
+(0,0) slot.  At most ceil(log2 m) averaging sweeps drive every diagonal
+entry of the full matrix toward the common mean trace/m = 0; at m = 2^k the
+k sweeps reach it, since each doubles the multiplicity of equal entries.
+A final chain of exact-zeroing rotations zeros whatever is left above
+roundoff, which at every other m is most of the work.  A diagonal A = D
+starts from Q = F, the unitary DFT: F* D F is circulant with every
 diagonal entry tr(D)/m, so it usually needs neither.
 
 Each sweep sorts the diagonal by real part (imaginary part on odd sweeps)
@@ -27,7 +29,6 @@ from .linalg import as_matrix, hs_norm, require_trace_zero
 
 __all__ = ["DiagonalizationResult", "zero_diagonal_reduce"]
 
-MAX_SWEEPS = 40
 DIAG_TOL = 1e-10  # converged iff every |a~_ii| <= DIAG_TOL ||A||_2
 SWEEP_TARGET = 1e-13  # the averaging sweeps stop once the diagonal is below SWEEP_TARGET ||A||_2
 
@@ -86,17 +87,16 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
     by real part (imaginary part on alternate sweeps), pairs extremes, and
     replaces both entries of each pair with their midpoint; the sum is
     conserved at 0, so the diagonal contracts to zero; the sweeps stop
-    below SWEEP_TARGET * ||A||_2.  A diagonal A starts from Q = F, the
-    unitary DFT: every diagonal entry of F* A F is tr(A)/m, so no sweep
-    runs unless tr(A) sits near the trace tolerance.  If an
-    entry is still above roundoff (eps * ||A||_HS) after the sweeps, a
-    closing pass rotates entries to exact zeros where the local 2x2
-    numerical range allows, dumping the leftovers onto not-yet-visited
-    partners.
+    below SWEEP_TARGET * ||A||_2 or after ceil(log2 m) of them, whichever
+    comes first.  A diagonal A starts from Q = F, the unitary DFT: every
+    diagonal entry of F* A F is tr(A)/m, so no sweep runs unless tr(A)
+    sits near the trace tolerance.  If an entry is still above roundoff
+    (eps * ||A||_HS) after the sweeps, a closing chain rotates entries to
+    exact zeros where the local 2x2 numerical range allows, dumping the
+    leftovers onto not-yet-visited partners.
 
-    The sweeps also end once two in a row (one per sort key) apply no
-    rotation, e.g. when tr(A)/m itself is above the sweep target.  On
-    hitting the sweep cap the best-effort result is returned with
+    Only an entry the chain cannot zero leaves the diagonal above
+    DIAG_TOL * ||A||_2; the best-effort result is then returned with
     ``converged=False`` rather than raising.
     """
     a = as_matrix(a, square=True)
@@ -122,13 +122,11 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
     # each sweep updates rows, transposes, and updates rows again, using
     # (U* W U)^T = U^T (U* W)^T.  w holds W^T after odd sweeps.
     target = SWEEP_TARGET * scale
-    sweeps_done = idle = 0
+    sweeps_done = 0
     transposed = False
-    for sweep in range(MAX_SWEEPS):
+    for sweep in range((m - 1).bit_length()):  # ceil(log2 m) sweeps at most
         d = np.diag(w)
-        # a sweep that rotates nothing leaves W as it was, so once one sweep
-        # per sort key has rotated nothing, every later sweep would too
-        if float(np.max(np.abs(d))) <= target or idle == 2:
+        if float(np.max(np.abs(d))) <= target:
             break
         order = np.argsort(d.real if sweep % 2 == 0 else d.imag, kind="stable")
         pairs = np.stack([order[: m // 2], order[::-1][: m // 2]], axis=1)
@@ -148,7 +146,6 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
             w = w.T.copy()
             w[pairs] = second @ w[pairs]
             transposed = not transposed
-        idle = 0 if len(pairs) else idle + 1
         sweeps_done = sweep + 1
     if transposed:
         w = w.T.copy()

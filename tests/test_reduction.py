@@ -5,7 +5,7 @@ import pytest
 
 from traceless import NonzeroTraceError, extremal_matrix, factor
 from traceless.linalg import hs_norm, singular_profile
-from traceless.reduction import MAX_SWEEPS, _attaining_rotations, zero_diagonal_reduce
+from traceless.reduction import _attaining_rotations, zero_diagonal_reduce
 
 from conftest import random_complex, random_trace_zero, random_unitary
 
@@ -51,7 +51,11 @@ def _reference_conjugate(w, q, i, j, rot):
     q[:, idx] = q[:, idx] @ rot
 
 
-def _reference_reduce(a, max_sweeps=MAX_SWEEPS):
+def _log2_ceil(m: int) -> int:
+    return math.ceil(math.log2(m))
+
+
+def _reference_reduce(a):
     """(q, atilde, diag_residual, converged, sweeps) by one rotation at a time."""
     m = a.shape[0]
     scale = hs_norm(a)
@@ -59,7 +63,7 @@ def _reference_reduce(a, max_sweeps=MAX_SWEEPS):
     q = np.eye(m, dtype=complex)
     target = 1e-13 * scale
     sweeps_done = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(_log2_ceil(m)):
         d = np.diag(w)
         if float(np.max(np.abs(d))) <= target:
             break
@@ -326,6 +330,10 @@ DRIFTED = {
 }
 
 
+# HOSTILE holds the Ginibre m = 2, 3 and 255
+CAPPED = {**{f"ginibre-{m}": (lambda m=m: _ginibre(m)) for m in (5, 6, 7, 9, 33, 100, 256, 1023)}, **HOSTILE}
+
+
 class TestSkippedWork:
     @pytest.mark.parametrize("name", sorted(DIAGONAL))
     def test_diagonal_input_starts_from_dft(self, name):
@@ -356,7 +364,7 @@ class TestSkippedWork:
 
     @pytest.mark.parametrize("m", [6, 7, 33])
     def test_chain_still_runs_above_roundoff(self, m):
-        # their sweeps stop near the target, about 1e-13 * ||A||_2, so the chain must run
+        # their ceil(log2 m) sweeps end far above roundoff, so the chain must run
         a = _ginibre(m)
         res = zero_diagonal_reduce(a)
         assert res.diag_residual <= 1e-14 * hs_norm(a)
@@ -364,10 +372,18 @@ class TestSkippedWork:
     @pytest.mark.parametrize("name", sorted(DRIFTED))
     def test_idle_sweeps_end_the_loop(self, name):
         # |tr A|/m is above the sweep target, so the sweeps can never reach it;
-        # once a real-part and an imaginary-part sweep rotate nothing, W stays
-        # as it is and the loop must end instead of running to MAX_SWEEPS
+        # they end at the ceil(log2 m) cap and the chain finishes the reduction
         a = DRIFTED[name]().astype(complex)
         a[0, 0] += 0.9e-10 * hs_norm(a)
         res = zero_diagonal_reduce(a)
         _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
-        assert res.sweeps <= 10
+        assert res.sweeps <= _log2_ceil(a.shape[0])
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_every_m_within_log2_sweeps(self, name):
+        # at m = 2^k the k sweeps reach the target; at every other m the chain
+        # zeros what the capped sweeps leave
+        a = CAPPED[name]().astype(complex)
+        res = zero_diagonal_reduce(a)
+        _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
+        assert res.sweeps <= _log2_ceil(a.shape[0])
