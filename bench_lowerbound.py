@@ -60,7 +60,7 @@ WRITES = ("B", "C", "Q")
 CLI_TARGET_S = 7.0  # ROADMAP item 8's target for CLI factor at m=1024
 TOPICS = {"lowerbound": (128, 256, 512, 1024), "factor": (256, 1000, 1024)}
 # the factor topic's stages compared side by side, each with its per-round seconds
-FACTOR_HEADLINES = ("zero_diagonal_reduce", "factor", "write_matrix", "cli_factor")
+FACTOR_HEADLINES = ("read_matrix", "zero_diagonal_reduce", "factor", "write_matrix", "cli_factor")
 CHILD = (f"import sys; sys.path.insert(0, {str(ROOT)!r}); import bench_lowerbound; "
          "bench_lowerbound.child(sys.argv[1], sys.argv[2], sys.argv[3:])")
 

@@ -9,12 +9,14 @@ The reader accepts exactly this grammar:
 
 * lines that are empty or all whitespace are skipped, wherever they are;
 * the header is two integers m, n >= 1, and exactly m data lines follow;
+* a line ends at LF, CRLF or a lone CR, so ``"2 2\r1,2 3,4\r5,6 7,8\r"``
+  is a 2x2 matrix;
 * a data line has n entries separated by any run of whitespace (spaces,
-  tabs, the CR of a CRLF line end);
+  tabs);
 * an entry has exactly one comma and a non-empty part on each side, and
   each part is anything ``float()`` accepts (``1e5``, ``-0``, ``1_0``);
 * non-finite values (``inf``, ``nan``, or an overflow such as ``1e400``)
-  are rejected.
+  are rejected, and so is a file that is not UTF-8 text.
 
 Writing formats the floats in chunks of ``CHUNK`` with the numpy integer
 kernel of ``_dtoa`` and produces the bytes of ``%.17g`` exactly.  A fixed
@@ -27,9 +29,45 @@ test on M) are all exact.  The text -- fixed or exponent form, trailing
 zeros stripped, sign, ``0`` and ``-0`` -- is laid out in fixed 32-byte
 slots from lookup tables and compacted once per chunk.  This covers
 1e-40 <= |x| < 1e17 and zero; any other entry (1e-150, 1e300) gets
-``"%.17g" % x`` written into the same chunk.  Reading parses one row at a
-time into a preallocated array, so neither side holds a Python object for
-every entry of the file.
+``"%.17g" % x`` written into the same chunk.
+
+Reading takes the file's bytes to the numpy kernel of ``_atod`` first.  It
+accepts only the writer's layout: the header ``m n``, then the entries with
+exactly the separators ``,`` `` `` ... ``,`` ``\n`` in turn, the file
+ending in ``\n``, every byte one of ``0-9 . - + e`` or a separator, and
+every token ``-?d*(.d*)?(e[+-]?d+)?`` (d a digit) with at least one
+mantissa digit, so ``.5`` and ``5.`` but not ``+1`` or ``1E5``.  It works
+on chunks of whole lines of about ``_atod.CHUNK`` bytes.  The grammar is
+checked on the positions of the non-digit bytes alone: which classes may
+follow each other in a token, and which must touch or have digits between.
+One ``np.fromstring(..., dtype=int64)`` then reads every mantissa D (the
+points deleted) and exponent, and with f the digits after the point,
+x = D * 10**q, q = e - f; the sign comes from the token's first byte, so
+``-0`` keeps it.
+
+For D < 10**18 and |q| <= 27 the kernel rounds x exactly.  D = dh + dl
+exactly (dh = double(D), |dl| <= u dh, u = 2**-53), and 10**q = th + tl
+from a table built with Python ints: exactly for q >= 0 (5**27 has 63
+bits), and for q < 0 with |10**q - th - tl| <= u**2 10**q (th and tl each
+rounded once).  Dekker's product gives p + pe = dh * th exactly; the cross
+terms dh * tl + dl * th (each below 1.01 u x) add at most 4.1 u**2 x of
+rounding, the dropped dl * tl and the table at most 2.1 u**2 x, and
+pl = pe + (cross terms) rounds by at most 3.1 u**2 x; D < 10**18 and
+|q| <= 27 keep every term normal and finite.  So the exact x lies within
+10 u**2 x < 2**-102 s of s + r, where s = p + pl rounded and r its exact
+remainder (Fast2Sum).  x rounds to s when |r| + 2**-102 s is below half
+the gap to s's neighbour on r's side: ulp(s) / 2, or ulp(s) / 4 below a
+power of two (on the other side x is within 2**-102 s of s, inside either
+half-gap).  The kernel tests ``|r| + 2**-100 s < that half-gap``; the
+float addition in the test loses less than u ulp(s), far inside the
+slack.  Every other token goes to ``float()`` on its own bytes: a tie or
+near-tie the test cannot decide, D >= 10**18 (``np.fromstring`` saturates
+there), |q| > 27 (1e-150, subnormals, 1e300 and infinities among them).
+When any check fails, ``_atod`` declines the whole file, and the reader
+below decodes it as UTF-8 with text mode's newlines and parses it one row
+at a time: every file outside the writer's layout reads as it did before
+the kernel, with the same values and the same errors.  Neither reader
+holds a Python object for every entry of the file.
 """
 
 from __future__ import annotations
@@ -114,10 +152,14 @@ def _parse_entries(i: int, fields: list[str]) -> list[float]:
     return values
 
 
-def read_matrix(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+def _parse_text(data: bytes) -> np.ndarray:
+    """The (m, 2n) floats of a file's UTF-8 text, one row at a time, naming the first fault."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    # text mode's newlines: CRLF and a lone CR end a line too
+    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
     del text
     if not lines:
         raise MatrixFormatError("empty matrix file")
@@ -139,6 +181,17 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
             raise MatrixFormatError(f"row {i}: expected {cols} entries, found {len(fields)}")
         if not _parse_row(fields, out[i]):
             out[i] = _parse_entries(i, fields)
+    return out
+
+
+def read_matrix(path: str | os.PathLike) -> np.ndarray:
+    from . import _atod  # here, like _dtoa: importing the package does not compile it
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    out = _atod.parse_matrix(data)
+    if out is None:
+        out = _parse_text(data)
     if not np.all(np.isfinite(out)):
         raise MatrixFormatError("matrix has non-finite entries")
     return out.view(complex)

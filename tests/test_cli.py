@@ -177,6 +177,15 @@ class TestVerifyCommand:
                          str(tmp_path / "a3.txt"), str(tmp_path / "a2.txt"))
         assert code == 2
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        write_matrix(tmp_path / "a.txt", np.zeros((1, 1)))
+        bad = tmp_path / "b.txt"
+        bad.write_bytes(b"1 1\n\xff,0\n")
+        code, out, err = run(capsys, "verify", str(tmp_path / "a.txt"), str(bad), str(tmp_path / "a.txt"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read matrix {str(bad)!r}: not UTF-8 text: invalid start byte at byte 4\n"
+
 
 class TestLowerBoundCommand:
     def test_m16_all_pass(self, tmp_path, capsys):
