@@ -20,9 +20,10 @@ Topics:
   ``lower_bound_report(m, seed=0)`` runs on the witness at m = 128 ... 1024,
   after one untimed report.  Per m it records the report's seconds, the
   total seconds of every traced function in it and the report's self time
-  (the witness factorization and the norm bounds, which are not traced),
-  plus each round's report seconds, the SVD count, the dims' tail and the
-  verdict.
+  (the witness factorization, the default report's trace records and the
+  norm bounds, which are not traced), plus each round's report seconds,
+  the SVD count, the count of m x m commutators (``linalg.commutator``
+  spans), the dims' tail and the verdict.
 * ``factor``: the CLI's Ginibre input at seed 0 (perfbench's
   ``ginibre_trace_zero``, written once by the benchmark's own formatter) at
   m = 256, 1000 and 1024.  Per m it records the in-process seconds of
@@ -99,6 +100,7 @@ def traced_report(m: int) -> dict:
     return {
         "stages_s": dict(stages),
         "svd_calls": int(sum(tr.notes[None]["linalg.svd_calls"])),
+        "commutator_calls": sum(span.name == "linalg.commutator" for span in tr.spans),
         "all_strict_passed": rep.all_strict_passed,
         "dims_tail": rep.dims[-3:],
     }
@@ -195,6 +197,7 @@ def summarize(topic: str, rounds: list[dict]) -> dict:
                 "report_s_rounds": [r["stages_s"][REPORT] for r in runs],
                 "stages_s": stages,
                 "svd_calls": runs[0]["svd_calls"],
+                "commutator_calls": runs[0]["commutator_calls"],
                 "all_strict_passed": all(r["all_strict_passed"] for r in runs),
                 "dims_tail": runs[0]["dims_tail"],
             }

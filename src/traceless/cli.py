@@ -73,6 +73,17 @@ def _read_matrix_or_exit(path: str) -> np.ndarray:
         raise SystemExit(EXIT_PARSE)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` or ``--seeds`` value, refused at parse time if negative (numpy takes no such seed)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _random_trace_zero(m: int, seed: int) -> np.ndarray:
     """Ginibre-style test matrix, diagonal shifted to zero trace."""
     rng = np.random.default_rng([seed, m, 0x7A11])
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="matrix file (text format)")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="check A = [B, C] and print norms and ratio")
@@ -211,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowerbound", help="factor the witness matrix and verify the whole inequality chain")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="report path (stdout when omitted)")
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("sweep", help="ratio sweep over random trace-zero matrices, CSV output")
     p.add_argument("--m", type=int, nargs="*", default=[])
-    p.add_argument("--seeds", type=int, nargs="*", default=[0])
+    p.add_argument("--seeds", type=_seed, nargs="*", default=[0])
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--out", required=True, help="CSV path")
     p.set_defaults(func=cmd_sweep)

@@ -141,6 +141,8 @@ def factor(a, trials: int = DEFAULT_TRIALS, seed: int = 0) -> FactorizationCerti
     a = as_matrix(a, square=True)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     m = a.shape[0]
     red = zero_diagonal_reduce(a)
     atilde = red.atilde.copy()

@@ -138,19 +138,23 @@ def verify_trace_inequality(filt: Filtration, norm_b: float) -> list[TraceIneqRe
     ||B|| as the caller knows it, measured or certified; the check never
     measures it.  Requires |norm_b - 1| <= UNIT_NORM_TOL (rescale (B, C) ->
     (B/||B||, C ||B||) first, which leaves the commutator unchanged) and
-    [B, C] equal to the witness matrix, judged with norm_b.  Ranks are
-    the filtration's numerical dimensions, and the rhs at degree n is
-    sum sigma(X_n) + sum sigma(Y_n) from the boundary-block SVDs shared with
-    the partial isometries.  Degrees past the last block use an empty
-    block, so an exhausted filtration yields lhs <= 0 and the record passes
-    trivially.
+    [B, C] equal to the witness matrix, judged with norm_b on the residual
+    that this function measures.  Ranks are the filtration's numerical
+    dimensions, and the rhs at degree n is sum sigma(X_n) + sum sigma(Y_n)
+    from the boundary-block SVDs shared with the partial isometries.
+    Degrees past the last block use an empty block, so an exhausted
+    filtration yields lhs <= 0 and the record passes trivially.
     """
-    b, c = filt.t, filt.s
-    m = b.shape[0]
+    residual = hs_norm(extremal_matrix(filt.s.shape[0]) - commutator(filt.t, filt.s))
+    return _trace_records(filt, norm_b, residual, hs_norm(filt.s))
+
+
+def _trace_records(filt: Filtration, norm_b: float, residual: float, hs_c: float) -> list[TraceIneqRecord]:
+    """``verify_trace_inequality``'s guard and records, given ||A - [B, C]||_2 and ||C||_2 of ``filt``."""
+    m = filt.s.shape[0]
     if abs(norm_b - 1.0) > UNIT_NORM_TOL:
         raise ValueError("B is not normalized to unit operator norm")
-    residual = hs_norm(extremal_matrix(m) - commutator(b, c))
-    if not residual_ok(residual, norm_b, hs_norm(c), WITNESS_RESIDUAL_TOL):
+    if not residual_ok(residual, norm_b, hs_c, WITNESS_RESIDUAL_TOL):
         raise ValueError("[B, C] does not reproduce the witness matrix")
     nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in filt.boundary_svds]
     records = []
@@ -419,38 +423,31 @@ def lower_bound_report(
     """Factor the witness matrix and run the whole lower-bound chain on it.
 
     The factorization is ``witness_factorization`` of the lattice points in
-    the order that ``factor``'s first trial at ``seed`` draws, so it equals
-    ``factor(extremal_matrix(m), trials=1, seed=seed)`` up to rounding.
-    ``trials`` has no effect: every order of the points gives the same
-    ||C||_2, so trials beyond the first could only tie.  The factorization
-    is rescaled by the certificate's op_norm_b = (1 + delta) max |b_i| (C
-    absorbs the factor), the filtration is seeded at span{e_1} =
-    range(A + I/m), and every inequality in the chain is measured.  Pass
-    ``certificate`` to verify an existing factorization instead of
-    producing one.
+    the order that ``factor``'s first trial at ``seed`` draws, over their
+    largest modulus beta (``normalization``): ``factor(extremal_matrix(m),
+    trials=1, seed=seed)`` up to rounding and the scale beta.  ``trials``
+    has no effect, as every order of the points gives the same ||C||_2.
+    The filtration is built from the certificate's own (C, B), seeded at
+    span{e_1} = range(A + I/m), and the trace check's witness test reads
+    the certificate's residual and ||C||_2, so [B, C] is formed once.  A
+    ``certificate`` passed in is verified instead, rescaled by its
+    op_norm_b = (1 + delta) max |b_i| (C absorbs the factor), and the trace
+    check measures its [B, C], as it may be for another matrix.
 
     No SVD measures ||B||: with delta = ||Q*Q - I||_2 the certificate's
-    ``unitarity_defect``, sigma_min(Q)^2 >= 1 - delta, so
-    (1 - delta) max |b_i| <= ||B|| <= op_norm_b and the rescaled B has norm
-    in [(1 - delta)/(1 + delta), 1].  The trace check and ``block_tol`` take
-    the lower end, which can only tighten each tolerance; the trace check
-    refuses a certificate whose interval is wider than UNIT_NORM_TOL.  No
-    SVD measures ||C|| either: ``block_tol`` takes the certified lower end
-    max sigma_1(X_n or Y_n) / (1 + delta_H), ``partial_sums[0].sum``, so the
-    report factors no m x m matrix.
+    ``unitarity_defect``, sigma_min(Q)^2 >= 1 - delta, so ||B|| >= (1 - delta)
+    max |b_i|, with max |b_i| = 1 up to one rounding, or 1/(1 + delta) after
+    the rescale.  The trace check and ``block_tol`` take this lower end,
+    which can only tighten each tolerance; the trace check refuses it if it
+    is not within UNIT_NORM_TOL of 1.  No SVD measures ||C|| either:
+    ``block_tol`` takes the certified lower end max sigma_1(X_n or Y_n) /
+    (1 + delta_H), ``partial_sums[0].sum``, so the report factors no m x m
+    matrix.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    cert = certificate
-    if cert is None:
-        points = gaussian_points(m)[_fisher_yates(np.random.default_rng(seed), m)]
-        cert = witness_factorization(points, seed=seed)
-    if cert.m != m:
-        raise ValueError(f"certificate is for m={cert.m}, expected {m}")
-    norm_b = cert.op_norm_b
-    b_unit = cert.b / norm_b
-    c_scaled = cert.c * norm_b
-
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     e1 = np.zeros((m, 1), dtype=complex)
     e1[0, 0] = 1.0
     # [B, C] + I/m maps into span{e_1}, so words in B and C reorder modulo
@@ -459,21 +456,34 @@ def lower_bound_report(
     # B^n e_1 as the T-chain.  B is normal with a spread spectrum, so B^n e_1
     # keeps a large part outside V_(n-1); C^n e_1 collapses onto C's top singular
     # vectors, and a chain grown on it leaves T-block residuals near 1e-8 at m=256.
-    filt = build_filtration(c_scaled, b_unit, e1)
-
-    # the certified lower end of ||B / op_norm_b||, whose upper end is 1
-    delta = cert.unitarity_defect
-    norm_b_unit = (1.0 - delta) / (1.0 + delta)
-    trace_records = verify_trace_inequality(filt, norm_b_unit)
+    if certificate is None:
+        points = gaussian_points(m)[_fisher_yates(np.random.default_rng(seed), m)]
+        scale = float(np.max(np.abs(points)))
+        unit = points / scale
+        cert = witness_factorization(unit, seed=seed)
+        # the certified lower end of ||B||, whose upper end is op_norm_b
+        norm_b = (1.0 - cert.unitarity_defect) * float(np.max(np.abs(unit)))
+        filt = build_filtration(cert.c, cert.b, e1)
+        trace_records = _trace_records(filt, norm_b, cert.residual, cert.hs_norm_c)
+    else:
+        cert = certificate
+        if cert.m != m:
+            raise ValueError(f"certificate is for m={cert.m}, expected {m}")
+        scale = cert.op_norm_b
+        filt = build_filtration(cert.c * scale, cert.b / scale, e1)
+        # the certified lower end of ||B / op_norm_b||, whose upper end is 1
+        delta = cert.unitarity_defect
+        norm_b = (1.0 - delta) / (1.0 + delta)
+        trace_records = verify_trace_inequality(filt, norm_b)
     res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt)
-    hs_lower = verify_hs_lower_bound(filt, trace_records, norm_b_unit)
+    hs_lower = verify_hs_lower_bound(filt, trace_records, norm_b)
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
     return LowerBoundReport(
         m=m,
-        normalization=norm_b,
+        normalization=scale,
         trace_records=trace_records,
         partial_sums=psums,
         partial_sums_triangular=psums_triangular,
@@ -486,7 +496,7 @@ def lower_bound_report(
         dims_ok=dims_ok,
         filtration_complete=filt.complete(m),
         block_residual=max(filt.block_residual_s, filt.block_residual_t),
-        block_tol=STRUCTURE_TOL * (psums[0].sum + norm_b_unit),
+        block_tol=STRUCTURE_TOL * (psums[0].sum + norm_b),
         invariance_residual=filt.invariance_residual,
         certificate=cert,
         basis_defect=basis_defect,

@@ -340,6 +340,20 @@ def test_seeded_command_defaults_to_seed_0(tmp_path, capsys, argv, seed):
     assert default.read_bytes() == given.read_bytes()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["factor", "A.txt", "--out-dir", "out"], ["--seed", "-1"]),
+    (["lowerbound", "-m", "4"], ["--seed", "-1"]),
+    (["sweep", "--m", "4", "--out", "s.csv"], ["--seeds", "0", "-2"]),
+], ids=["factor", "lowerbound", "sweep"])
+def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # refused while parsing: no input is read and nothing is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, *flag)
+    assert code == 2 and out == ""
+    assert f"argument {flag[0]}: seed must be >= 0, got {flag[-1]}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Every option of every subcommand, in declaration order (help excluded).  A new
 # flag is a new knob to document and test, so adding one means editing this table.
 OPTIONS = {

@@ -113,6 +113,14 @@ class TestFactor:
         with pytest.raises(np.linalg.LinAlgError, match="finite"):
             factor(random_trace_zero(rng, 4), trials=3)
 
+    def test_negative_seed_refused_before_the_reduction(self, rng, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("factor reduced A before refusing its seed")
+
+        monkeypatch.setattr(traceless.factorizer, "zero_diagonal_reduce", unreachable)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            factor(random_trace_zero(rng, 4), trials=2, seed=-1)
+
     def test_m1(self):
         cert = factor(np.zeros((1, 1)), trials=1)
         assert cert.valid and cert.ratio == 0.0 and cert.residual == 0.0

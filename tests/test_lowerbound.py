@@ -241,7 +241,7 @@ class TestPartialSums:
 
     def test_triangular_records(self):
         cert = factor(extremal_matrix(16), trials=16, seed=0)
-        _, triangular = verify_partial_sums(report_filtration(cert))
+        _, triangular = verify_partial_sums(report_filtration(cert, rescaled=True))
         ls = [r.l for r in triangular]
         assert ls == [1, 3, 6]  # (k+1)(k+2)/2 for (k+1)(k+2) <= 16
         assert all(r.passed for r in triangular)
@@ -260,7 +260,7 @@ def test_certified_partial_sums_are_lower_bounds(m):
     # least 0.6 of them (0.603 at m = 4; m = 2 keeps 0.5 at l = 2, see the hand values)
     report = lower_bound_report(m, seed=0)
     assert report.all_strict_passed
-    certified, exact = certified_and_exact_sums(report_filtration(report.certificate))
+    certified, exact = certified_and_exact_sums(report_filtration(report.certificate, rescaled=False))
     assert [r.sum for r in report.partial_sums] == certified.tolist()
     assert len(certified) == m and np.all(certified <= exact)
     if m >= 4:
@@ -279,14 +279,29 @@ def test_certified_partial_sums_bound_any_generator(rng, pair):
     assert certified[-1] > 0.0 and np.all(certified <= exact)
 
 
-def report_filtration(cert) -> traceless.Filtration:
-    """The filtration ``lower_bound_report`` builds from ``cert``: C, B rescaled by op_norm_b."""
+def unit_points(m: int, seed: int) -> np.ndarray:
+    """The eigenvalues of a default report's B: ``trial0_points`` over their largest modulus."""
+    points = trial0_points(m, seed)
+    return points / float(np.max(np.abs(points)))
+
+
+def report_filtration(cert, *, rescaled: bool) -> traceless.Filtration:
+    """The filtration ``lower_bound_report`` builds from ``cert``.
+
+    A default report builds it from its certificate's own C and B, a
+    ``certificate=`` report from C and B rescaled by op_norm_b (``rescaled``).
+    """
+    if not rescaled:
+        return build_filtration(cert.c, cert.b, seed_vector(cert.m))
     return build_filtration(cert.c * cert.op_norm_b, cert.b / cert.op_norm_b, seed_vector(cert.m))
 
 
-def certified_lower_norm_b(cert) -> float:
+def certified_lower_norm_b(cert, *, rescaled: bool) -> float:
+    """The report's certified lower end of ||B||: (1 - delta) max |b_i|, or its rescale by op_norm_b."""
     delta = cert.unitarity_defect
-    return (1.0 - delta) / (1.0 + delta)
+    if rescaled:
+        return (1.0 - delta) / (1.0 + delta)
+    return (1.0 - delta) * float(np.max(np.abs(unit_points(cert.m, cert.seed))))
 
 
 class TestHsLowerBound:
@@ -311,8 +326,8 @@ class TestHsLowerBound:
     def test_halved_rhs_fails(self):
         report = lower_bound_report(4, certificate=factor(extremal_matrix(4), trials=8, seed=0))
         assert report.all_strict_passed
-        filt = report_filtration(report.certificate)
-        norm_b = certified_lower_norm_b(report.certificate)
+        filt = report_filtration(report.certificate, rescaled=True)
+        norm_b = certified_lower_norm_b(report.certificate, rescaled=True)
         halved = [dataclasses.replace(r, rhs=r.rhs / 2.0) for r in report.trace_records]
         rec = verify_hs_lower_bound(filt, halved, norm_b)
         assert rec.rhs_sum < rec.quarter_log_sum and not rec.passed
@@ -321,8 +336,8 @@ class TestHsLowerBound:
 
     def test_reads_only_numbers_already_formed(self, monkeypatch):
         cert = factor(extremal_matrix(16), trials=8, seed=0)
-        filt = report_filtration(cert)
-        records = verify_trace_inequality(filt, certified_lower_norm_b(cert))
+        filt = report_filtration(cert, rescaled=True)
+        records = verify_trace_inequality(filt, certified_lower_norm_b(cert, rescaled=True))
         filt.basis_defect  # cached, as the report's isometry bounds leave it
 
         def unreachable(*args, **kwargs):
@@ -330,7 +345,7 @@ class TestHsLowerBound:
 
         monkeypatch.setattr(traceless.lowerbound, "commutator", unreachable)
         monkeypatch.setattr(np.linalg, "svd", unreachable)
-        assert verify_hs_lower_bound(filt, records, certified_lower_norm_b(cert)).passed
+        assert verify_hs_lower_bound(filt, records, certified_lower_norm_b(cert, rescaled=True)).passed
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 16, 33, 64, 100, 128, 256, 512])
@@ -364,6 +379,14 @@ class TestLowerBoundReport:
     def test_rejects_m1(self):
         with pytest.raises(ValueError):
             lower_bound_report(1)
+
+    def test_negative_seed_refused_before_the_points(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the report drew its points before refusing its seed")
+
+        monkeypatch.setattr(traceless.lowerbound, "gaussian_points", unreachable)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            lower_bound_report(8, seed=-1)
 
     def test_existing_certificate_path(self):
         cert = factor(extremal_matrix(4), trials=8, seed=5)
@@ -405,12 +428,12 @@ def test_operator_norm_calls_per_report(monkeypatch):
 
 @pytest.mark.parametrize("m, seed", [(64, 0), (256, 3)])
 def test_block_tol_takes_the_certified_lower_end(m, seed):
-    # block_tol uses (1 - delta)/(1 + delta) for ||B / op_norm_b|| and the
-    # certified partial sum at l = 1 for ||C||, each at most the measured norm,
+    # block_tol uses (1 - delta) max |b_i| for ||B|| and the certified partial
+    # sum at l = 1 for ||C||, each at most the measured norm,
     # so the tolerance is no looser than a measured one
     report = lower_bound_report(m, seed=seed)
-    lower = certified_lower_norm_b(report.certificate)
-    filt = report_filtration(report.certificate)
+    lower = certified_lower_norm_b(report.certificate, rescaled=False)
+    filt = report_filtration(report.certificate, rescaled=False)
     norm_c = report.partial_sums[0].sum
     assert report.block_tol == STRUCTURE_TOL * (norm_c + lower)
     assert norm_c <= operator_norm(filt.s)
@@ -456,9 +479,41 @@ def test_commutator_calls_per_report(monkeypatch):
         monkeypatch.setattr(mod, "commutator", counted)
     report = lower_bound_report(64, seed=0)
     assert report.all_strict_passed
-    # the certificate's residual and the trace check's witness test; the
-    # log-level chain reads the trace records and the filtration
-    assert calls == [(64, 64)] * 2
+    # the certificate's residual, which the trace check's witness test reads;
+    # the log-level chain reads the trace records and the filtration
+    assert calls == [(64, 64)]
+
+
+def test_default_report_refuses_a_wrong_c(monkeypatch):
+    # the witness test reads the certificate's residual, so a C that does not
+    # reproduce the witness is refused without a second commutator; in the DFT
+    # frame [diag(z), E_01] = (z_0 - z_1) E_01 is nonzero
+    orig = traceless.lowerbound.c_from_b
+    monkeypatch.setattr(traceless.lowerbound, "c_from_b", lambda *args: orig(*args) + 0.1 * np.eye(16, k=1))
+    with pytest.raises(ValueError, match="reproduce the witness"):
+        lower_bound_report(16, seed=0)
+
+
+@pytest.mark.parametrize("m, seed", [(2, 0), (16, 1), (100, 2), (256, 0)])
+def test_default_report_is_the_witness_at_unit_scale(m, seed):
+    # the points are divided by their largest modulus beta = normalization, so
+    # max |b_i| is 1 to one rounding and the pair is factor's first trial with
+    # B divided and C multiplied by beta
+    report = lower_bound_report(m, seed=seed)
+    cert, points = report.certificate, trial0_points(m, seed)
+    beta = float(np.max(np.abs(points)))
+    assert report.normalization == beta
+    peak = float(np.max(np.abs(unit_points(m, seed))))
+    assert abs(peak - 1.0) <= np.finfo(np.float64).eps
+    assert cert.op_norm_b == (1.0 + cert.unitarity_defect) * peak
+    ref = factor(extremal_matrix(m), trials=1, seed=seed)
+    for mine, theirs in ((cert.b * beta, ref.b), (cert.c / beta, ref.c)):
+        assert hs_norm(mine - theirs) <= 1e-14 * hs_norm(theirs)
+    # the guard's witness test would measure the certificate's own numbers
+    filt = report_filtration(cert, rescaled=False)
+    assert hs_norm(extremal_matrix(m) - commutator(filt.t, filt.s)) == cert.residual
+    assert hs_norm(filt.s) == cert.hs_norm_c
+    assert verify_trace_inequality(filt, certified_lower_norm_b(cert, rescaled=False)) == report.trace_records
 
 
 @pytest.mark.parametrize("m", [16, 64])
@@ -610,7 +665,7 @@ def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
     # build, so they are those of a fresh filtration of (C, B) bit for bit, and
     # C's own spectrum is never taken
     cert = factor(extremal_matrix(64), trials=8, seed=0)
-    direct = verify_partial_sums(report_filtration(cert))
+    direct = verify_partial_sums(report_filtration(cert, rescaled=True))
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the report took the spectrum of C")
@@ -646,9 +701,7 @@ def test_single_block_gives_zero_isometries():
 def test_isometry_norm_bounds_are_tight_upper_bounds(m):
     report = lower_bound_report(m, trials=8, seed=0)
     assert report.all_strict_passed
-    cert = report.certificate
-    c = cert.c * cert.op_norm_b
-    filt = build_filtration(c, cert.b / cert.op_norm_b, seed_vector(m))  # the report's order
+    filt = report_filtration(report.certificate, rescaled=False)
     assert isometry_norm_bounds(filt) == (report.v_norm, report.w_norm, report.basis_defect)
     assert report.basis_defect <= 1e-12
     eps = np.finfo(np.float64).eps
