@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 CHUNK = 1 << 18  # bytes of whole lines parsed per numpy pass
-Q_MAX = 27  # 10**q is a double-double table entry for |q| <= Q_MAX, exact for q >= 0
+Q_MAX = 275  # 10**q is a double-double table entry for |q| <= Q_MAX; matio's proof needs every term normal
 D_MAX = 10**18  # mantissas below this are exact int64 parses, and exact as a double-double
 
 _ALPHABET = b"0123456789.-+e, \n"
@@ -28,7 +28,7 @@ class _Tables(NamedTuple):
     klass: np.ndarray  # [byte]: the class of a non-digit byte of the alphabet
     allowed: np.ndarray  # [(prev * 5 + next) * 2 + adjacent]: may these non-digits follow each other in a token
     hi: np.ndarray  # [q + Q_MAX]: 10**q rounded to a double
-    lo: np.ndarray  # [q + Q_MAX]: 10**q - hi rounded to a double (zero error for q >= 0)
+    lo: np.ndarray  # [q + Q_MAX]: 10**q - hi rounded to a double (zero error for 0 <= q <= 45)
 
 
 def _split(x):
@@ -56,7 +56,7 @@ def _tables() -> _Tables:
     hi, lo = [], []
     for q in range(-Q_MAX, Q_MAX + 1):
         if q >= 0:
-            h = float(10**q)  # int -> float rounds correctly; the rest is exact in 10 bits
+            h = float(10**q)  # int -> float rounds correctly, and so does the rest
             rest = float(10**q - int(h))
         else:
             h = 1 / 10**-q  # int / int rounds correctly, and so does the rest

@@ -82,40 +82,65 @@ def _tables() -> _Tables:
     return tables
 
 
-def _decimal(ax: np.ndarray, t: _Tables):
-    """The 17 digits D and the exponent X that ``"%.17g" % x`` shows as D * 10**(X - 16), for ax = |x|.
+def _decimal(x: np.ndarray, t: _Tables):
+    """The 17 digits D and the exponent X that ``"%.17g" % x`` shows as D * 10**(X - 16), for each |x|.
 
-    Exact for 10**X_MIN <= ax < 10**17 and for ax = 0.  The other entries come
-    back flagged ``outside``, with the digits of 1.0.
+    Exact for 10**X_MIN <= |x| < 10**17 and for x = 0.  The other entries come
+    back flagged ``outside``, with the digits of 1.0.  The work arrays are
+    updated in place, so at most about nine arrays of len(x) are live at once.
+    Each ``take`` into a work array uses mode="clip", which numpy does not
+    buffer; every index is in range.
     """
+    ax = np.abs(x)
     frac, exp = np.frexp(ax)  # ax = mant * 2**(exp - 53)
     dec = ((exp - 1) * 78913) >> 18  # floor(log10(2**(exp - 1))) for |exp| < 1100 (as in Ryu)
     np.minimum(np.maximum(dec, X_MIN - 1, out=dec), 17, out=dec)
     dec += ax >= t.floor10.take(dec - X_MIN + 2)  # now floor(log10(ax)), exactly
     outside = (dec < X_MIN) | (dec > 16)
     dec[ax == 0] = 0
+    del ax
     if outside.any():  # computed as 1.0, then formatted by "%.17g"
         frac[outside], exp[outside], dec[outside] = 0.5, 1, 0
-    k = 16 - dec
-    mant = np.ldexp(frac, 53).astype(_U)
-    lo = mant & _U(2**_LIMB - 1)
-    hi = mant >> _U(_LIMB)
-    # floor(mant * 5**k / 2**s_k): the limb products summed from the least
-    # significant up, each carry the exact floor of everything below it
-    carry = below = _U(0)
-    for j in reversed(range(_LIMBS)):
-        limb = t.limbs[j].take(k)
-        carry = (lo * limb + hi * below + carry) >> _U(_LIMB)
-        below = limb
-    scaled = mant * t.head.take(k) + hi * below + carry
+    k = np.subtract(16, dec, dtype=np.intp)
+    mant = np.ldexp(frac, 53, out=frac).astype(_U)
+    del frac
     # 2 * ax * 10**k = mant * 5**k / 2**half, and 1 <= half - s_k <= 5
     half = 52 - exp - k
-    twice = scaled >> (half - t.shift.take(k)).astype(_U)
-    digits = twice >> _U(1)
+    del exp
     # the half bit is set and nothing lies below it iff the lowest set bit of
     # mant * 5**k, which is that of mant, is bit `half`: then round to even
-    tie = (mant & (~mant + _U(1))).astype(float) == np.ldexp(1.0, half)
-    digits += twice & (digits | ~tie) & _U(1)
+    low = np.invert(mant)
+    low += _U(1)
+    low &= mant
+    tie = low.astype(float) == np.ldexp(1.0, half)
+    del low
+    half -= t.shift.take(k)
+    # floor(mant * 5**k / 2**s_k): the limb products summed from the least
+    # significant up, each carry the exact floor of everything below it
+    hi = mant >> _U(_LIMB)
+    acc, limb = np.empty_like(mant), np.empty_like(mant)
+    carry, below = np.zeros_like(mant), np.zeros_like(mant)
+    for j in reversed(range(_LIMBS)):
+        t.limbs[j].take(k, out=limb, mode="clip")
+        np.bitwise_and(mant, _U(2**_LIMB - 1), out=acc)
+        acc *= limb
+        below *= hi
+        acc += below
+        acc += carry
+        np.right_shift(acc, _U(_LIMB), out=carry)
+        limb, below = below, limb
+    t.head.take(k, out=acc, mode="clip")
+    del k, limb
+    acc *= mant
+    below *= hi
+    acc += below
+    acc += carry  # mant * 5**k / 2**s_k, floored
+    del mant, hi, below, carry
+    acc >>= half.astype(_U)  # twice the digits, floored
+    digits = acc >> _U(1)
+    acc &= digits | ~tie
+    acc &= _U(1)
+    digits += acc
     over = digits == _U(10**17)
     if over.any():
         digits[over] = 10**16
@@ -123,31 +148,78 @@ def _decimal(ax: np.ndarray, t: _Tables):
     return digits, dec, outside
 
 
+def _place(word, moved, layout, t: _Tables, j: int, tmp) -> None:
+    """Word j of every slot, in place of ``word``, which holds word j of the digits a.
+
+    The slot keeps a where mask_a allows, ``moved`` (b, a moved one byte
+    up) where mask_b does, and the fixed characters; ``moved`` and ``tmp``
+    are overwritten.
+    """
+    t.mask_b[:, j].take(layout, out=tmp, mode="clip")
+    tmp &= moved
+    t.mask_a[:, j].take(layout, out=moved, mode="clip")
+    word &= moved
+    word |= tmp
+    t.chars[:, j].take(layout, out=tmp, mode="clip")
+    word |= tmp
+
+
 def chunk_text(x: np.ndarray, start: int, cols: int) -> bytes:
-    """The ASCII text of x, the floats start.. (start even) of the matrix's float view, each with its separator."""
+    """The ASCII text of x, the floats start.. (start even) of the matrix's float view, each with its separator.
+
+    The slots are filled one 8-byte word at a time, from the last word down,
+    each from the words still holding the digits, and every work array is
+    updated in place: with ``_decimal``, a chunk peaks near 70 bytes a float.
+    """
     t = _tables()
-    digits, dec, outside = _decimal(np.abs(x), t)
-    lead, rest = np.divmod(digits.view(np.int64), 10**16)
-    # d1..d16 as two words of eight ASCII digits; the last nonzero digit is
-    # the highest byte of the words XOR "0" that is not zero
-    d1, d9 = (t.quads.take(q) | t.quads.take(r) << 32
-              for q, r in (np.divmod(part, 10**4) for part in np.divmod(rest, 10**8)))
-    zeros = int.from_bytes(b"0" * 8, "little")
-    last = ((np.frexp(np.ldexp((d9 ^ zeros).astype(float), 64) + (d1 ^ zeros))[1] - 1) >> 3) + 1
-    a = np.zeros((len(x), _SLOT // 8), dtype=_U)
-    a[:, 0] = (lead + 48) << 56
-    a[:, 1] = d1
-    a[:, 2] = d9
-    layout = (dec - X_MIN) * 17 + last
-    out = t.mask_a.take(layout, axis=0)
-    out &= a
-    b = np.zeros_like(a)  # a moved one byte up, for the digits after the point
-    b.view(np.uint8).ravel()[1:] = a.view(np.uint8).ravel()[:-1]
-    b &= t.mask_b.take(layout, axis=0)
-    out |= b
-    out |= t.chars.take(layout, axis=0)
-    del a, b
-    text = out.view(np.uint8)
+    digits, dec, outside = _decimal(x, t)
+    slots = np.empty((len(x), _SLOT // 8), dtype=_U)
+    lead, d1, d9 = slots[:, 0], slots[:, 1], slots[:, 2]
+    np.divmod(digits, _U(10**16), out=(lead, digits))
+    np.divmod(digits, _U(10**8), out=(d1, d9))
+    del digits
+    # d1..d16 as two words of eight ASCII digits
+    for part in (d1, d9):
+        q, r = np.divmod(part, _U(10**4))
+        t.quads.take(r, out=part, mode="clip")
+        part <<= _U(32)
+        t.quads.take(q, out=r, mode="clip")
+        part |= r
+    del part, q, r
+    # the last nonzero digit is the highest byte of the words XOR "0" that is not zero
+    zeros = _U(int.from_bytes(b"0" * 8, "little"))
+    word = d9 ^ zeros
+    high = np.ldexp(word.astype(float), 64)
+    np.bitwise_xor(d1, zeros, out=word)
+    high += word
+    last = np.frexp(high)[1]
+    del high
+    last -= 1
+    last >>= 3
+    last += 1
+    layout = np.multiply(dec - X_MIN, 17, dtype=np.intp)
+    layout += last
+    del dec, last
+    lead += _U(48)
+    tmp = word
+    del word
+    # the digits a are the words lead << 56, d1, d9, 0, and b, a moved one byte
+    # up, is 0, d1 << 8 | lead, d9 << 8 | d1 >> 56, d9 >> 56: word j of b reads
+    # words j and j - 1 of a, so the words are placed from the last down
+    slots[:, 3] = 0
+    moved = np.right_shift(d9, _U(56))
+    _place(slots[:, 3], moved, layout, t, 3, tmp)
+    np.left_shift(d9, _U(8), out=moved)
+    moved |= d1 >> _U(56)
+    _place(d9, moved, layout, t, 2, tmp)
+    np.left_shift(d1, _U(8), out=moved)
+    moved |= lead
+    _place(d1, moved, layout, t, 1, tmp)
+    lead <<= _U(56)
+    moved[:] = 0
+    _place(lead, moved, layout, t, 0, tmp)
+    del tmp, moved, layout
+    text = slots.view(np.uint8)
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     text[0::2, _SEP] = ord(",")
     text[1::2, _SEP] = ord(" ")
@@ -156,4 +228,6 @@ def chunk_text(x: np.ndarray, start: int, cols: int) -> bytes:
     if outside.any():  # NUL-padded like the rest of the slot
         strings = np.array([b"%.17g" % v for v in x[outside].tolist()], dtype=f"S{_SEP}")
         text[outside, :_SEP] = strings.view(np.uint8).reshape(-1, _SEP)
-    return text.tobytes().translate(None, b"\0")
+    raw = text.tobytes()
+    del text, slots, lead, d1, d9
+    return raw.translate(None, b"\0")

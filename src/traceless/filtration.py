@@ -47,7 +47,8 @@ class Filtration:
     block_residual_s: float
     block_residual_t: float
     invariance_residual: float
-    # read-only copies of those S and T, so that changing the caller's arrays changes nothing here
+    # read-only copies of those S and T (T 1-d if given as a diagonal), so that changing the
+    # caller's arrays changes nothing here
     s: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
     # read-only view of the blocks side by side
@@ -67,7 +68,13 @@ class Filtration:
 
     @cached_property
     def norm_t(self) -> float:
-        """||T||, measured by one SVD on first use; the build itself never needs it."""
+        """||T||, measured on first use; the build itself never needs it.
+
+        A matrix T takes one SVD.  A 1-d T is diag(T), whose norm is its
+        largest modulus.
+        """
+        if self.t.ndim == 1:
+            return float(np.max(np.abs(self.t)))
         return operator_norm(self.t)
 
     @property
@@ -155,11 +162,36 @@ def _compression_residuals(basis, starts, image) -> tuple[float, float, np.ndarr
     if len(starts) > 2:
         parts = comp.view(float)  # real and imaginary parts side by side
         exp = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
-        parts = np.square(np.ldexp(parts, -exp))
+        parts = np.ldexp(parts, -exp)
+        np.square(parts, out=parts)
         sq = np.add.reduceat(np.add.reduceat(parts, starts, axis=0), 2 * np.asarray(starts), axis=1)
         block_res = float(np.ldexp(np.sqrt(np.max(sq[np.tril_indices(len(starts), -2)])), exp))
     outside = 0.0 if basis.shape[1] == basis.shape[0] else hs_norm(image - basis @ comp)
     return block_res, outside, comp
+
+
+def _far_block_residual(basis, starts, image) -> float:
+    """``_compression_residuals``' first residual, from the blocks it reads alone.
+
+    Block column j of G is needed only from block row j + 2 on, so the
+    product is taken one block column at a time, about half the flops of
+    the whole G.  Each panel is formed as (op B_j)* basis, the adjoint of
+    those blocks, which has the same moduli.  The power of two that scales
+    the squares is taken over all panels, so a power-of-two scale of op
+    still scales the residual by the same power, bit for bit.
+    """
+    ends = starts[1:] + [basis.shape[1]]
+    panels = [image[:, lo:hi].conj().T @ basis[:, far:] for lo, hi, far in zip(starts, ends, starts[2:])]
+    if not panels:
+        return 0.0
+    exp = int(np.frexp(max(float(np.max(np.abs(panel.view(float)))) for panel in panels))[1])
+    largest = 0.0
+    for k, panel in enumerate(panels):
+        parts = np.ldexp(panel.view(float), -exp)
+        np.square(parts, out=parts)
+        rows = 2 * (np.asarray(starts[k + 2:]) - starts[k + 2])  # block rows k + 2, ... in the float view
+        largest = max(largest, float(np.max(np.add.reduceat(parts.sum(axis=0), rows))))
+    return float(np.ldexp(np.sqrt(largest), exp))
 
 
 def _spans(dims) -> list[slice]:
@@ -175,10 +207,14 @@ def _chain_compression(basis, dims, image_s, image_t):
     ``image_s``, ``image_t`` are S basis and T basis.  G_S is kept whole:
     block (n+1, n) is X_n = B_{n+1}* S B_n, block (n, n+1) is the adjoint of
     Y_n = B_{n+1}* S* B_n, and the partial-isometry residuals read the bands
-    beyond.  Of T only the residuals are kept.
+    beyond.  Of T only the residuals are kept, so when the span is
+    everything, where T basis has no part outside it, only the blocks of
+    G_T that the block residual reads are formed.
     """
     starts = [span.start for span in _spans(dims)]
     res_s, out_s, comp = _compression_residuals(basis, starts, image_s)
+    if basis.shape[1] == basis.shape[0]:
+        return res_s, _far_block_residual(basis, starts, image_t), out_s, comp
     res_t, out_t, _ = _compression_residuals(basis, starts, image_t)
     return res_s, res_t, out_s + out_t, comp
 
@@ -203,6 +239,10 @@ def build_filtration(s, t, m_basis) -> Filtration:
     build stops when a degree adds nothing, the span is complete, or the
     degree cap 2m is reached.
 
+    A 1-d ``t`` is read as diag(t), and ``Filtration.t`` keeps it 1-d: the
+    T-chain and T basis are then row scalings, and the build applies T by
+    no m x m product.
+
     Accepted directions are written into one preallocated m x m buffer, so
     the blocks are adjacent column ranges of it (``basis``) and nothing is
     re-stacked.  Each block's image S H_n goes into a second one as the
@@ -213,8 +253,9 @@ def build_filtration(s, t, m_basis) -> Filtration:
     partial sums.
     """
     s = as_matrix(s, square=True)
-    t = as_matrix(t, square=True)
-    if s.shape != t.shape:
+    diagonal = np.ndim(t) == 1
+    t = as_matrix(np.reshape(t, (1, -1)))[0] if diagonal else as_matrix(t, square=True)
+    if t.shape[0] != s.shape[0]:
         raise ValueError(f"dimension mismatch: {s.shape} vs {t.shape}")
     m = s.shape[0]
     mb = as_matrix(m_basis)
@@ -241,7 +282,7 @@ def build_filtration(s, t, m_basis) -> Filtration:
         if nb >= m:
             break
         basis = buf[:, :nb]
-        t_chain = t @ t_chain
+        t_chain = t[:, None] * t_chain if diagonal else t @ t_chain
         # each column times the power of two that brings its largest modulus into
         # [0.5, 1) (a float view interleaves real and imaginary parts): exact, so
         # no square in its norm under- or overflows, and the unit column below is
@@ -281,7 +322,8 @@ def build_filtration(s, t, m_basis) -> Filtration:
         dims.append(na)
 
     basis = buf[:, :nb]
-    res_s, res_t, inv_res, comp = _chain_compression(basis, dims, img[:, :nb], t @ basis)
+    res_s, res_t, inv_res, comp = _chain_compression(
+        basis, dims, img[:, :nb], t[:, None] * basis if diagonal else t @ basis)
     s, t = s.copy(), t.copy()
     s.flags.writeable = t.flags.writeable = basis.flags.writeable = comp.flags.writeable = False
     return Filtration(
@@ -340,8 +382,11 @@ def verify_filtration_structure(filt: Filtration) -> StructureReport:
     Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
     and invariance of the chain's total span under both operators; their
     residuals and the norms behind the tolerances are the build's own.
+    A filtration built from a 1-d T is checked with T = diag(T).
     """
     s, t, mb = filt.s, filt.t, filt.blocks[0]
+    if t.ndim == 1:
+        t = np.diag(t)
     m = s.shape[0]
     hyp_op = s @ t - t @ s
     if filt.dim_m < m:

@@ -60,23 +60,35 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def _root_sum_squares(parts: np.ndarray) -> float:
+    """sqrt of the sum of squares of a contiguous float array, summed in a fixed order.
+
+    numpy's einsum runs on one thread, in an order set by the length alone;
+    ``np.linalg.norm`` sums with BLAS dot products, whose order depends on
+    the BLAS thread count.
+    """
+    return math.sqrt(float(np.einsum("i,i->", parts, parts)))
+
+
 def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of |entry|^2.
 
-    The squares under- or overflow for entries beyond about 1e+-154; such
-    matrices are first scaled by the power of two that brings their largest
-    modulus into [0.5, 1).  That scaling is exact, so hs_norm(2^k M) is
-    2^k hs_norm(M) bit for bit wherever neither result is subnormal.
+    The real and imaginary parts are squared and summed in a fixed order,
+    so the result does not depend on the BLAS thread count.  The squares
+    under- or overflow for entries beyond about 1e+-154; such matrices are
+    first scaled by the power of two that brings their largest modulus into
+    [0.5, 1).  That scaling is exact, so hs_norm(2^k M) is 2^k hs_norm(M)
+    bit for bit wherever neither result is subnormal.
     """
     m = as_matrix(m)
+    parts = m.ravel(order="K").view(float)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
+        norm = _root_sum_squares(parts)
         if norm < 1e-150 or norm == math.inf:
             peak = float(np.max(np.abs(m), initial=0.0))
             if peak > 0.0:
                 exp = int(np.frexp(peak)[1])
-                unit = np.ldexp(np.ascontiguousarray(m).view(float), -exp).view(complex)
-                norm = float(np.ldexp(np.linalg.norm(unit), exp))
+                norm = float(np.ldexp(_root_sum_squares(np.ldexp(parts, -exp)), exp))
     return norm
 
 

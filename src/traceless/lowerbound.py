@@ -87,16 +87,36 @@ def witness_factorization(points, seed: int = 0) -> FactorizationCertificate:
     seed=s)`` up to rounding.
     """
     z = np.asarray(points, dtype=complex).ravel()
+    return _witness_certificate(z, _witness_ctilde(z), seed)
+
+
+def _witness_ctilde(z: np.ndarray) -> np.ndarray:
+    """C-tilde = c_from_b((J - I)/m, z): the witness's C in the eigenframe of B = F diag(z) F*."""
     m = len(z)
-    a = extremal_matrix(m)
     atilde = np.full((m, m), 1.0 / m)
     np.fill_diagonal(atilde, 0.0)
-    ctilde = c_from_b(atilde, z)
+    return c_from_b(atilde, z)
+
+
+def _witness_certificate(z: np.ndarray, ctilde: np.ndarray, seed: int) -> FactorizationCertificate:
+    """``witness_factorization`` of the points z, given their C-tilde."""
+    m = len(z)
     idx = np.arange(m)
     b = (np.fft.fft(z) / m)[(idx[:, None] - idx[None, :]) % m]  # B[j, k] = fft(z)[j - k] / m
     c = np.fft.ifft(np.fft.fft(ctilde, axis=0, norm="ortho"), axis=1, norm="ortho")
     f = np.fft.fft(np.eye(m), norm="ortho")
-    return certified_factorization(a, b, c, f, z, seed=seed, trials=1)
+    return certified_factorization(extremal_matrix(m), b, c, f, z, seed=seed, trials=1)
+
+
+def _eigenframe_residual(z: np.ndarray, ctilde: np.ndarray) -> float:
+    """||(J - I)/m - [diag(z), C-tilde]||_2, entrywise: [diag(z), C-tilde]_ij = (z_i - z_j) c_ij.
+
+    Both matrices have a zero diagonal, exactly, whatever the diagonal of C-tilde.
+    """
+    res = (z[:, None] - z[None, :]) * ctilde
+    np.subtract(1.0 / len(z), res, out=res)
+    np.fill_diagonal(res, 0.0)
+    return hs_norm(res)
 
 
 def _triangular(n: int) -> int:
@@ -143,8 +163,12 @@ def verify_trace_inequality(filt: Filtration, norm_b: float) -> list[TraceIneqRe
     dimensions, and the rhs at degree n is sum sigma(X_n) + sum sigma(Y_n)
     from the boundary-block SVDs shared with the partial isometries.
     Degrees past the last block use an empty block, so an exhausted
-    filtration yields lhs <= 0 and the record passes trivially.
+    filtration yields lhs <= 0 and the record passes trivially.  A 1-d T
+    (a diagonal, for a chain run in B's eigenframe) is refused, as the
+    witness is measured in the frame of e_1.
     """
+    if filt.t.ndim != 2:
+        raise ValueError("the trace check measures [B, C] against P - I/m: B must be a matrix, not a diagonal")
     residual = hs_norm(extremal_matrix(filt.s.shape[0]) - commutator(filt.t, filt.s))
     return _trace_records(filt, norm_b, residual, hs_norm(filt.s))
 
@@ -425,51 +449,62 @@ def lower_bound_report(
     The factorization is ``witness_factorization`` of the lattice points in
     the order that ``factor``'s first trial at ``seed`` draws, over their
     largest modulus beta (``normalization``): ``factor(extremal_matrix(m),
-    trials=1, seed=seed)`` up to rounding and the scale beta.  ``trials``
-    has no effect, as every order of the points gives the same ||C||_2.
-    The filtration is built from the certificate's own (C, B), seeded at
-    span{e_1} = range(A + I/m), and the trace check's witness test reads
-    the certificate's residual and ||C||_2, so [B, C] is formed once.  A
-    ``certificate`` passed in is verified instead, rescaled by its
-    op_norm_b = (1 + delta) max |b_i| (C absorbs the factor), and the trace
-    check measures its [B, C], as it may be for another matrix.
+    trials=1, seed=seed)`` up to rounding and the scale beta.  It is the
+    report's ``certificate``; ``trials`` has no effect, as every order of
+    the points gives the same ||C||_2.
 
-    No SVD measures ||B||: with delta = ||Q*Q - I||_2 the certificate's
-    ``unitarity_defect``, sigma_min(Q)^2 >= 1 - delta, so ||B|| >= (1 - delta)
-    max |b_i|, with max |b_i| = 1 up to one rounding, or 1/(1 + delta) after
-    the rescale.  The trace check and ``block_tol`` take this lower end,
-    which can only tighten each tolerance; the trace check refuses it if it
-    is not within UNIT_NORM_TOL of 1.  No SVD measures ||C|| either:
-    ``block_tol`` takes the certified lower end max sigma_1(X_n or Y_n) /
-    (1 + delta_H), ``partial_sums[0].sum``, so the report factors no m x m
-    matrix.
+    Every number the chain checks is unitarily invariant, so the chain runs
+    in B's eigenframe: F* (B, C) F = (D, C-tilde) with D = diag(z), z the
+    unit points, C-tilde the certificate's own (formed once), and F* e_1 =
+    1/sqrt(m), the all-ones vector over sqrt(m).  The filtration is built
+    from (C-tilde, z) seeded there, so T = D is a row scaling and the
+    build applies it by no m x m product.  The trace check's witness test
+    measures ||(J - I)/m - [D, C-tilde]||_2 entrywise, and no commutator
+    is formed beyond the certificate's.  No SVD measures ||B||: ||B|| =
+    ||D|| = max |z_i| exactly, and numpy's complex abs (hypot) is within
+    one ulp, so the computed peak p = max |z_i| has ||D|| >= (1 - 2^-52) p;
+    the trace check and ``block_tol`` take (1 - 2^-51) p, whose rounding
+    keeps it below that, which can only tighten each tolerance.  No SVD
+    measures ||C|| either: ``block_tol`` takes the certified lower end
+    max sigma_1(X_n or Y_n) / (1 + delta_H), ``partial_sums[0].sum``, so
+    the report factors no m x m matrix.
+
+    A ``certificate`` passed in is verified in its own frame instead,
+    seeded at span{e_1} = range(A + I/m) and rescaled by its op_norm_b =
+    (1 + delta) max |b_i| (C absorbs the factor), with delta = ||Q*Q - I||_2
+    its ``unitarity_defect``.  As sigma_min(Q)^2 >= 1 - delta, the rescaled
+    ||B|| is at least (1 - delta)/(1 + delta), the lower end the trace check
+    and ``block_tol`` take; the trace check measures its [B, C], as it may
+    be for another matrix, and refuses a lower end not within UNIT_NORM_TOL
+    of 1.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    e1 = np.zeros((m, 1), dtype=complex)
-    e1[0, 0] = 1.0
-    # [B, C] + I/m maps into span{e_1}, so words in B and C reorder modulo
-    # lower degrees and span{B^k C^l e_1} = span{C^k B^l e_1}: the chain may be
-    # built with C in the S slot, C applied to each newest orthonormal block and
-    # B^n e_1 as the T-chain.  B is normal with a spread spectrum, so B^n e_1
-    # keeps a large part outside V_(n-1); C^n e_1 collapses onto C's top singular
-    # vectors, and a chain grown on it leaves T-block residuals near 1e-8 at m=256.
+    # [B, C] + I/m maps into the seed's span, so words in B and C reorder modulo
+    # lower degrees and span{B^k C^l M} = span{C^k B^l M}: the chain may be built
+    # with C in the S slot, C applied to each newest orthonormal block and B^n M
+    # as the T-chain.  B is normal with a spread spectrum, so B^n M keeps a large
+    # part outside V_(n-1); C^n M collapses onto C's top singular vectors, and a
+    # chain grown on it leaves T-block residuals near 1e-8 at m=256.
     if certificate is None:
         points = gaussian_points(m)[_fisher_yates(np.random.default_rng(seed), m)]
         scale = float(np.max(np.abs(points)))
         unit = points / scale
-        cert = witness_factorization(unit, seed=seed)
-        # the certified lower end of ||B||, whose upper end is op_norm_b
-        norm_b = (1.0 - cert.unitarity_defect) * float(np.max(np.abs(unit)))
-        filt = build_filtration(cert.c, cert.b, e1)
-        trace_records = _trace_records(filt, norm_b, cert.residual, cert.hs_norm_c)
+        ctilde = _witness_ctilde(unit)
+        cert = _witness_certificate(unit, ctilde, seed)
+        filt = build_filtration(ctilde, unit, np.full((m, 1), 1.0 / math.sqrt(m), dtype=complex))
+        del ctilde  # filt.s is its read-only copy
+        norm_b = (1.0 - 2.0**-51) * float(np.max(np.abs(unit)))  # the lower end of ||D|| = max |z_i|
+        trace_records = _trace_records(filt, norm_b, _eigenframe_residual(unit, filt.s), hs_norm(filt.s))
     else:
         cert = certificate
         if cert.m != m:
             raise ValueError(f"certificate is for m={cert.m}, expected {m}")
         scale = cert.op_norm_b
+        e1 = np.zeros((m, 1), dtype=complex)
+        e1[0, 0] = 1.0
         filt = build_filtration(cert.c * scale, cert.b / scale, e1)
         # the certified lower end of ||B / op_norm_b||, whose upper end is 1
         delta = cert.unitarity_defect

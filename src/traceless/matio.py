@@ -45,15 +45,20 @@ points deleted) and exponent, and with f the digits after the point,
 x = D * 10**q, q = e - f; the sign comes from the token's first byte, so
 ``-0`` keeps it.
 
-For D < 10**18 and |q| <= 27 the kernel rounds x exactly.  D = dh + dl
-exactly (dh = double(D), |dl| <= u dh, u = 2**-53), and 10**q = th + tl
-from a table built with Python ints: exactly for q >= 0 (5**27 has 63
-bits), and for q < 0 with |10**q - th - tl| <= u**2 10**q (th and tl each
-rounded once).  Dekker's product gives p + pe = dh * th exactly; the cross
-terms dh * tl + dl * th (each below 1.01 u x) add at most 4.1 u**2 x of
-rounding, the dropped dl * tl and the table at most 2.1 u**2 x, and
-pl = pe + (cross terms) rounds by at most 3.1 u**2 x; D < 10**18 and
-|q| <= 27 keep every term normal and finite.  So the exact x lies within
+For D < 10**18 and |q| <= 275 (``_atod.Q_MAX``) the kernel rounds x
+exactly.  D = dh + dl exactly (dh = double(D), |dl| <= u dh, u = 2**-53),
+and 10**q = th + tl from a table built with Python ints, with
+|10**q - th - tl| <= u**2 10**q (th and tl each rounded once; exact for
+0 <= q <= 45, as 5**45 has 105 bits).  Dekker's product gives
+p + pe = dh * th exactly; the cross terms dh * tl + dl * th (each below
+1.01 u x) add at most 4.1 u**2 x of rounding, the dropped dl * tl and the
+table at most 2.1 u**2 x, and pl = pe + (cross terms) rounds by at most
+3.1 u**2 x.  Those bounds need every term normal and finite, and that is
+what bounds |q|.  With 1 <= D < 10**18 and |q| <= 275, x >= 10**-275 >
+2**-914, so u**2 x > 2**-1020 and 2**-100 s > 2**-1015 are normal, and
+each product of halves in Dekker's product, whose lowest bit is at least
+ulp(dh) ulp(th) >= 2**-1018, is exact; and x < 10**293, like the split
+th (2**27 + 1) < 10**284, is below 2**1023.  So the exact x lies within
 10 u**2 x < 2**-102 s of s + r, where s = p + pl rounded and r its exact
 remainder (Fast2Sum).  x rounds to s when |r| + 2**-102 s is below half
 the gap to s's neighbour on r's side: ulp(s) / 2, or ulp(s) / 4 below a
@@ -62,7 +67,7 @@ half-gap).  The kernel tests ``|r| + 2**-100 s < that half-gap``; the
 float addition in the test loses less than u ulp(s), far inside the
 slack.  Every other token goes to ``float()`` on its own bytes: a tie or
 near-tie the test cannot decide, D >= 10**18 (``np.fromstring`` saturates
-there), |q| > 27 (1e-150, subnormals, 1e300 and infinities among them).
+there), |q| > 275 (subnormals, 1e300 and infinities among them).
 When any check fails, ``_atod`` declines the whole file, and the reader
 below decodes it as UTF-8 with text mode's newlines and parses it one row
 at a time: every file outside the writer's layout reads as it did before
@@ -89,7 +94,7 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix file cannot be parsed."""
 
 
-CHUNK = 2048  # floats formatted per numpy pass; the work arrays stay a few hundred KB
+CHUNK = 8192  # floats formatted per numpy pass; the work arrays peak near 70 bytes a float, 0.6 MB
 
 
 def _writable(a) -> np.ndarray:
@@ -99,25 +104,30 @@ def _writable(a) -> np.ndarray:
     return a
 
 
-def _chunks(a: np.ndarray):
-    """The file's bytes: the header, then the text of CHUNK floats at a time."""
+def _emit(a: np.ndarray, write) -> None:
+    """Pass the file's bytes to ``write``: the header, then the text of CHUNK floats at a time.
+
+    Each chunk's text is dropped once written, before the next is formatted.
+    """
     from . import _dtoa  # here: where no bytecode is cached, compiling it costs every import ~2 ms
 
     rows, cols = a.shape
-    yield f"{rows} {cols}\n".encode()
+    write(f"{rows} {cols}\n".encode())
     floats = a.view(float).ravel()
     for start in range(0, len(floats), CHUNK):
-        yield _dtoa.chunk_text(floats[start:start + CHUNK], start, cols)
+        write(_dtoa.chunk_text(floats[start:start + CHUNK], start, cols))
 
 
 def format_matrix(a) -> str:
-    return b"".join(_chunks(_writable(a))).decode("ascii")
+    parts: list[bytes] = []
+    _emit(_writable(a), parts.append)
+    return b"".join(parts).decode("ascii")
 
 
 def write_matrix(path: str | os.PathLike, a) -> None:
     a = _writable(a)
     with open(path, "wb") as fh:
-        fh.writelines(_chunks(a))
+        _emit(a, fh.write)
 
 
 def _parse_row(fields: list[str], out: np.ndarray) -> bool:

@@ -114,13 +114,18 @@ def quarter_log_sum_sweep(m_values) -> np.ndarray:
 
 
 def _matvec_mod(mat, vec, p):
-    """mat @ vec mod p for int64 entries in [0, p), p < 2^31, m < 2^16.
+    """mat @ vec mod p for int64 entries in [0, p), p < 2^31, inner dimension < 2^21; ``vec`` may be a matrix.
 
-    ``vec`` is split into 16-bit halves so that no int64 partial sum overflows.
+    Both operands are split into 16-bit halves.  Every product of halves is
+    below 2^32 and every sum of them below 2^53, so the float64 products of
+    the halves are exact integers, in whatever order BLAS sums them.
     """
-    lo = (mat @ (vec & 0xFFFF)) % p
-    hi = (mat @ (vec >> 16)) % p
-    return ((hi << 16) + lo) % p
+    out = 0
+    for i, a in enumerate((mat & 0xFFFF, mat >> 16)):
+        for j, b in enumerate((vec & 0xFFFF, vec >> 16)):
+            part = (a.astype(float) @ b.astype(float)).astype(np.int64) % p
+            out = (out + (part << (16 * (i + j))) % p) % p
+    return out
 
 
 def _pow_mod(base, exp: int, p: int):
@@ -145,7 +150,8 @@ def exact_witness_dims(m: int, p: int) -> list[int]:
     which ``factor`` assigns the points) do not change the dims.  With
     p = 1 (mod 4), i maps to a square root of -1 mod p.  Degree n
     enumerates every monomial S^k T^l 1 with k + l = n, as the filtration is
-    defined, and reduces each one against a reduced row echelon basis.
+    defined, and reduces them, one degree at a time, against a reduced row
+    echelon basis.
     """
     if p % 4 != 1 or pow(2, p - 1, p) != 1:
         raise ValueError(f"p = {p} is not a prime = 1 (mod 4)")
@@ -156,29 +162,39 @@ def exact_witness_dims(m: int, p: int) -> list[int]:
     echelon = np.zeros((0, m), dtype=np.int64)  # rows in reduced row echelon form
     pivots = []
 
-    def add(vec) -> bool:
+    def add(batch) -> int:
+        """Extend the echelon form by the rows of ``batch``; the number of new directions."""
         nonlocal echelon
-        if pivots:
-            coef = vec[pivots]
-            vec = (vec - _matvec_mod(echelon.T, coef, p)) % p
-        nonzero = np.flatnonzero(vec)
-        if not len(nonzero):
-            return False
-        piv = int(nonzero[0])
-        vec = vec * pow(int(vec[piv]), p - 2, p) % p
-        echelon = (echelon - np.outer(echelon[:, piv], vec) % p) % p
-        echelon = np.vstack([echelon, vec])
-        pivots.append(piv)
-        return True
+        if pivots:  # one product reduces every candidate against the rows so far
+            batch = (batch - _matvec_mod(batch[:, pivots], echelon, p)) % p
+        new, new_pivots = [], []
+        for vec in batch:  # eliminate within the batch, keeping the new rows reduced among themselves
+            for row, piv in zip(new, new_pivots):
+                vec = (vec - vec[piv] * row) % p
+            nonzero = np.flatnonzero(vec)
+            if not len(nonzero):
+                continue
+            piv = int(nonzero[0])
+            vec = vec * pow(int(vec[piv]), p - 2, p) % p
+            new = [(row - row[piv] * vec) % p for row in new]
+            new.append(vec)
+            new_pivots.append(piv)
+        if new:  # clear the new pivot columns from the old rows, again by one product
+            new = np.array(new)
+            if pivots:
+                echelon = (echelon - _matvec_mod(echelon[:, new_pivots], new, p)) % p
+            echelon = np.vstack([echelon, new])
+            pivots.extend(new_pivots)
+        return len(new_pivots)
 
     monomials = [np.ones(m, dtype=np.int64)]  # degree n: S^n 1, S^(n-1) T 1, ..., T^n 1
-    add(monomials[0])
+    add(np.array(monomials))
     dims = [1]
     for _degree in range(1, 2 * m + 1):
         if len(pivots) == m:
             break
         monomials = [zp * v % p for v in monomials] + [_matvec_mod(t, monomials[-1], p)]
-        added = sum(add(v) for v in monomials)
+        added = add(np.array(monomials))
         if not added:
             break
         dims.append(added)

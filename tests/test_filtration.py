@@ -6,6 +6,7 @@ import pytest
 
 import traceless.filtration
 from traceless.cli import main
+import traceless.lowerbound
 from traceless.factorizer import factor
 from traceless.filtration import (
     RANK_TOL,
@@ -14,6 +15,7 @@ from traceless.filtration import (
     build_filtration,
     verify_filtration_structure,
 )
+from traceless.lattice import gaussian_points
 from traceless.linalg import hs_norm, operator_norm
 from traceless.lowerbound import extremal_matrix
 from traceless.matio import write_matrix
@@ -511,6 +513,58 @@ def test_stored_generator_norms(rng):
     s, t = random_complex(rng, 6), np.zeros((6, 6))
     filt = build_filtration(s, t, seed_vector(6))
     assert filt.norm_s == operator_norm(s) and filt.norm_t == 0.0
+
+
+@pytest.mark.parametrize("m", [5, 16, 40])
+def test_diagonal_t_is_its_matrix(rng, m):
+    # a 1-d T is read as diag(T): the same dims, and residuals that agree to rounding
+    s = random_complex(rng, m)
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    seed = random_unitary(rng, m)[:, :1]
+    vec, mat = build_filtration(s, z, seed), build_filtration(s, np.diag(z), seed)
+    assert vec.dims == mat.dims
+    assert vec.t.shape == (m,) and not vec.t.flags.writeable
+    tol = 64 * m * np.finfo(np.float64).eps * (mat.norm_s + mat.norm_t)
+    for a, b in ((vec.block_residual_s, mat.block_residual_s), (vec.block_residual_t, mat.block_residual_t),
+                 (vec.invariance_residual, mat.invariance_residual)):
+        assert abs(a - b) <= tol
+    assert hs_norm(vec.compression_s - mat.compression_s) <= 1e-10 * hs_norm(mat.compression_s)
+    assert vec.norm_t == float(np.max(np.abs(z)))
+    assert abs(vec.norm_t - mat.norm_t) <= 8 * np.finfo(np.float64).eps * mat.norm_t
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_structure_check_takes_a_diagonal_t(m):
+    # the witness in B's eigenframe: S = C-tilde, T = diag(z), seeded at 1/sqrt(m)
+    z = gaussian_points(m) / float(np.max(np.abs(gaussian_points(m))))
+    ctilde = traceless.lowerbound._witness_ctilde(z)
+    ones = np.full((m, 1), 1.0 / np.sqrt(m), dtype=complex)
+    vec, mat = (verify_filtration_structure(build_filtration(ctilde, t, ones)) for t in (z, np.diag(z)))
+    assert vec.all_ok and mat.all_ok
+    assert vec.dims == mat.dims == exact_witness_dims(m, PRIMES[0])
+    assert abs(vec.hypothesis_residual - mat.hypothesis_residual) <= 1e-14
+    assert abs(vec.structure_tol - mat.structure_tol) <= 1e-20
+
+
+@pytest.mark.parametrize("dims", [[1, 2], [1, 2, 3], [1, 2, 3, 4, 5, 6, 7, 8, 4]])
+def test_far_blocks_alone_give_the_block_residual(rng, dims):
+    # a complete span reads T's residual from the blocks below the subdiagonal only
+    m = sum(dims)
+    basis, image = random_unitary(rng, m), random_complex(rng, m)
+    starts = [0, *accumulate(dims)][:-1]
+    whole = traceless.filtration._compression_residuals(basis, starts, image)[0]
+    far = traceless.filtration._far_block_residual(basis, starts, image)
+    assert abs(far - whole) <= 64 * m * np.finfo(np.float64).eps * whole
+    assert (far > 0.0) == (len(dims) > 2)
+    assert traceless.filtration._far_block_residual(basis, starts, 2.0**-600 * image) == 2.0**-600 * far
+
+
+def test_diagonal_t_is_validated(rng):
+    s = random_complex(rng, 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        build_filtration(s, np.ones(5), seed_vector(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        build_filtration(s, np.array([1.0, np.nan, 2.0, 3.0]), seed_vector(4))
 
 
 @pytest.mark.parametrize("m", [12, 40])

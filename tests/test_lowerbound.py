@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import traceless.filtration
 import traceless.linalg
 import traceless.lowerbound
 import traceless.reduction
-from traceless.factorizer import _fisher_yates, factor
+from traceless.factorizer import _fisher_yates, c_from_b, factor
 from traceless.filtration import STRUCTURE_TOL, build_filtration, verify_filtration_structure
 from traceless.lattice import gaussian_points
 from traceless.linalg import commutator, hs_norm, nuclear_norm, operator_norm, singular_profile
@@ -285,23 +286,41 @@ def unit_points(m: int, seed: int) -> np.ndarray:
     return points / float(np.max(np.abs(points)))
 
 
-def report_filtration(cert, *, rescaled: bool) -> traceless.Filtration:
-    """The filtration ``lower_bound_report`` builds from ``cert``.
+def eigenframe_pair(m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C-tilde, z, 1/sqrt(m)): a default report's pair in B's eigenframe, and its seed.
 
-    A default report builds it from its certificate's own C and B, a
+    z are the unit points, D = diag(z) = F* B F, and C-tilde =
+    c_from_b((J - I)/m, z) = F* C F, with F the unitary DFT, so F* e_1 is
+    the all-ones vector over sqrt(m).
+    """
+    z = unit_points(m, seed)
+    atilde = np.full((m, m), 1.0 / m)
+    np.fill_diagonal(atilde, 0.0)
+    return c_from_b(atilde, z), z, np.full((m, 1), 1.0 / math.sqrt(m), dtype=complex)
+
+
+def report_filtration(cert, *, rescaled: bool) -> traceless.Filtration:
+    """The filtration ``lower_bound_report`` builds for ``cert``.
+
+    A default report builds it in B's eigenframe (``eigenframe_pair``), a
     ``certificate=`` report from C and B rescaled by op_norm_b (``rescaled``).
     """
     if not rescaled:
-        return build_filtration(cert.c, cert.b, seed_vector(cert.m))
+        return build_filtration(*eigenframe_pair(cert.m, cert.seed))
     return build_filtration(cert.c * cert.op_norm_b, cert.b / cert.op_norm_b, seed_vector(cert.m))
 
 
 def certified_lower_norm_b(cert, *, rescaled: bool) -> float:
-    """The report's certified lower end of ||B||: (1 - delta) max |b_i|, or its rescale by op_norm_b."""
-    delta = cert.unitarity_defect
+    """The report's certified lower end of ||B||.
+
+    For a default report, ||B|| = ||diag(z)|| = max |z_i|, whose computed
+    value is within one ulp: (1 - 2^-51) max |z_i|.  For a ``certificate=``
+    report, (1 - delta) / (1 + delta), the rescale of (1 - delta) max |b_i|.
+    """
     if rescaled:
+        delta = cert.unitarity_defect
         return (1.0 - delta) / (1.0 + delta)
-    return (1.0 - delta) * float(np.max(np.abs(unit_points(cert.m, cert.seed))))
+    return (1.0 - 2.0**-51) * float(np.max(np.abs(unit_points(cert.m, cert.seed))))
 
 
 class TestHsLowerBound:
@@ -428,8 +447,8 @@ def test_operator_norm_calls_per_report(monkeypatch):
 
 @pytest.mark.parametrize("m, seed", [(64, 0), (256, 3)])
 def test_block_tol_takes_the_certified_lower_end(m, seed):
-    # block_tol uses (1 - delta) max |b_i| for ||B|| and the certified partial
-    # sum at l = 1 for ||C||, each at most the measured norm,
+    # block_tol uses (1 - 2^-51) max |z_i| for ||B|| = ||diag(z)|| and the
+    # certified partial sum at l = 1 for ||C||, each at most the exact norm,
     # so the tolerance is no looser than a measured one
     report = lower_bound_report(m, seed=seed)
     lower = certified_lower_norm_b(report.certificate, rescaled=False)
@@ -437,6 +456,8 @@ def test_block_tol_takes_the_certified_lower_end(m, seed):
     norm_c = report.partial_sums[0].sum
     assert report.block_tol == STRUCTURE_TOL * (norm_c + lower)
     assert norm_c <= operator_norm(filt.s)
+    # ||diag(z)||^2 is the largest re(z_i)^2 + im(z_i)^2, here in exact rationals
+    assert Fraction(lower) ** 2 <= max(Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in filt.t.tolist())
     assert lower <= filt.norm_t <= 1.0 + 8 * np.finfo(np.float64).eps
 
 
@@ -467,31 +488,54 @@ def test_report_assembles_no_isometry(monkeypatch):
     assert max(report.iso_residual_v, report.iso_residual_w) <= 1e-14
 
 
-def test_commutator_calls_per_report(monkeypatch):
+def count_commutators(monkeypatch) -> list:
+    """The (B, C) of every commutator formed from here on, wherever callers look it up."""
     calls = []
     orig = traceless.linalg.commutator
 
     def counted(b, c):
-        calls.append(np.shape(b))
+        calls.append((b, c))
         return orig(b, c)
 
     for mod in (traceless, traceless.linalg, traceless.lowerbound):
         monkeypatch.setattr(mod, "commutator", counted)
+    return calls
+
+
+def test_commutator_calls_per_report(monkeypatch):
+    calls = count_commutators(monkeypatch)
+    operators = []
+    build = traceless.lowerbound.build_filtration
+    monkeypatch.setattr(traceless.lowerbound, "build_filtration",
+                        lambda s, t, m_basis: operators.append((s, t)) or build(s, t, m_basis))
     report = lower_bound_report(64, seed=0)
     assert report.all_strict_passed
-    # the certificate's residual, which the trace check's witness test reads;
-    # the log-level chain reads the trace records and the filtration
-    assert calls == [(64, 64)]
+    # one commutator, the certificate's residual; the chain runs in B's
+    # eigenframe, where T is a diagonal that the build applies as row
+    # scalings, and the trace check's witness test is entrywise
+    cert = report.certificate
+    assert len(calls) == 1 and calls[0][0] is cert.b and calls[0][1] is cert.c
+    assert [(s.shape, t.shape) for s, t in operators] == [((64, 64), (64,))]
 
 
 def test_default_report_refuses_a_wrong_c(monkeypatch):
-    # the witness test reads the certificate's residual, so a C that does not
-    # reproduce the witness is refused without a second commutator; in the DFT
-    # frame [diag(z), E_01] = (z_0 - z_1) E_01 is nonzero
+    # C-tilde is shared by the certificate and the chain, and the witness test
+    # measures (J - I)/m - [diag(z), C-tilde] entrywise; with E the unit
+    # superdiagonal, [diag(z), E] has entries z_i - z_(i+1), all nonzero: a C
+    # that does not reproduce the witness is refused with no commutator beyond
+    # the certificate's, which sees it too
     orig = traceless.lowerbound.c_from_b
     monkeypatch.setattr(traceless.lowerbound, "c_from_b", lambda *args: orig(*args) + 0.1 * np.eye(16, k=1))
+    calls = count_commutators(monkeypatch)
     with pytest.raises(ValueError, match="reproduce the witness"):
         lower_bound_report(16, seed=0)
+    assert len(calls) == 1
+    b, c = calls[0]
+    assert hs_norm(extremal_matrix(16) - commutator(b, c)) > 1e-3
+    z = unit_points(16, 0)
+    wrong = traceless.lowerbound._witness_ctilde(z)
+    assert math.isclose(traceless.lowerbound._eigenframe_residual(z, wrong), 0.1 * hs_norm(z[None, :-1] - z[None, 1:]),
+                        rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("m, seed", [(2, 0), (16, 1), (100, 2), (256, 0)])
@@ -509,11 +553,55 @@ def test_default_report_is_the_witness_at_unit_scale(m, seed):
     ref = factor(extremal_matrix(m), trials=1, seed=seed)
     for mine, theirs in ((cert.b * beta, ref.b), (cert.c / beta, ref.c)):
         assert hs_norm(mine - theirs) <= 1e-14 * hs_norm(theirs)
-    # the guard's witness test would measure the certificate's own numbers
+    # the chain runs on F* (B, C) F = (diag(z), C-tilde), seeded at F* e_1
+    ctilde, z, ones = eigenframe_pair(m, seed)
+    f = np.fft.fft(np.eye(m), norm="ortho")
+    assert hs_norm(f.conj().T @ cert.b @ f - np.diag(z)) <= 1e-14
+    assert hs_norm(f.conj().T @ cert.c @ f - ctilde) <= 1e-14 * hs_norm(ctilde)
+    assert hs_norm(f.conj().T[:, :1] - ones) <= 1e-15
+    # the witness test's entrywise residual is at rounding, as a commutator's is
+    atilde = np.full((m, m), 1.0 / m)
+    np.fill_diagonal(atilde, 0.0)
+    residual = traceless.lowerbound._eigenframe_residual(z, ctilde)
+    eps = np.finfo(np.float64).eps
+    assert residual <= 8 * eps and hs_norm(atilde - commutator(np.diag(z), ctilde)) <= 8 * eps
     filt = report_filtration(cert, rescaled=False)
-    assert hs_norm(extremal_matrix(m) - commutator(filt.t, filt.s)) == cert.residual
-    assert hs_norm(filt.s) == cert.hs_norm_c
-    assert verify_trace_inequality(filt, certified_lower_norm_b(cert, rescaled=False)) == report.trace_records
+    lower = certified_lower_norm_b(cert, rescaled=False)
+    assert traceless.lowerbound._trace_records(filt, lower, residual, hs_norm(ctilde)) == report.trace_records
+    # the standard frame's chain has the same dims, and its rhs agree to rounding
+    std = verify_trace_inequality(build_filtration(cert.c, cert.b, seed_vector(m)),
+                                  (1.0 - cert.unitarity_defect) * peak)
+    assert [r.rank_cum for r in std] == [r.rank_cum for r in report.trace_records]
+    assert max(abs(a.rhs - b.rhs) for a, b in zip(std, report.trace_records)) <= 1e-12
+
+
+def test_trace_check_refuses_a_diagonal_t():
+    # the witness is measured in the frame of e_1, so the eigenframe chain's
+    # diagonal T goes through the report alone
+    ctilde, z, ones = eigenframe_pair(16, 0)
+    with pytest.raises(ValueError, match="not a diagonal"):
+        verify_trace_inequality(build_filtration(ctilde, z, ones), 1.0)
+
+
+@pytest.mark.parametrize("m", [16, 128, 512])
+def test_report_certificate_is_the_witness_factorization(m):
+    # the chain's C-tilde is formed once and shared with the certificate, which
+    # is witness_factorization of the unit points, bit for bit
+    cert = lower_bound_report(m, seed=0).certificate
+    ref = witness_factorization(unit_points(m, 0), seed=0)
+    for f in dataclasses.fields(ref):
+        mine, theirs = getattr(cert, f.name), getattr(ref, f.name)
+        if isinstance(theirs, np.ndarray):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), f.name
+        else:
+            assert mine == theirs, f.name
+
+
+@pytest.mark.parametrize("m", [128, 256, 512, 1024])
+def test_report_has_the_exact_dims(m):
+    report = lower_bound_report(m, seed=0)
+    assert report.all_strict_passed
+    assert report.dims == exact_witness_dims(m, 2147483629)
 
 
 @pytest.mark.parametrize("m", [16, 64])

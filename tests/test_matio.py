@@ -5,6 +5,7 @@ import pytest
 
 from traceless._dtoa import X_MIN
 from traceless.matio import (
+    CHUNK,
     MatrixFormatError,
     format_matrix,
     read_matrix,
@@ -84,6 +85,19 @@ def test_format_matches_reference(rng, shape):
     hostile = rng.choice(HOSTILE, size=shape) + 1j * rng.choice(HOSTILE, size=shape)
     for a in (plain, hostile, plain.real, np.asfortranarray(plain), plain.T.T[:, ::-1]):
         assert format_matrix(a) == reference_format(a)
+
+
+def test_rows_straddle_chunk_boundaries(tmp_path, rng):
+    # a row of 2 * cols floats neither divides CHUNK nor is a multiple of it, so
+    # chunks start mid-row, and the last chunk is a partial one
+    rows, cols = 7, 1500
+    per_row = 2 * cols
+    assert CHUNK % per_row and per_row % CHUNK and (rows * per_row) % CHUNK
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    a.real[:, ::97] = rng.choice(HOSTILE, size=a[:, ::97].shape)  # some entries outside the kernel's range
+    path = tmp_path / "wide.txt"
+    write_matrix(path, a)
+    assert path.read_bytes() == reference_format(a).encode()
 
 
 def test_extremes_roundtrip_bit_exact(tmp_path):

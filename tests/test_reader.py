@@ -84,7 +84,7 @@ def _decimal_families(rng) -> dict[str, list[str]]:
     j = rng.integers(1, 3, size=n)
     long = rng.integers(10**17, 10**18, size=n)
     edges = [f"{sign}{d}e{q}" for sign in ("", "-") for d in (1, 7, 123456789012345678, 999999999999999999)
-             for q in (-28, -27, 27, 28)]
+             for q in (-_atod.Q_MAX - 1, -_atod.Q_MAX, _atod.Q_MAX, _atod.Q_MAX + 1)]
     return {
         "integer ties": [str(t) for t in ties],
         "integer ties + 1": [str(t + 1) for t in ties],
@@ -93,6 +93,8 @@ def _decimal_families(rng) -> dict[str, list[str]]:
         "near ties": _near_ties(rng, 2000),
         "halves": [f"{int(m) * 5}.{'0' * int(k)}e-1" for m, k in zip(odd, shift)],
         "18 digits": [f"{d}e{q}" for d, q in zip(long, rng.integers(-30, 31, size=n))],
+        "18 digits over the kernel's range": [f"{d}e{q}" for d, q in zip(
+            long, rng.integers(-_atod.Q_MAX - 20, _atod.Q_MAX + 16, size=n))],  # finite: below 1e308
         "18 digits with a point": [f"{str(d)[:p]}.{str(d)[p:]}" for d, p in zip(long, rng.integers(1, 18, size=n))],
         "19 and 20 digits": [f"{d}{e}e{q}" for d, e, q in zip(long, rng.integers(0, 100, size=n),
                                                                      rng.integers(-20, 21, size=n))],
