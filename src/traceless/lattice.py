@@ -56,8 +56,7 @@ def pair_energy(points) -> float:
     for lo in range(0, n, block):
         chunk = pts[lo:lo + block, None] - pts[None, :]
         d2 = chunk.real**2 + chunk.imag**2
-        for r in range(d2.shape[0]):
-            d2[r, lo + r] = np.inf
+        np.fill_diagonal(d2[:, lo:], np.inf)
         if np.any(d2 == 0.0):
             raise ValueError("coincident points have infinite pair energy")
         total += float(np.sum(1.0 / d2))

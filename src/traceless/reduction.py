@@ -3,20 +3,17 @@
 The workhorse is a 2x2 primitive: for any 2x2 block and any target value
 inside the block's numerical range (an ellipse centered at half the trace),
 there is a closed-form unitary whose conjugation puts the target in the
-(0,0) slot.  At most ceil(log2 m) averaging sweeps drive every diagonal
-entry of the full matrix toward the common mean trace/m = 0; at m = 2^k the
-k sweeps reach it, since each doubles the multiplicity of equal entries.
-A final chain of exact-zeroing rotations zeros whatever is left above
-roundoff, which at every other m is most of the work.  A diagonal A = D
-starts from Q = F, the unitary DFT: F* D F is circulant with every
-diagonal entry tr(D)/m, so it usually needs neither.
-
-Each sweep sorts the diagonal by real part (imaginary part on odd sweeps)
-and pairs the extremes.  The pairs are disjoint, so their rotations commute
-and all follow from the 2x2 blocks before the sweep: one stacked solve finds
-them, and one update of the rows and one of the columns applies them.  A is
-first scaled by an exact power of two to max |a_ij| in [0.5, 1), so Q does
-not depend on the scale of A.
+(0,0) slot.  Rotations of disjoint pairs commute, so every step rotates a
+whole set of pairs at once, as parallel Jacobi methods do (Brent and Luk,
+SIAM J. Sci. Stat. Comput. 6, 1985): one stacked solve, one update of the
+rows and one of the columns.  At most ceil(log2 m) averaging sweeps drive
+every diagonal entry toward the common mean trace/m = 0; at m = 2^k the k
+sweeps reach it, since each doubles the multiplicity of equal entries.  At
+every other m, rounds of exact-zeroing steps finish the work.  A diagonal
+A = D starts from Q = F, the unitary DFT: F* D F is circulant with every
+diagonal entry tr(D)/m, so it usually needs neither.  A is first scaled by
+an exact power of two to max |a_ij| in [0.5, 1), so Q does not depend on
+the scale of A.
 """
 
 from __future__ import annotations
@@ -79,6 +76,30 @@ def _attaining_rotations(blocks: np.ndarray, targets: np.ndarray):
     return rots, hit & (n0 <= 1.0 + 1e-12)
 
 
+def _rotate(w, qh, transposed, pairs, targets, most=np.inf):
+    """Conjugate W by the rotations that put targets[k] on pairs[k, 0], pairs disjoint.
+
+    Only the first ``most`` pairs that have a rotation turn; with most=1 the
+    pairs may overlap.  Q* and W are updated by rows, W's strided columns by a
+    transpose and rows again: (U* W U)^T = U^T (U* W)^T.  Returns W (transposed
+    iff the returned flag is set), the flag and the first index of each rotated pair.
+    """
+    blocks = w[pairs[:, :, None], pairs[:, None, :]]
+    rots, ok = _attaining_rotations(blocks.transpose(0, 2, 1) if transposed else blocks, targets)
+    ok &= np.cumsum(ok) <= most
+    pairs, rots = pairs[ok], rots[ok]
+    if len(pairs):
+        first, second = rots.conj().transpose(0, 2, 1), rots.transpose(0, 2, 1)
+        qh[pairs] = first @ qh[pairs]
+        if transposed:
+            first, second = second, first
+        w[pairs] = first @ w[pairs]
+        w = w.T.copy()
+        w[pairs] = second @ w[pairs]
+        transposed = not transposed
+    return w, transposed, pairs[:, 0]
+
+
 def zero_diagonal_reduce(a) -> DiagonalizationResult:
     """Unitary Q such that Q* A Q has diagonal entries below DIAG_TOL * ||A||_2.
 
@@ -90,12 +111,16 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
     below SWEEP_TARGET * ||A||_2 or after ceil(log2 m) of them, whichever
     comes first.  A diagonal A starts from Q = F, the unitary DFT: every
     diagonal entry of F* A F is tr(A)/m, so no sweep runs unless tr(A)
-    sits near the trace tolerance.  If an entry is still above roundoff
-    (eps * ||A||_HS) after the sweeps, a closing chain rotates entries to
-    exact zeros where the local 2x2 numerical range allows, dumping the
-    leftovers onto not-yet-visited partners.
+    sits near the trace tolerance.  While an entry is above roundoff
+    (eps * ||A||_HS) after the sweeps, rounds pair the largest live entries
+    with the smallest, reversed, and rotate 0 onto the larger of each pair;
+    it is set to exactly 0 and leaves the live set, and its partner takes the
+    pair's 2x2 trace.  If no pair of a round allows that, the largest live
+    entry takes its most coupled partner that does: a live one if any, else a
+    finished slot, whose 0 puts 0 in the block's numerical range.  The rounds
+    end when no partner does, at one live entry, or after 2m rounds.
 
-    Only an entry the chain cannot zero leaves the diagonal above
+    Only an entry the rounds cannot zero leaves the diagonal above
     DIAG_TOL * ||A||_2; the best-effort result is then returned with
     ``converged=False`` rather than raising.
     """
@@ -118,12 +143,9 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
         g = np.fft.fft(d) / m
         w = g[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
 
-    # W <- U* W U needs a row and a column update; columns are strided, so
-    # each sweep updates rows, transposes, and updates rows again, using
-    # (U* W U)^T = U^T (U* W)^T.  w holds W^T after odd sweeps.
     target = SWEEP_TARGET * scale
     sweeps_done = 0
-    transposed = False
+    transposed = False  # w holds W^T after an odd number of rotation steps
     for sweep in range((m - 1).bit_length()):  # ceil(log2 m) sweeps at most
         d = np.diag(w)
         if float(np.max(np.abs(d))) <= target:
@@ -131,47 +153,25 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
         order = np.argsort(d.real if sweep % 2 == 0 else d.imag, kind="stable")
         pairs = np.stack([order[: m // 2], order[::-1][: m // 2]], axis=1)
         pairs = pairs[np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]) > 0.25 * target]
-        if len(pairs):
-            blocks = w[pairs[:, :, None], pairs[:, None, :]]
-            rots, ok = _attaining_rotations(
-                blocks.transpose(0, 2, 1) if transposed else blocks, d[pairs].mean(axis=1)
-            )
-            pairs, rots = pairs[ok], rots[ok]
-        if len(pairs):
-            first, second = rots.conj().transpose(0, 2, 1), rots.transpose(0, 2, 1)
-            qh[pairs] = first @ qh[pairs]
-            if transposed:
-                first, second = second, first
-            w[pairs] = first @ w[pairs]
-            w = w.T.copy()
-            w[pairs] = second @ w[pairs]
-            transposed = not transposed
+        w, transposed, _ = _rotate(w, qh, transposed, pairs, d[pairs].mean(axis=1))
         sweeps_done = sweep + 1
-    if transposed:
-        w = w.T.copy()
 
-    # Exact-zero chain: visit entries largest first; a rotation on (i, j)
-    # moves the whole 2x2 trace onto j, so partners are drawn from the
-    # unvisited set and finished entries stay exactly zero.  Below roundoff
-    # its m - 1 rotations only add rounding error, so it is skipped there.
-    size = np.abs(np.diag(w))
-    chain = np.argsort(-size, kind="stable") if np.max(size) > np.finfo(float).eps * scale else ()
-    remaining = np.ones(m, dtype=bool)
-    for i in chain:
-        remaining[i] = False
-        if w[i, i] == 0.0:
-            continue
-        partners = np.flatnonzero(remaining)
-        coupling = np.abs(w[i, partners]) + np.abs(w[partners, i])
-        for j in partners[np.argsort(-coupling, kind="stable")]:
-            pair = np.array([i, j])
-            rots, ok = _attaining_rotations(w[np.ix_(pair, pair)][None], np.zeros(1))
-            if ok[0]:
-                qh[pair] = rots[0].conj().T @ qh[pair]
-                w[pair] = rots[0].conj().T @ w[pair]
-                w[:, pair] = w[:, pair] @ rots[0]
-                w[i, i] = 0.0
-                break
+    for _ in range(2 * m):
+        size = np.abs(np.diag(w))
+        order = np.argsort(-size, kind="stable")[: np.count_nonzero(size)]  # the live entries
+        if len(order) < 2 or size[order[0]] <= np.finfo(float).eps * scale:
+            break  # at roundoff, rotations would only add rounding error
+        pairs = np.stack([order[: len(order) // 2], order[::-1][: len(order) // 2]], axis=1)
+        w, transposed, done = _rotate(w, qh, transposed, pairs, 0.0)
+        if not len(done):  # the largest live entry takes its most coupled partner that allows it
+            i, rest = order[0], np.delete(np.arange(m), order[0])
+            key = np.lexsort((-np.abs(w[i, rest]) - np.abs(w[rest, i]), size[rest] == 0))  # live ones first
+            pairs = np.stack([np.full(m - 1, i), rest[key]], axis=1)
+            w, transposed, done = _rotate(w, qh, transposed, pairs, 0.0, most=1)
+        if not len(done):
+            break  # no partner has a rotation, so every later round would be this one
+        w[done, done] = 0.0
+    w = w.T.copy() if transposed else w
 
     resid = float(np.max(np.abs(np.diag(w))))
     return DiagonalizationResult(

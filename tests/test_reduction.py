@@ -306,12 +306,23 @@ class TestBatchedReduction:
 
     @pytest.mark.parametrize("make", [_ginibre, extremal_matrix], ids=["ginibre", "witness"])
     def test_one_solve_per_sweep(self, monkeypatch, make):
-        # the sweeps solve all their pairs at once and the chain one pair per
-        # entry, so a per-pair loop in the sweeps would break this bound
+        # the sweeps and the exact-zero rounds each solve all their pairs at
+        # once, so a per-pair loop in either would break this bound
         m, calls, svd = 64, [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
         res = zero_diagonal_reduce(make(m))
         assert len(calls) <= res.sweeps + m
+
+    @pytest.mark.parametrize("m", [33, 100, 255])
+    def test_rounds_take_log2_solves(self, monkeypatch, m):
+        # each round zeros about half the live entries with one stacked solve,
+        # and a round that zeros none adds one more; a chain of one solve per
+        # entry would make up to m - 1
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        res = zero_diagonal_reduce(_ginibre(m))
+        assert res.converged
+        assert len(calls) <= res.sweeps + 2 * _log2_ceil(m)
 
 
 DIAGONAL = {
@@ -327,11 +338,29 @@ DRIFTED = {
     "ginibre-16": lambda: _ginibre(16),
     "ginibre-64": lambda: _ginibre(64),
     "complex-diagonal-32": lambda: _complex_diagonal(32),
+    # at m = 2 the one pair cannot put 0 on an entry and no slot is finished
+    "complex-diagonal-2": lambda: _complex_diagonal(2),
+    "complex-diagonal-3": lambda: _complex_diagonal(3),
 }
 
 
-# HOSTILE holds the Ginibre m = 2, 3 and 255
-CAPPED = {**{f"ginibre-{m}": (lambda m=m: _ginibre(m)) for m in (5, 6, 7, 9, 33, 100, 256, 1023)}, **HOSTILE}
+def _near_hermitian(m: int, seed: int) -> np.ndarray:
+    """H + 0.3i diag(g) with H Hermitian: 2x2 numerical ranges are thin, and 0 often misses them."""
+    rng = np.random.default_rng(seed)
+    h = random_complex(rng, m)
+    a = h + h.conj().T + 0.3j * np.diag(rng.standard_normal(m))
+    return a - np.trace(a) / m * np.eye(m)
+
+
+# HOSTILE holds the Ginibre m = 2, 3 and 255.  In the exact-zero rounds,
+# near-hermitian-5 needs the largest entry's other live partners, and
+# near-hermitian-21 a finished slot as well: without either it ends unconverged.
+CAPPED = {
+    **{f"ginibre-{m}": (lambda m=m: _ginibre(m)) for m in (5, 6, 7, 9, 33, 100, 256, 1023)},
+    "near-hermitian-5": lambda: _near_hermitian(5, 1),
+    "near-hermitian-21": lambda: _near_hermitian(21, 3),
+    **HOSTILE,
+}
 
 
 class TestSkippedWork:
@@ -350,6 +379,18 @@ class TestSkippedWork:
         res = zero_diagonal_reduce(a)
         assert res.converged
         assert res.diag_residual == pytest.approx(abs(np.trace(a)), rel=1e-3)
+
+    @pytest.mark.parametrize("d, share", [((1.0, -1.0), 1.0), ((1.0 + 1.0j, -1.0 - 1.0j), 0.5)])
+    def test_m2_diagonal_trace_just_inside(self, d, share):
+        # 0 is in the numerical range of the drifted diag(d) only when the drift
+        # is collinear with d: the trace then lands on one entry; otherwise no
+        # rotation exists, nothing is finished to fall back on, and the DFT
+        # start's two entries tr/2 stay
+        a = np.diag(np.array(d, dtype=complex))
+        a[0, 0] += 0.9e-10 * hs_norm(a)
+        res = zero_diagonal_reduce(a)
+        _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
+        assert res.diag_residual == pytest.approx(share * abs(np.trace(a)), rel=1e-3)
 
     @pytest.mark.parametrize("make", [_ginibre, extremal_matrix], ids=["ginibre", "witness"])
     def test_svd_calls_are_the_sweeps(self, monkeypatch, make):
