@@ -20,10 +20,11 @@ Topics:
   ``lower_bound_report(m, seed=0)`` runs on the witness at m = 128 ... 1024,
   after one untimed report.  Per m it records the report's seconds, the
   total seconds of every traced function in it and the report's self time
-  (the witness factorization, the default report's trace records and the
-  norm bounds, which are not traced), plus each round's report seconds,
-  the SVD count, the count of m x m commutators (``linalg.commutator``
-  spans), the dims' tail and the verdict.
+  (the witness factorization with its FFT-formed [B, C], the default
+  report's trace records and the norm bounds, which are not traced), plus
+  each round's report seconds, the SVD count, the count of m x m
+  commutators (``linalg.commutator`` spans; 0 where the certificate forms
+  [B, C] by FFTs), the dims' tail and the verdict.
 * ``factor``: the CLI's Ginibre input at seed 0 (perfbench's
   ``ginibre_trace_zero``, written once by the benchmark's own formatter) at
   m = 256, 1000 and 1024.  Per m it records the in-process seconds of

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import gaussian_points, radius_bound
-from .linalg import as_matrix, certify, hs_norm, unit_defect
+from .linalg import _certify_bracket, as_matrix, commutator, hs_norm, unit_defect
 from .reduction import zero_diagonal_reduce
 
 __all__ = [
@@ -176,7 +176,7 @@ def factor(a, trials: int = DEFAULT_TRIALS, seed: int = 0) -> FactorizationCerti
     b = q @ (bvec[:, None] * qh)  # Q diag(b) Q*
     c = q @ ctilde @ qh
     return certified_factorization(
-        a, b, c, q, bvec, seed=seed, trials=trials, best_trial=best_trial,
+        a, b, c, q, bvec, bracket=commutator(b, c), seed=seed, trials=trials, best_trial=best_trial,
         reduction_converged=red.converged, diag_residual=red.diag_residual,
     )
 
@@ -188,6 +188,7 @@ def certified_factorization(
     q: np.ndarray,
     bvec: np.ndarray,
     *,
+    bracket: np.ndarray,
     seed: int,
     trials: int,
     best_trial: int = 0,
@@ -200,14 +201,15 @@ def certified_factorization(
     ||B|| <= (1 + delta) max |b_i| is the certified ``op_norm_b``, and
     2 delta (1 + delta) <= NORMALITY_TOL implies ||BB* - B*B||_2 <=
     NORMALITY_TOL max |b_i|^2, which is at most NORMALITY_TOL op_norm_b^2.
-    The residual ||A - [B, C]||_2 and ||C||_2 are measured on the given B
-    and C by ``certify``.  The remaining keywords are recorded as given;
+    The residual ||A - [B, C]||_2 is measured on ``bracket``, the caller's
+    [B, C] of the given B and C, and ||C||_2 on C, by ``certify``'s rule.
+    The remaining keywords are recorded as given;
     ``reduction_converged`` also gates ``valid``.
     """
     m = a.shape[0]
     # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|
     defect = unit_defect(q) if m > 1 else 0.0
-    check = certify(a, b, c, (1.0 + defect) * float(np.max(np.abs(bvec))))
+    check = _certify_bracket(a, bracket, c, (1.0 + defect) * float(np.max(np.abs(bvec))))
     op_b = check.op_norm_b
     bound = math.sqrt(RATIO_WINDOW + math.log(m)) if m > 1 else math.sqrt(RATIO_WINDOW)
 

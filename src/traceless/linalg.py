@@ -52,6 +52,18 @@ def commutator(b, c) -> np.ndarray:
     return b @ c - c @ b
 
 
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The circulant X[j, k] = column[(j - k) mod m], C-contiguous.
+
+    Row j is column[j], column[j - 1], ..., a window of the reversed column
+    followed by its reversed tail, so one copy of a sliding-window view fills
+    it with no m x m index array.
+    """
+    m = len(column)
+    tiled = np.concatenate([column[::-1], column[:0:-1]])  # tiled[i] = column[(m - 1 - i) mod m]
+    return np.lib.stride_tricks.sliding_window_view(tiled, m)[::-1].copy()
+
+
 def operator_norm(m) -> float:
     """Largest singular value (norm as an operator on l2)."""
     m = as_matrix(m)
@@ -160,8 +172,12 @@ def certify(a, b, c, op_norm_b: float) -> CommutatorCheck:
     ``factor`` bounds it from B's eigenframe.  The residual rule (at
     RESIDUAL_TOL) and the ratio use it as given.
     """
-    a = as_matrix(a, square=True)
-    residual = hs_norm(a - commutator(b, c))
+    return _certify_bracket(as_matrix(a, square=True), commutator(b, c), c, op_norm_b)
+
+
+def _certify_bracket(a: np.ndarray, bracket: np.ndarray, c, op_norm_b: float) -> CommutatorCheck:
+    """``certify`` with [B, C] already formed as ``bracket``, and A already a square matrix."""
+    residual = hs_norm(a - bracket)
     hs_c = hs_norm(c)
     hs_a = hs_norm(a)
     return CommutatorCheck(

@@ -27,7 +27,7 @@ import numpy as np
 from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
 from .filtration import STRUCTURE_TOL, Filtration, build_filtration
 from .lattice import gaussian_points
-from .linalg import commutator, hs_norm, residual_ok, unit_defect
+from .linalg import _circulant, commutator, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
@@ -82,9 +82,10 @@ def witness_factorization(points, seed: int = 0) -> FactorizationCertificate:
     B is the circulant whose first column is fft(z)/m, so it is exactly
     normal; C takes one FFT down the columns and one inverse FFT along the
     rows.  The pair is certified as ``factor`` certifies its own, with F as
-    the eigenframe; ``seed`` is only recorded.  The points of ``factor``'s
-    first trial at seed s give ``factor(extremal_matrix(m), trials=1,
-    seed=s)`` up to rounding.
+    the eigenframe, but its [B, C] is formed by FFTs, as the DFT
+    diagonalizes B, and not by two m x m products; ``seed`` is only
+    recorded.  The points of ``factor``'s first trial at seed s give
+    ``factor(extremal_matrix(m), trials=1, seed=s)`` up to rounding.
     """
     z = np.asarray(points, dtype=complex).ravel()
     return _witness_certificate(z, _witness_ctilde(z), seed)
@@ -99,13 +100,37 @@ def _witness_ctilde(z: np.ndarray) -> np.ndarray:
 
 
 def _witness_certificate(z: np.ndarray, ctilde: np.ndarray, seed: int) -> FactorizationCertificate:
-    """``witness_factorization`` of the points z, given their C-tilde."""
+    """``witness_factorization`` of the points z, given their C-tilde.
+
+    B is filled from beta = fft(z)/m by index, so it is circ(beta) exactly,
+    and the residual is measured on the stored B and C, as ``factor``
+    measures its own.
+    """
     m = len(z)
-    idx = np.arange(m)
-    b = (np.fft.fft(z) / m)[(idx[:, None] - idx[None, :]) % m]  # B[j, k] = fft(z)[j - k] / m
+    beta = np.fft.fft(z) / m
+    b = _circulant(beta)
     c = np.fft.ifft(np.fft.fft(ctilde, axis=0, norm="ortho"), axis=1, norm="ortho")
     f = np.fft.fft(np.eye(m), norm="ortho")
-    return certified_factorization(extremal_matrix(m), b, c, f, z, seed=seed, trials=1)
+    return certified_factorization(extremal_matrix(m), b, c, f, z, bracket=_circulant_commutator(beta, c),
+                                   seed=seed, trials=1)
+
+
+def _circulant_commutator(beta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[B, C] for the circulant B[j, k] = beta[(j - k) mod m], by four FFT passes and no m x m product.
+
+    The DFT diagonalizes every circulant (P. J. Davis, Circulant Matrices,
+    1979): with lambda = fft(beta), B C is a circular convolution down each
+    column of C, ifft(lambda * fft(C)) by columns, and C B one along each
+    row, fft(ifft(C) * lambda) by rows.  A GEMM's computed product errs by
+    O(u m) ||B||_F ||C||_F, u the unit roundoff; the FFTs' by
+    O(u log m) ||B||_F ||C||_F (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 24), so the residual rule's rounding argument
+    holds with a smaller constant.
+    """
+    lam = np.fft.fft(beta)
+    bc = np.fft.ifft(lam[:, None] * np.fft.fft(c, axis=0), axis=0)
+    bc -= np.fft.fft(np.fft.ifft(c, axis=1) * lam, axis=1)
+    return bc
 
 
 def _eigenframe_residual(z: np.ndarray, ctilde: np.ndarray) -> float:
@@ -460,7 +485,8 @@ def lower_bound_report(
     from (C-tilde, z) seeded there, so T = D is a row scaling and the
     build applies it by no m x m product.  The trace check's witness test
     measures ||(J - I)/m - [D, C-tilde]||_2 entrywise, and no commutator
-    is formed beyond the certificate's.  No SVD measures ||B||: ||B|| =
+    is formed beyond the certificate's, which takes its [B, C] by FFTs with
+    no m x m product.  No SVD measures ||B||: ||B|| =
     ||D|| = max |z_i| exactly, and numpy's complex abs (hypot) is within
     one ulp, so the computed peak p = max |z_i| has ||D|| >= (1 - 2^-52) p;
     the trace check and ``block_tol`` take (1 - 2^-51) p, whose rounding

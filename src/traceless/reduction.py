@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hs_norm, require_trace_zero
+from .linalg import _circulant, as_matrix, hs_norm, require_trace_zero
 
 __all__ = ["DiagonalizationResult", "zero_diagonal_reduce"]
 
@@ -109,9 +109,11 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
     replaces both entries of each pair with their midpoint; the sum is
     conserved at 0, so the diagonal contracts to zero; the sweeps stop
     below SWEEP_TARGET * ||A||_2 or after ceil(log2 m) of them, whichever
-    comes first.  A diagonal A starts from Q = F, the unitary DFT: every
-    diagonal entry of F* A F is tr(A)/m, so no sweep runs unless tr(A)
-    sits near the trace tolerance.  While an entry is above roundoff
+    comes first.  Pairs within SWEEP_TARGET * ||A||_2 / 4 of each other
+    are left alone, and a sweep that leaves every pair alone makes no solve
+    and is not counted in ``sweeps``.  A diagonal A starts from Q = F, the
+    unitary DFT: every diagonal entry of F* A F is tr(A)/m, so no sweep
+    rotates a pair.  While an entry is above roundoff
     (eps * ||A||_HS) after the sweeps, rounds pair the largest live entries
     with the smallest, reversed, and rotate 0 onto the larger of each pair;
     it is set to exactly 0 and leaves the live set, and its partner takes the
@@ -137,11 +139,11 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
         return DiagonalizationResult(qh, a.copy(), 0.0, True, 0)
     d = np.diag(w)
     if np.count_nonzero(w) == np.count_nonzero(d):
-        # F* D F = circulant g[(j - k) mod m] with g = fft(d)/m, diagonal g[0] = tr/m
+        # (F* D F)[j, k] = g[(k - j) mod m] with g = fft(d)/m, diagonal g[0] = tr/m
         f = np.fft.fft(np.eye(m), norm="ortho")
         qh = np.ascontiguousarray(f.conj().T)
         g = np.fft.fft(d) / m
-        w = g[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+        w = _circulant(g[-np.arange(m)])  # first column g[-j mod m]
 
     target = SWEEP_TARGET * scale
     sweeps_done = 0
@@ -153,8 +155,9 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
         order = np.argsort(d.real if sweep % 2 == 0 else d.imag, kind="stable")
         pairs = np.stack([order[: m // 2], order[::-1][: m // 2]], axis=1)
         pairs = pairs[np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]) > 0.25 * target]
-        w, transposed, _ = _rotate(w, qh, transposed, pairs, d[pairs].mean(axis=1))
-        sweeps_done = sweep + 1
+        if len(pairs):  # equal entries, as a drifted trace leaves them, need no solve
+            w, transposed, _ = _rotate(w, qh, transposed, pairs, d[pairs].mean(axis=1))
+            sweeps_done += 1
 
     for _ in range(2 * m):
         size = np.abs(np.diag(w))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from traceless.linalg import (
     NonzeroTraceError,
+    _circulant,
     as_matrix,
     certify,
     commutator,
@@ -32,6 +33,18 @@ def test_as_matrix_strided_views(rng):
     bad[1, 3] = complex(0.0, math.inf)
     with pytest.raises(ValueError, match="non-finite"):
         as_matrix(bad.T)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 64, 100, 512, 1024])
+def test_circulant_fill_is_the_index_fill(rng, m):
+    # both of its forms: the witness's B[j, k] = beta[(j - k) mod m] and the
+    # reduction's DFT start W[j, k] = g[(k - j) mod m]
+    col = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    idx = np.arange(m)
+    filled = _circulant(col)
+    assert filled.flags.c_contiguous and filled.flags.writeable
+    assert filled.tobytes() == col[(idx[:, None] - idx[None, :]) % m].tobytes()
+    assert _circulant(col[-idx]).tobytes() == col[(idx[None, :] - idx[:, None]) % m].tobytes()
 
 
 class TestCommutator:

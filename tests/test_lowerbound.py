@@ -510,11 +510,11 @@ def test_commutator_calls_per_report(monkeypatch):
                         lambda s, t, m_basis: operators.append((s, t)) or build(s, t, m_basis))
     report = lower_bound_report(64, seed=0)
     assert report.all_strict_passed
-    # one commutator, the certificate's residual; the chain runs in B's
-    # eigenframe, where T is a diagonal that the build applies as row
-    # scalings, and the trace check's witness test is entrywise
-    cert = report.certificate
-    assert len(calls) == 1 and calls[0][0] is cert.b and calls[0][1] is cert.c
+    # no commutator: the certificate forms its [B, C] by FFTs from the
+    # circulant B; the chain runs in B's eigenframe, where T is a diagonal
+    # that the build applies as row scalings, and the trace check's witness
+    # test is entrywise
+    assert calls == []
     assert [(s.shape, t.shape) for s, t in operators] == [((64, 64), (64,))]
 
 
@@ -522,20 +522,34 @@ def test_default_report_refuses_a_wrong_c(monkeypatch):
     # C-tilde is shared by the certificate and the chain, and the witness test
     # measures (J - I)/m - [diag(z), C-tilde] entrywise; with E the unit
     # superdiagonal, [diag(z), E] has entries z_i - z_(i+1), all nonzero: a C
-    # that does not reproduce the witness is refused with no commutator beyond
-    # the certificate's, which sees it too
+    # that does not reproduce the witness is refused with no commutator, and
+    # the certificate's FFT bracket sees it too
     orig = traceless.lowerbound.c_from_b
     monkeypatch.setattr(traceless.lowerbound, "c_from_b", lambda *args: orig(*args) + 0.1 * np.eye(16, k=1))
     calls = count_commutators(monkeypatch)
     with pytest.raises(ValueError, match="reproduce the witness"):
         lower_bound_report(16, seed=0)
-    assert len(calls) == 1
-    b, c = calls[0]
-    assert hs_norm(extremal_matrix(16) - commutator(b, c)) > 1e-3
+    assert calls == []
     z = unit_points(16, 0)
     wrong = traceless.lowerbound._witness_ctilde(z)
+    cert = traceless.lowerbound._witness_certificate(z, wrong, 0)
+    assert cert.residual > 1e-3 and not cert.valid
     assert math.isclose(traceless.lowerbound._eigenframe_residual(z, wrong), 0.1 * hs_norm(z[None, :-1] - z[None, 1:]),
                         rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 16, 100, 512])
+def test_fft_bracket_matches_the_commutator(m):
+    # the certificate's [B, C] comes from beta = fft(z)/m by FFTs; it is the
+    # stored pair's commutator to a few ulps of ||B||_F ||C||_F
+    z = unit_points(m, 0)
+    cert = witness_factorization(z)
+    beta = np.fft.fft(z) / m
+    bracket = traceless.lowerbound._circulant_commutator(beta, cert.c)
+    eps = np.finfo(np.float64).eps
+    assert hs_norm(bracket - commutator(cert.b, cert.c)) <= 64 * eps * hs_norm(cert.b) * hs_norm(cert.c)
+    assert cert.residual <= 1e-14
+    assert cert.residual == hs_norm(extremal_matrix(m) - bracket)
 
 
 @pytest.mark.parametrize("m, seed", [(2, 0), (16, 1), (100, 2), (256, 0)])

@@ -420,6 +420,18 @@ class TestSkippedWork:
         _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
         assert res.sweeps <= _log2_ceil(a.shape[0])
 
+    @pytest.mark.parametrize("name", ["complex-diagonal-2", "complex-diagonal-3"])
+    def test_equal_entries_make_no_sweep(self, monkeypatch, name):
+        # after the DFT start of a drifted diagonal every entry is tr/m, so no
+        # pair passes the sweeps' filter: they make no solve and count none
+        a = DRIFTED[name]().astype(complex)
+        a[0, 0] += 0.9e-10 * hs_norm(a)
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda x, *args, **kw: shapes.append(x.shape) or svd(x, *args, **kw))
+        res = zero_diagonal_reduce(a)
+        assert res.sweeps == 0
+        assert (0, 2, 3) not in shapes
+
     @pytest.mark.parametrize("name", sorted(CAPPED))
     def test_every_m_within_log2_sweeps(self, name):
         # at m = 2^k the k sweeps reach the target; at every other m the chain
