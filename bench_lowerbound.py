@@ -20,8 +20,9 @@ Topics:
   ``lower_bound_report(m, seed=0)`` runs on the witness at m = 128 ... 1024,
   after one untimed report.  Per m it records the report's seconds, the
   total seconds of every traced function in it and the report's self time
-  (the witness factorization with its FFT-formed [B, C], the default
-  report's trace records and the norm bounds, which are not traced), plus
+  (the witness factorization with its FFT-formed [B, C] and the norm
+  bounds, which are not traced; the trace check is the
+  ``lowerbound.verify_trace_inequality`` span), plus
   each round's report seconds, the SVD count, the count of m x m
   commutators (``linalg.commutator`` spans; 0 where the certificate forms
   [B, C] by FFTs), the dims' tail and the verdict.

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import as_matrix, gram_defect, hs_norm, operator_norm, singular_profile, unit_defect
+from .linalg import as_matrix, commutator, gram_defect, hs_norm, operator_norm, unit_defect
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
@@ -37,8 +37,8 @@ class Filtration:
     """Orthonormal block bases of the chain, plus build diagnostics.
 
     The blocks are adjacent column ranges of ``basis``, a view of one m x m buffer.
-    The build needs no norm of S or T, so the spectrum of S (``spectrum_s``,
-    whose top is ``norm_s``) and ||T|| (``norm_t``) are measured only when read.
+    The build needs no norm of S or T, so ||S|| (``norm_s``) and ||T||
+    (``norm_t``) are measured only when read.
     """
 
     dims: list[int]
@@ -57,14 +57,9 @@ class Filtration:
     compression_s: np.ndarray = field(repr=False)
 
     @cached_property
-    def spectrum_s(self) -> np.ndarray:
-        """The full singular spectrum of S, non-increasing, measured by one SVD on first use."""
-        return singular_profile(self.s)
-
-    @cached_property
     def norm_s(self) -> float:
-        """||S||, the top of ``spectrum_s``."""
-        return float(self.spectrum_s[0])
+        """||S||, measured by one SVD on first use; the build itself never needs it."""
+        return operator_norm(self.s)
 
     @cached_property
     def norm_t(self) -> float:
@@ -192,6 +187,13 @@ def _far_block_residual(basis, starts, image) -> float:
         rows = 2 * (np.asarray(starts[k + 2:]) - starts[k + 2])  # block rows k + 2, ... in the float view
         largest = max(largest, float(np.max(np.add.reduceat(parts.sum(axis=0), rows))))
     return float(np.ldexp(np.sqrt(largest), exp))
+
+
+def _bracket(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[T, S] = TS - ST.  A 1-d T is diag(T): entrywise (t_i - t_j) s_ij, with no m x m product."""
+    if t.ndim == 1:
+        return (t[:, None] - t[None, :]) * s
+    return commutator(t, s)
 
 
 def _spans(dims) -> list[slice]:
@@ -382,13 +384,11 @@ def verify_filtration_structure(filt: Filtration) -> StructureReport:
     Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
     and invariance of the chain's total span under both operators; their
     residuals and the norms behind the tolerances are the build's own.
-    A filtration built from a 1-d T is checked with T = diag(T).
+    A filtration built from a 1-d T is checked with T = diag(T), applied
+    entrywise.
     """
-    s, t, mb = filt.s, filt.t, filt.blocks[0]
-    if t.ndim == 1:
-        t = np.diag(t)
-    m = s.shape[0]
-    hyp_op = s @ t - t @ s
+    mb, m = filt.blocks[0], filt.s.shape[0]
+    hyp_op = -_bracket(filt.t, filt.s)  # [S, T]; IEEE negation is exact
     if filt.dim_m < m:
         lam = (np.trace(mb.conj().T @ hyp_op @ mb) - np.trace(hyp_op)) / (m - filt.dim_m)
         hyp_op[np.diag_indices(m)] += lam

@@ -2,8 +2,10 @@
 
 The witness is A = P - (1/m) I with P the projection onto the first
 coordinate.  For any factorization A = [B, C] with ||B|| = 1, compressing
-onto the degree filtration seeded at span{e_1} telescopes the trace of A
-into boundary blocks of C, which yields:
+onto the degree filtration seeded at range(P) telescopes the trace of A
+into boundary blocks of C.  Every step is unitarily invariant, so the
+chain may run in any frame, with P the projection M M* onto its seed M
+there: e_1 in the standard frame, 1/sqrt(m) in B's eigenframe.  It yields:
 
   * per-degree trace inequalities
       1 - (1/m) sum_{k<=n} rank P_k  <=  ||P_{n+1} C P_n||_1 + ||P_n C P_{n+1}||_1,
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
-from .filtration import STRUCTURE_TOL, Filtration, build_filtration
+from .filtration import STRUCTURE_TOL, Filtration, _bracket, build_filtration
 from .lattice import gaussian_points
-from .linalg import _circulant, commutator, hs_norm, residual_ok, unit_defect
+from .linalg import _circulant, hs_norm, residual_ok, unit_defect
 
 __all__ = [
     "extremal_matrix",
@@ -133,17 +135,6 @@ def _circulant_commutator(beta: np.ndarray, c: np.ndarray) -> np.ndarray:
     return bc
 
 
-def _eigenframe_residual(z: np.ndarray, ctilde: np.ndarray) -> float:
-    """||(J - I)/m - [diag(z), C-tilde]||_2, entrywise: [diag(z), C-tilde]_ij = (z_i - z_j) c_ij.
-
-    Both matrices have a zero diagonal, exactly, whatever the diagonal of C-tilde.
-    """
-    res = (z[:, None] - z[None, :]) * ctilde
-    np.subtract(1.0 / len(z), res, out=res)
-    np.fill_diagonal(res, 0.0)
-    return hs_norm(res)
-
-
 def _triangular(n: int) -> int:
     return (n + 2) * (n + 1) // 2
 
@@ -179,31 +170,30 @@ class TraceIneqRecord:
 def verify_trace_inequality(filt: Filtration, norm_b: float) -> list[TraceIneqRecord]:
     """Per-degree trace inequality records for a normalized factorization.
 
-    ``filt`` is built from (C, B): C is its S and B its T.  ``norm_b`` is
-    ||B|| as the caller knows it, measured or certified; the check never
-    measures it.  Requires |norm_b - 1| <= UNIT_NORM_TOL (rescale (B, C) ->
+    ``filt`` is built from (C, B), C its S and B its T, in any frame: the
+    witness there is M M* - I/m, with M = ``filt.blocks[0]`` the seed.  That
+    is ``extremal_matrix`` for M = e_1, and (J - I)/m for M = 1/sqrt(m),
+    the image of e_1 under the unitary DFT.  ``norm_b`` is ||B|| as the
+    caller knows it, measured or certified; the check never measures it.
+    Requires |norm_b - 1| <= UNIT_NORM_TOL (rescale (B, C) ->
     (B/||B||, C ||B||) first, which leaves the commutator unchanged) and
-    [B, C] equal to the witness matrix, judged with norm_b on the residual
-    that this function measures.  Ranks are the filtration's numerical
+    ||M M* - I/m - [B, C]||_2 within the residual rule, judged with norm_b.
+    A 1-d T is diag(T), and [B, C] is then formed entrywise.  A seed of k
+    columns makes a target of trace k - 1, which no commutator reproduces,
+    so the residual rule refuses it.  Ranks are the filtration's numerical
     dimensions, and the rhs at degree n is sum sigma(X_n) + sum sigma(Y_n)
     from the boundary-block SVDs shared with the partial isometries.
     Degrees past the last block use an empty block, so an exhausted
-    filtration yields lhs <= 0 and the record passes trivially.  A 1-d T
-    (a diagonal, for a chain run in B's eigenframe) is refused, as the
-    witness is measured in the frame of e_1.
+    filtration yields lhs <= 0 and the record passes trivially.
     """
-    if filt.t.ndim != 2:
-        raise ValueError("the trace check measures [B, C] against P - I/m: B must be a matrix, not a diagonal")
-    residual = hs_norm(extremal_matrix(filt.s.shape[0]) - commutator(filt.t, filt.s))
-    return _trace_records(filt, norm_b, residual, hs_norm(filt.s))
-
-
-def _trace_records(filt: Filtration, norm_b: float, residual: float, hs_c: float) -> list[TraceIneqRecord]:
-    """``verify_trace_inequality``'s guard and records, given ||A - [B, C]||_2 and ||C||_2 of ``filt``."""
     m = filt.s.shape[0]
     if abs(norm_b - 1.0) > UNIT_NORM_TOL:
         raise ValueError("B is not normalized to unit operator norm")
-    if not residual_ok(residual, norm_b, hs_c, WITNESS_RESIDUAL_TOL):
+    seed = filt.blocks[0]
+    residual = seed @ seed.conj().T  # M M* - I/m - [B, C], formed in place
+    residual[np.diag_indices(m)] -= 1.0 / m
+    residual -= _bracket(filt.t, filt.s)
+    if not residual_ok(hs_norm(residual), norm_b, hs_norm(filt.s), WITNESS_RESIDUAL_TOL):
         raise ValueError("[B, C] does not reproduce the witness matrix")
     nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in filt.boundary_svds]
     records = []
@@ -483,26 +473,29 @@ def lower_bound_report(
     unit points, C-tilde the certificate's own (formed once), and F* e_1 =
     1/sqrt(m), the all-ones vector over sqrt(m).  The filtration is built
     from (C-tilde, z) seeded there, so T = D is a row scaling and the
-    build applies it by no m x m product.  The trace check's witness test
-    measures ||(J - I)/m - [D, C-tilde]||_2 entrywise, and no commutator
-    is formed beyond the certificate's, which takes its [B, C] by FFTs with
-    no m x m product.  No SVD measures ||B||: ||B|| =
-    ||D|| = max |z_i| exactly, and numpy's complex abs (hypot) is within
-    one ulp, so the computed peak p = max |z_i| has ||D|| >= (1 - 2^-52) p;
-    the trace check and ``block_tol`` take (1 - 2^-51) p, whose rounding
-    keeps it below that, which can only tighten each tolerance.  No SVD
+    build applies it by no m x m product.  The witness there is the seed's
+    M M* - I/m = (J - I)/m, and the trace check forms [D, C-tilde]
+    entrywise, so no commutator is formed beyond the certificate's, which
+    takes its [B, C] by FFTs with no m x m product.  No SVD measures
+    ||B||: ||B|| = ||D|| = max |z_i| exactly, and numpy's complex abs
+    (hypot) is within one ulp, so the computed peak p = max |z_i| has
+    ||D|| >= (1 - 2^-52) p; the trace check and ``block_tol`` take
+    (1 - 2^-51) p, whose rounding keeps it below that, which can only
+    tighten each tolerance.  No SVD
     measures ||C|| either: ``block_tol`` takes the certified lower end
     max sigma_1(X_n or Y_n) / (1 + delta_H), ``partial_sums[0].sum``, so
     the report factors no m x m matrix.
 
     A ``certificate`` passed in is verified in its own frame instead,
-    seeded at span{e_1} = range(A + I/m) and rescaled by its op_norm_b =
+    seeded at e_1, where M M* - I/m = A, and rescaled by its op_norm_b =
     (1 + delta) max |b_i| (C absorbs the factor), with delta = ||Q*Q - I||_2
     its ``unitarity_defect``.  As sigma_min(Q)^2 >= 1 - delta, the rescaled
     ||B|| is at least (1 - delta)/(1 + delta), the lower end the trace check
-    and ``block_tol`` take; the trace check measures its [B, C], as it may
-    be for another matrix, and refuses a lower end not within UNIT_NORM_TOL
-    of 1.
+    and ``block_tol`` take; the trace check refuses a lower end not within
+    UNIT_NORM_TOL of 1.  Each branch builds its filtration and its
+    ``norm_b`` alone, and one ``verify_trace_inequality`` call follows both:
+    it measures [B, C] against the seed's witness, as a certificate may be
+    for another matrix.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -523,7 +516,6 @@ def lower_bound_report(
         filt = build_filtration(ctilde, unit, np.full((m, 1), 1.0 / math.sqrt(m), dtype=complex))
         del ctilde  # filt.s is its read-only copy
         norm_b = (1.0 - 2.0**-51) * float(np.max(np.abs(unit)))  # the lower end of ||D|| = max |z_i|
-        trace_records = _trace_records(filt, norm_b, _eigenframe_residual(unit, filt.s), hs_norm(filt.s))
     else:
         cert = certificate
         if cert.m != m:
@@ -535,7 +527,7 @@ def lower_bound_report(
         # the certified lower end of ||B / op_norm_b||, whose upper end is 1
         delta = cert.unitarity_defect
         norm_b = (1.0 - delta) / (1.0 + delta)
-        trace_records = verify_trace_inequality(filt, norm_b)
+    trace_records = verify_trace_inequality(filt, norm_b)
     res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt)

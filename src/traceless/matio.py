@@ -70,8 +70,9 @@ near-tie the test cannot decide, D >= 10**18 (``np.fromstring`` saturates
 there), |q| > 275 (subnormals, 1e300 and infinities among them).
 When any check fails, ``_atod`` declines the whole file, and the reader
 below decodes it as UTF-8 with text mode's newlines and parses it one row
-at a time: every file outside the writer's layout reads as it did before
-the kernel, with the same values and the same errors.  Neither reader
+at a time, each part of each entry by ``float()``: every file outside the
+writer's layout reads as it did before the kernel, with the same values
+and the same errors.  Neither reader
 holds a Python object for every entry of the file.
 """
 
@@ -84,11 +85,6 @@ import numpy as np
 from .linalg import as_matrix
 
 __all__ = ["format_matrix", "write_matrix", "read_matrix", "write_points"]
-
-# every byte except space and comma: deleting these reduces a well-formed
-# row to ", , ... ," (one comma per entry)
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" ,")
-
 
 class MatrixFormatError(ValueError):
     """Raised when a matrix file cannot be parsed."""
@@ -130,26 +126,6 @@ def write_matrix(path: str | os.PathLike, a) -> None:
         _emit(a, fh.write)
 
 
-def _parse_row(fields: list[str], out: np.ndarray) -> bool:
-    """Parse n ``re,im`` fields into ``out`` (length 2n) with one numpy call.
-
-    Returns False, leaving the entry-by-entry parse to name the culprit,
-    unless every field has exactly one comma with a non-empty part on each
-    side and every part is a float literal.
-    """
-    joined = " ".join(fields)
-    tokens = joined.replace(",", " ").split()
-    if len(tokens) != len(out):
-        return False
-    if joined.encode().translate(None, _NOT_SEPARATOR) != b", " * (len(fields) - 1) + b",":
-        return False
-    try:
-        out[:] = np.array(tokens, dtype=float)
-    except ValueError:
-        return False
-    return True
-
-
 def _parse_entries(i: int, fields: list[str]) -> list[float]:
     """Entry-by-entry parse of row i, naming the first entry that is not ``re,im``."""
     values = []
@@ -189,8 +165,7 @@ def _parse_text(data: bytes) -> np.ndarray:
         fields = ln.split()
         if len(fields) != cols:
             raise MatrixFormatError(f"row {i}: expected {cols} entries, found {len(fields)}")
-        if not _parse_row(fields, out[i]):
-            out[i] = _parse_entries(i, fields)
+        out[i] = _parse_entries(i, fields)
     return out
 
 

@@ -67,16 +67,17 @@ def test_witness_report_is_a_function_of_its_seed():
     assert len(digests) == 6
 
 
-def test_report_calls_the_traced_chain_check_once(monkeypatch):
-    # the tracer times lowerbound.hs_lower_s by replacing the module global
-    # verify_hs_lower_bound, so the report must look it up there
+@pytest.mark.parametrize("fname", ["verify_hs_lower_bound", "verify_trace_inequality"])
+def test_report_calls_the_traced_chain_check_once(monkeypatch, fname):
+    # the tracer times lowerbound.hs_lower_s and lowerbound.trace_ineq_s by
+    # replacing these module globals, so the report must look them up there
     calls = []
-    orig = traceless.lowerbound.verify_hs_lower_bound
+    orig = getattr(traceless.lowerbound, fname)
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(traceless.lowerbound, "verify_hs_lower_bound", counted)
+    monkeypatch.setattr(traceless.lowerbound, fname, counted)
     rep = traceless.lower_bound_report(16, seed=0)
-    assert len(calls) == 1 and rep.hs_lower.passed
+    assert len(calls) == 1 and rep.all_strict_passed

@@ -338,17 +338,16 @@ def test_build_candidates_follow_accepted_dims(monkeypatch):
 
 
 def test_stored_spectrum_is_the_generator_spectrum(rng, monkeypatch):
-    # the build takes no spectrum of S; the first read of spectrum_s does
+    # the build measures no norm of S or T; the first read of norm_s or norm_t does
     s, t = random_complex(rng, 9), random_complex(rng, 9)
 
     def unreachable(mat):
-        raise AssertionError("the build took the spectrum of S")
+        raise AssertionError("the build measured a norm")
 
-    monkeypatch.setattr(traceless.filtration, "singular_profile", unreachable)
+    monkeypatch.setattr(traceless.filtration, "operator_norm", unreachable)
     filt = build_filtration(s, t, seed_vector(9))
     monkeypatch.undo()
-    assert "spectrum_s" not in vars(filt) and "norm_s" not in vars(filt)
-    assert np.array_equal(filt.spectrum_s, np.linalg.svd(s, compute_uv=False))
+    assert "norm_s" not in vars(filt) and "norm_t" not in vars(filt)
     assert filt.norm_s == operator_norm(s)
     assert filt.norm_t == operator_norm(t)
 
@@ -534,12 +533,22 @@ def test_diagonal_t_is_its_matrix(rng, m):
 
 
 @pytest.mark.parametrize("m", [12, 40])
-def test_structure_check_takes_a_diagonal_t(m):
+def test_structure_check_takes_a_diagonal_t(m, monkeypatch):
     # the witness in B's eigenframe: S = C-tilde, T = diag(z), seeded at 1/sqrt(m)
     z = gaussian_points(m) / float(np.max(np.abs(gaussian_points(m))))
     ctilde = traceless.lowerbound._witness_ctilde(z)
     ones = np.full((m, 1), 1.0 / np.sqrt(m), dtype=complex)
-    vec, mat = (verify_filtration_structure(build_filtration(ctilde, t, ones)) for t in (z, np.diag(z)))
+    mat = verify_filtration_structure(build_filtration(ctilde, np.diag(z), ones))
+    filt = build_filtration(ctilde, z, ones)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the 1-d T was densified")
+
+    # [S, T] for a 1-d T is formed entrywise, with no m x m diag(T) and no product with it
+    monkeypatch.setattr(np, "diag", unreachable)
+    monkeypatch.setattr(traceless.filtration, "commutator", unreachable)
+    vec = verify_filtration_structure(filt)
+    monkeypatch.undo()
     assert vec.all_ok and mat.all_ok
     assert vec.dims == mat.dims == exact_witness_dims(m, PRIMES[0])
     assert abs(vec.hypothesis_residual - mat.hypothesis_residual) <= 1e-14
@@ -586,14 +595,13 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
     for path, mat in zip(paths, (b, c, seed_vector(m))):
         write_matrix(path, mat)
     calls = []
-    for name in ("operator_norm", "singular_profile"):
-        orig = getattr(traceless.filtration, name)
+    orig = traceless.filtration.operator_norm
 
-        def counted(mat, name=name, orig=orig):
-            calls.append((name, mat.shape))
-            return orig(mat)
+    def counted(mat):
+        calls.append(mat.shape)
+        return orig(mat)
 
-        monkeypatch.setattr(traceless.filtration, name, counted)
+    monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
     assert main(["filtration", *paths, "--out", str(tmp_path / "f.json")]) == 0
-    # the spectrum of S (whose top is ||S||) and ||T||, each once, on verify's first read
-    assert calls == [("singular_profile", (m, m)), ("operator_norm", (m, m))]
+    # ||S|| and ||T||, each once, on verify's first read
+    assert calls == [(m, m), (m, m)]

@@ -362,7 +362,7 @@ class TestHsLowerBound:
         def unreachable(*args, **kwargs):
             raise AssertionError("the chain recomputed a commutator or an SVD")
 
-        monkeypatch.setattr(traceless.lowerbound, "commutator", unreachable)
+        monkeypatch.setattr(traceless.filtration, "commutator", unreachable)
         monkeypatch.setattr(np.linalg, "svd", unreachable)
         assert verify_hs_lower_bound(filt, records, certified_lower_norm_b(cert, rescaled=True)).passed
 
@@ -497,7 +497,7 @@ def count_commutators(monkeypatch) -> list:
         calls.append((b, c))
         return orig(b, c)
 
-    for mod in (traceless, traceless.linalg, traceless.lowerbound):
+    for mod in (traceless, traceless.linalg, traceless.filtration):
         monkeypatch.setattr(mod, "commutator", counted)
     return calls
 
@@ -512,14 +512,14 @@ def test_commutator_calls_per_report(monkeypatch):
     assert report.all_strict_passed
     # no commutator: the certificate forms its [B, C] by FFTs from the
     # circulant B; the chain runs in B's eigenframe, where T is a diagonal
-    # that the build applies as row scalings, and the trace check's witness
-    # test is entrywise
+    # that the build applies as row scalings, and the trace check forms
+    # [diag(z), C-tilde] entrywise
     assert calls == []
     assert [(s.shape, t.shape) for s, t in operators] == [((64, 64), (64,))]
 
 
 def test_default_report_refuses_a_wrong_c(monkeypatch):
-    # C-tilde is shared by the certificate and the chain, and the witness test
+    # C-tilde is shared by the certificate and the chain, and the trace check
     # measures (J - I)/m - [diag(z), C-tilde] entrywise; with E the unit
     # superdiagonal, [diag(z), E] has entries z_i - z_(i+1), all nonzero: a C
     # that does not reproduce the witness is refused with no commutator, and
@@ -534,8 +534,10 @@ def test_default_report_refuses_a_wrong_c(monkeypatch):
     wrong = traceless.lowerbound._witness_ctilde(z)
     cert = traceless.lowerbound._witness_certificate(z, wrong, 0)
     assert cert.residual > 1e-3 and not cert.valid
-    assert math.isclose(traceless.lowerbound._eigenframe_residual(z, wrong), 0.1 * hs_norm(z[None, :-1] - z[None, 1:]),
-                        rel_tol=1e-12)
+    ones = np.full((16, 1), 0.25, dtype=complex)
+    with pytest.raises(ValueError, match="reproduce the witness"):
+        verify_trace_inequality(build_filtration(wrong, z, ones), 1.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 16, 100, 512])
@@ -573,15 +575,15 @@ def test_default_report_is_the_witness_at_unit_scale(m, seed):
     assert hs_norm(f.conj().T @ cert.b @ f - np.diag(z)) <= 1e-14
     assert hs_norm(f.conj().T @ cert.c @ f - ctilde) <= 1e-14 * hs_norm(ctilde)
     assert hs_norm(f.conj().T[:, :1] - ones) <= 1e-15
-    # the witness test's entrywise residual is at rounding, as a commutator's is
+    # the seed's M M* - I/m is (J - I)/m, and [diag(z), C-tilde] reproduces it to rounding
     atilde = np.full((m, m), 1.0 / m)
     np.fill_diagonal(atilde, 0.0)
-    residual = traceless.lowerbound._eigenframe_residual(z, ctilde)
     eps = np.finfo(np.float64).eps
-    assert residual <= 8 * eps and hs_norm(atilde - commutator(np.diag(z), ctilde)) <= 8 * eps
+    assert hs_norm(ones @ ones.conj().T - np.eye(m) / m - atilde) <= 4 * eps
+    assert hs_norm(atilde - commutator(np.diag(z), ctilde)) <= 8 * eps
     filt = report_filtration(cert, rescaled=False)
     lower = certified_lower_norm_b(cert, rescaled=False)
-    assert traceless.lowerbound._trace_records(filt, lower, residual, hs_norm(ctilde)) == report.trace_records
+    assert verify_trace_inequality(filt, lower) == report.trace_records
     # the standard frame's chain has the same dims, and its rhs agree to rounding
     std = verify_trace_inequality(build_filtration(cert.c, cert.b, seed_vector(m)),
                                   (1.0 - cert.unitarity_defect) * peak)
@@ -589,12 +591,20 @@ def test_default_report_is_the_witness_at_unit_scale(m, seed):
     assert max(abs(a.rhs - b.rhs) for a, b in zip(std, report.trace_records)) <= 1e-12
 
 
-def test_trace_check_refuses_a_diagonal_t():
-    # the witness is measured in the frame of e_1, so the eigenframe chain's
-    # diagonal T goes through the report alone
-    ctilde, z, ones = eigenframe_pair(16, 0)
-    with pytest.raises(ValueError, match="not a diagonal"):
-        verify_trace_inequality(build_filtration(ctilde, z, ones), 1.0)
+def test_trace_check_measures_the_eigenframe_witness():
+    # the witness is the seed's M M* - I/m in either frame: the eigenframe
+    # chain's records are the report's, a C that misses the witness is
+    # refused, and so is a two-column seed, whose target has trace 1
+    m = 16
+    ctilde, z, ones = eigenframe_pair(m, 0)
+    report = lower_bound_report(m, seed=0)
+    lower = certified_lower_norm_b(report.certificate, rescaled=False)
+    assert verify_trace_inequality(build_filtration(ctilde, z, ones), lower) == report.trace_records
+    with pytest.raises(ValueError, match="reproduce the witness"):
+        verify_trace_inequality(build_filtration(ctilde + 0.1 * np.eye(m, k=1), z, ones), lower)
+    two = np.fft.fft(np.eye(m), norm="ortho")[:, :2]  # F* e_1 and F* e_2
+    with pytest.raises(ValueError, match="reproduce the witness"):
+        verify_trace_inequality(build_filtration(ctilde, z, two), lower)
 
 
 @pytest.mark.parametrize("m", [16, 128, 512])
@@ -772,7 +782,7 @@ def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the report took the spectrum of C")
 
-    for mod in (traceless, traceless.linalg, traceless.filtration):
+    for mod in (traceless, traceless.linalg):
         monkeypatch.setattr(mod, "singular_profile", unreachable)
     report = lower_bound_report(64, certificate=cert)
     assert (report.partial_sums, report.partial_sums_triangular) == direct
