@@ -36,13 +36,11 @@ SEED_TOL = 1e-10  # times max(1, dim M): the seed basis M must have ||M*M - I||_
 class Filtration:
     """Orthonormal block bases of the chain, plus build diagnostics.
 
-    The blocks are adjacent column ranges of ``basis``, a view of one m x m buffer.
-    The build needs no norm of S or T, so ||S|| (``norm_s``) and ||T||
-    (``norm_t``) are measured only when read.
+    The blocks are adjacent column ranges of ``basis``, a view of one m x m buffer;
+    the first is the seed's, of width dim M = ``dims[0]``.
     """
 
     dims: list[int]
-    dim_m: int
     rank_tolerance: float
     block_residual_s: float
     block_residual_t: float
@@ -55,22 +53,6 @@ class Filtration:
     basis: np.ndarray = field(repr=False)
     # read-only G_S = basis* S basis from the build's residual check: block (i, j) is B_i* S B_j
     compression_s: np.ndarray = field(repr=False)
-
-    @cached_property
-    def norm_s(self) -> float:
-        """||S||, measured by one SVD on first use; the build itself never needs it."""
-        return operator_norm(self.s)
-
-    @cached_property
-    def norm_t(self) -> float:
-        """||T||, measured on first use; the build itself never needs it.
-
-        A matrix T takes one SVD.  A 1-d T is diag(T), whose norm is its
-        largest modulus.
-        """
-        if self.t.ndim == 1:
-            return float(np.max(np.abs(self.t)))
-        return operator_norm(self.t)
 
     @property
     def total_dim(self) -> int:
@@ -115,8 +97,9 @@ class Filtration:
         """Thin SVDs (U, sigma, V^H) of each ``boundary`` pair, computed on first use."""
         return [tuple(np.linalg.svd(x, full_matrices=False) for x in pair) for pair in self.boundary]
 
-    def complete(self, m: int) -> bool:
-        return self.total_dim == m
+    def complete(self) -> bool:
+        """Whether the chain spans the whole space."""
+        return self.total_dim == self.basis.shape[0]
 
 
 def _project_once(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -138,54 +121,26 @@ def _project_out(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _project_once(basis, _project_once(basis, vecs))
 
 
-def _compression_residuals(basis, starts, image) -> tuple[float, float, np.ndarray]:
-    """Block-tridiagonality and invariance residuals of an operator on the chain.
+def _far_block_residual(panels, starts) -> float:
+    """The largest ||P_i op P_j||_2 over i > j + 1, from the far block columns of G = basis* op basis.
 
-    From its image op basis, one compression G = basis* op basis gives both:
-    block (i, j) of G (blocks start at column ``starts``) is P_i op P_j, so
-    the first residual is the largest ||P_i op P_j||_2 over i > j + 1; the
-    second is ||op basis - basis G||_2, the part of the image outside the
-    span (zero when the span is everything).  G itself is returned third.
-    The block norms are taken of G times the power of two that brings its
-    largest real or imaginary part into [0.5, 1), as in ``hs_norm``: that
-    scaling is exact, so the squares neither under- nor overflow and a
-    power-of-two scale of op scales the first residual by the same power,
-    bit for bit.
+    Blocks start at column ``starts``, and ``panels[j]`` is block column j
+    of G from block row j + 2 on, transposed or adjoint: d_j rows, one
+    column per basis column from block j + 2 on.  The entries are squared
+    only after scaling by the power of two that brings the panels' largest
+    real or imaginary part into [0.5, 1), as in ``hs_norm``: that scaling is
+    exact, so the squares neither under- nor overflow and a power-of-two
+    scale of op scales the residual by the same power, bit for bit.
     """
-    comp = basis.conj().T @ image
-    block_res = 0.0
-    if len(starts) > 2:
-        parts = comp.view(float)  # real and imaginary parts side by side
-        exp = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
-        parts = np.ldexp(parts, -exp)
-        np.square(parts, out=parts)
-        sq = np.add.reduceat(np.add.reduceat(parts, starts, axis=0), 2 * np.asarray(starts), axis=1)
-        block_res = float(np.ldexp(np.sqrt(np.max(sq[np.tril_indices(len(starts), -2)])), exp))
-    outside = 0.0 if basis.shape[1] == basis.shape[0] else hs_norm(image - basis @ comp)
-    return block_res, outside, comp
-
-
-def _far_block_residual(basis, starts, image) -> float:
-    """``_compression_residuals``' first residual, from the blocks it reads alone.
-
-    Block column j of G is needed only from block row j + 2 on, so the
-    product is taken one block column at a time, about half the flops of
-    the whole G.  Each panel is formed as (op B_j)* basis, the adjoint of
-    those blocks, which has the same moduli.  The power of two that scales
-    the squares is taken over all panels, so a power-of-two scale of op
-    still scales the residual by the same power, bit for bit.
-    """
-    ends = starts[1:] + [basis.shape[1]]
-    panels = [image[:, lo:hi].conj().T @ basis[:, far:] for lo, hi, far in zip(starts, ends, starts[2:])]
-    if not panels:
+    parts = [np.ascontiguousarray(panel).view(float) for panel in panels]  # re and im side by side
+    if not parts:
         return 0.0
-    exp = int(np.frexp(max(float(np.max(np.abs(panel.view(float)))) for panel in panels))[1])
+    exp = int(np.frexp(max(float(np.max(np.abs(part))) for part in parts))[1])
     largest = 0.0
-    for k, panel in enumerate(panels):
-        parts = np.ldexp(panel.view(float), -exp)
-        np.square(parts, out=parts)
+    for k, part in enumerate(parts):
+        part = np.square(np.ldexp(part, -exp))
         rows = 2 * (np.asarray(starts[k + 2:]) - starts[k + 2])  # block rows k + 2, ... in the float view
-        largest = max(largest, float(np.max(np.add.reduceat(parts.sum(axis=0), rows))))
+        largest = max(largest, float(np.max(np.add.reduceat(part.sum(axis=0), rows))))
     return float(np.ldexp(np.sqrt(largest), exp))
 
 
@@ -209,16 +164,23 @@ def _chain_compression(basis, dims, image_s, image_t):
     ``image_s``, ``image_t`` are S basis and T basis.  G_S is kept whole:
     block (n+1, n) is X_n = B_{n+1}* S B_n, block (n, n+1) is the adjoint of
     Y_n = B_{n+1}* S* B_n, and the partial-isometry residuals read the bands
-    beyond.  Of T only the residuals are kept, so when the span is
-    everything, where T basis has no part outside it, only the blocks of
-    G_T that the block residual reads are formed.
+    beyond, and S's block residual its far block columns.  The invariance
+    residual is the part of each image outside the span, ||op basis - basis G||_2,
+    so on an incomplete span G_T is formed whole for it, and T's block
+    residual reads G_T too.  On a complete span that part is zero, and only
+    the far block columns of G_T are formed, one at a time as (T B_j)* basis,
+    about half the flops of the whole G_T.
     """
     starts = [span.start for span in _spans(dims)]
-    res_s, out_s, comp = _compression_residuals(basis, starts, image_s)
+    far = list(zip(starts, starts[1:] + [basis.shape[1]], starts[2:]))  # block column j from row j + 2 on
+    comp = basis.conj().T @ image_s
+    res_s = _far_block_residual([comp[row:, lo:hi].T for lo, hi, row in far], starts)
     if basis.shape[1] == basis.shape[0]:
-        return res_s, _far_block_residual(basis, starts, image_t), out_s, comp
-    res_t, out_t, _ = _compression_residuals(basis, starts, image_t)
-    return res_s, res_t, out_s + out_t, comp
+        panels_t = [image_t[:, lo:hi].conj().T @ basis[:, row:] for lo, hi, row in far]
+        return res_s, _far_block_residual(panels_t, starts), 0.0, comp
+    comp_t = basis.conj().T @ image_t
+    outside = hs_norm(image_s - basis @ comp) + hs_norm(image_t - basis @ comp_t)
+    return res_s, _far_block_residual([comp_t[row:, lo:hi].T for lo, hi, row in far], starts), outside, comp
 
 
 def build_filtration(s, t, m_basis) -> Filtration:
@@ -235,8 +197,7 @@ def build_filtration(s, t, m_basis) -> Filtration:
     brings the largest real or imaginary part of S into [0.5, 1), and each
     column of the T-chain T^n M by its own norm at every degree.  Neither
     changes a span or a rank decision, and both keep image magnitudes tame,
-    so no norm of S or T is needed (``Filtration.norm_s`` and ``norm_t``
-    measure them on first use).  The power of two is exact, so S = 2^k C
+    so no norm of S or T is needed.  The power of two is exact, so S = 2^k C
     builds the very basis of S = C.  The
     build stops when a degree adds nothing, the span is complete, or the
     degree cap 2m is reached.
@@ -330,7 +291,6 @@ def build_filtration(s, t, m_basis) -> Filtration:
     s.flags.writeable = t.flags.writeable = basis.flags.writeable = comp.flags.writeable = False
     return Filtration(
         dims=dims,
-        dim_m=dim_m,
         rank_tolerance=rank_tol,
         block_residual_s=res_s,
         block_residual_t=res_t,
@@ -383,22 +343,24 @@ def verify_filtration_structure(filt: Filtration) -> StructureReport:
     (tr M*[S,T]M - tr [S,T]) / (m - dim M), or 0 when M is everything.
     Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
     and invariance of the chain's total span under both operators; their
-    residuals and the norms behind the tolerances are the build's own.
+    residuals are the build's own, and their tolerance is STRUCTURE_TOL
+    (||S|| + ||T||), with the two norms measured here.
     A filtration built from a 1-d T is checked with T = diag(T), applied
-    entrywise.
+    entrywise; its norm is the largest |t_i|.
     """
-    mb, m = filt.blocks[0], filt.s.shape[0]
+    mb, m, dim_m = filt.blocks[0], filt.s.shape[0], filt.dims[0]
     hyp_op = -_bracket(filt.t, filt.s)  # [S, T]; IEEE negation is exact
-    if filt.dim_m < m:
-        lam = (np.trace(mb.conj().T @ hyp_op @ mb) - np.trace(hyp_op)) / (m - filt.dim_m)
+    if dim_m < m:
+        lam = (np.trace(mb.conj().T @ hyp_op @ mb) - np.trace(hyp_op)) / (m - dim_m)
         hyp_op[np.diag_indices(m)] += lam
     hypothesis_residual = hs_norm(hyp_op - mb @ (mb.conj().T @ hyp_op))
     hypothesis_tol = STRUCTURE_TOL * hs_norm(hyp_op)
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 
     res_s, res_t, inv_res = filt.block_residual_s, filt.block_residual_t, filt.invariance_residual
-    structure_tol = invariance_tol = STRUCTURE_TOL * (filt.norm_s + filt.norm_t)
-    dims_ok = all(d <= (n + 1) * filt.dim_m for n, d in enumerate(filt.dims))
+    norm_t = float(np.max(np.abs(filt.t))) if filt.t.ndim == 1 else operator_norm(filt.t)
+    structure_tol = invariance_tol = STRUCTURE_TOL * (operator_norm(filt.s) + norm_t)
+    dims_ok = all(d <= (n + 1) * dim_m for n, d in enumerate(filt.dims))
 
     return StructureReport(
         hypothesis_residual=hypothesis_residual,

@@ -260,8 +260,8 @@ def _polar_bound(factors) -> float:
     ))
 
 
-def isometry_norm_bounds(filt: Filtration) -> tuple[float, float, float]:
-    """Certified upper bounds on ||V|| and ||W||, and the basis defect they rest on.
+def isometry_norm_bounds(filt: Filtration) -> tuple[float, float]:
+    """Certified upper bounds on ||V|| and ||W||.
 
     V = basis K basis*, where K holds (U_n V_n^H)* in block (n, n+1).  Those
     blocks lie in disjoint block rows and columns, so ||K|| is the largest
@@ -271,11 +271,11 @@ def isometry_norm_bounds(filt: Filtration) -> tuple[float, float, float]:
     ``partial_isometry_residuals``).
     Each ||U_n V_n^H||^2 is at most (1 + ||U_n^H U_n - I||_2)(1 + ||V_n^H V_n - I||_2),
     read from the shared boundary-block SVDs; W is bounded alike from the
-    factors of Y_n.  Returns (bound on ||V||, bound on ||W||, delta_H).
+    factors of Y_n.  Returns (bound on ||V||, bound on ||W||).
     """
     svds = filt.boundary_svds
     scale = 1.0 + filt.basis_defect
-    return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds), filt.basis_defect
+    return scale * _polar_bound(x for x, _ in svds), scale * _polar_bound(y for _, y in svds)
 
 
 def partial_isometry_residuals(filt: Filtration) -> tuple[float, float]:
@@ -529,7 +529,7 @@ def lower_bound_report(
         norm_b = (1.0 - delta) / (1.0 + delta)
     trace_records = verify_trace_inequality(filt, norm_b)
     res_v, res_w = partial_isometry_residuals(filt)
-    v_norm, w_norm, basis_defect = isometry_norm_bounds(filt)
+    v_norm, w_norm = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt)
     hs_lower = verify_hs_lower_bound(filt, trace_records, norm_b)
 
@@ -547,10 +547,10 @@ def lower_bound_report(
         w_norm=w_norm,
         dims=list(filt.dims),
         dims_ok=dims_ok,
-        filtration_complete=filt.complete(m),
+        filtration_complete=filt.complete(),
         block_residual=max(filt.block_residual_s, filt.block_residual_t),
         block_tol=STRUCTURE_TOL * (psums[0].sum + norm_b),
         invariance_residual=filt.invariance_residual,
         certificate=cert,
-        basis_defect=basis_defect,
+        basis_defect=filt.basis_defect,
     )

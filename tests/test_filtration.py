@@ -277,7 +277,7 @@ def assert_matches_reference_build(s, t, mb, projector_tol=None):
 def test_build_matches_reference_witness(m):
     b, c = normalized_witness_factors(m)
     filt = assert_matches_reference_build(b, c, seed_vector(m), 1e-10 if m <= 64 else None)
-    assert filt.complete(m)
+    assert filt.complete()
 
 
 @pytest.mark.parametrize("m, width", [(12, 1), (12, 3), (40, 1), (40, 3)])
@@ -308,7 +308,7 @@ def test_build_stacks_once_per_degree(monkeypatch):
 
     monkeypatch.setattr(np, "column_stack", counted)
     filt = build_filtration(b, c, seed_vector(64))
-    assert filt.complete(64)
+    assert filt.complete()
     assert len(calls) <= 2 * len(filt.dims)
 
 
@@ -334,22 +334,44 @@ def test_build_candidates_follow_accepted_dims(monkeypatch):
 
     monkeypatch.setattr(np, "column_stack", counted)
     filt = build_filtration(b, c, seed_vector(256))
-    assert sum(columns) <= filt.total_dim + len(filt.dims) * filt.dim_m
+    assert sum(columns) <= filt.total_dim + len(filt.dims) * filt.dims[0]
 
 
-def test_stored_spectrum_is_the_generator_spectrum(rng, monkeypatch):
-    # the build measures no norm of S or T; the first read of norm_s or norm_t does
-    s, t = random_complex(rng, 9), random_complex(rng, 9)
-
+def test_build_measures_no_norm_of_t(rng, monkeypatch):
+    # S H_n is scaled by a power of two and the T-chain column by column, so the
+    # build measures no norm of S or T, for a matrix T or a 1-d one;
+    # test_operator_norm_calls_per_report shows the same of the report
     def unreachable(mat):
-        raise AssertionError("the build measured a norm")
+        raise AssertionError("the build measured an operator norm")
 
     monkeypatch.setattr(traceless.filtration, "operator_norm", unreachable)
+    s, t = random_complex(rng, 9), random_complex(rng, 9)
+    for t_in in (t, np.diagonal(t).copy()):
+        assert build_filtration(s, t_in, seed_vector(9)).complete()
+
+
+@pytest.mark.parametrize("kind", ["matrix", "1-d", "zero"])
+def test_structure_tol_measures_both_norms(rng, monkeypatch, kind):
+    # verify_filtration_structure measures ||S|| by one SVD, and ||T|| by one
+    # more for a matrix T; a 1-d T is diag(T), whose norm is its largest modulus
+    s, t = random_complex(rng, 9), random_complex(rng, 9)
+    t = {"matrix": t, "1-d": np.diagonal(t).copy(), "zero": np.zeros((9, 9))}[kind]
     filt = build_filtration(s, t, seed_vector(9))
-    monkeypatch.undo()
-    assert "norm_s" not in vars(filt) and "norm_t" not in vars(filt)
-    assert filt.norm_s == operator_norm(s)
-    assert filt.norm_t == operator_norm(t)
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return operator_norm(mat)
+
+    monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
+    report = verify_filtration_structure(filt)
+    norm_t = float(np.max(np.abs(t))) if t.ndim == 1 else operator_norm(t)
+    assert report.structure_tol == report.invariance_tol == STRUCTURE_TOL * (operator_norm(s) + norm_t)
+    assert calls == [(9, 9)] * (1 if t.ndim == 1 else 2)
+    if kind == "1-d":
+        assert abs(norm_t - operator_norm(np.diag(t))) <= 8 * np.finfo(np.float64).eps * norm_t
+    if kind == "zero":
+        assert report.structure_tol == STRUCTURE_TOL * operator_norm(s)
 
 
 # The per-pair and projector forms of the residuals, kept as references for
@@ -393,7 +415,7 @@ def assert_matches_references(blocks, s, t):
 def test_compression_matches_references_witness(m):
     b, c = normalized_witness_factors(m)
     filt = build_filtration(b, c, seed_vector(m))
-    assert filt.complete(m)
+    assert filt.complete()
     for k in (len(filt.blocks), len(filt.blocks) // 2, 3, 2, 1):  # whole and truncated chains
         assert_matches_references(filt.blocks[:k], b, c)
 
@@ -409,20 +431,6 @@ def test_compression_matches_references_random(rng, m):
     res_s, res_t, inv, _ = build_compression(filt, s, t)
     stored = (filt.block_residual_s, filt.block_residual_t, filt.invariance_residual)
     assert stored == (res_s, res_t, inv)
-
-
-def test_build_measures_no_norm_of_t(rng, monkeypatch):
-    # the T-chain is scaled column by column, so the build takes no SVD of T;
-    # ||T|| is measured on the first read of norm_t, for the structure check
-    def unreachable(mat):
-        raise AssertionError("the build measured an operator norm")
-
-    s, t = random_complex(rng, 9), random_complex(rng, 9)
-    monkeypatch.setattr(traceless.filtration, "operator_norm", unreachable)
-    filt = build_filtration(s, t, seed_vector(9))
-    assert "norm_t" not in vars(filt)
-    monkeypatch.undo()
-    assert filt.norm_t == operator_norm(t)
 
 
 @pytest.mark.parametrize("k", [1e200, 1e150, 1e-150])
@@ -503,15 +511,9 @@ def test_two_full_basis_passes_per_degree(rng, monkeypatch, pair):
 
     monkeypatch.setattr(traceless.filtration, "_project_once", counted)
     filt = build_filtration(s, t, mb)
-    assert filt.complete(m)
+    assert filt.complete()
     full = Counter(width for start, width in calls if start == calls[0][0])
     assert full == Counter({width: 2 for width in accumulate(filt.dims[:-1])})
-
-
-def test_stored_generator_norms(rng):
-    s, t = random_complex(rng, 6), np.zeros((6, 6))
-    filt = build_filtration(s, t, seed_vector(6))
-    assert filt.norm_s == operator_norm(s) and filt.norm_t == 0.0
 
 
 @pytest.mark.parametrize("m", [5, 16, 40])
@@ -523,13 +525,11 @@ def test_diagonal_t_is_its_matrix(rng, m):
     vec, mat = build_filtration(s, z, seed), build_filtration(s, np.diag(z), seed)
     assert vec.dims == mat.dims
     assert vec.t.shape == (m,) and not vec.t.flags.writeable
-    tol = 64 * m * np.finfo(np.float64).eps * (mat.norm_s + mat.norm_t)
+    tol = 64 * m * np.finfo(np.float64).eps * (operator_norm(s) + operator_norm(np.diag(z)))
     for a, b in ((vec.block_residual_s, mat.block_residual_s), (vec.block_residual_t, mat.block_residual_t),
                  (vec.invariance_residual, mat.invariance_residual)):
         assert abs(a - b) <= tol
     assert hs_norm(vec.compression_s - mat.compression_s) <= 1e-10 * hs_norm(mat.compression_s)
-    assert vec.norm_t == float(np.max(np.abs(z)))
-    assert abs(vec.norm_t - mat.norm_t) <= 8 * np.finfo(np.float64).eps * mat.norm_t
 
 
 @pytest.mark.parametrize("m", [12, 40])
@@ -557,15 +557,19 @@ def test_structure_check_takes_a_diagonal_t(m, monkeypatch):
 
 @pytest.mark.parametrize("dims", [[1, 2], [1, 2, 3], [1, 2, 3, 4, 5, 6, 7, 8, 4]])
 def test_far_blocks_alone_give_the_block_residual(rng, dims):
-    # a complete span reads T's residual from the blocks below the subdiagonal only
-    m = sum(dims)
-    basis, image = random_unitary(rng, m), random_complex(rng, m)
-    starts = [0, *accumulate(dims)][:-1]
-    whole = traceless.filtration._compression_residuals(basis, starts, image)[0]
-    far = traceless.filtration._far_block_residual(basis, starts, image)
-    assert abs(far - whole) <= 64 * m * np.finfo(np.float64).eps * whole
-    assert (far > 0.0) == (len(dims) > 2)
-    assert traceless.filtration._far_block_residual(basis, starts, 2.0**-600 * image) == 2.0**-600 * far
+    # S's far blocks are sliced from G_S; T's are per-column panels on a complete
+    # span (extra = 0) and sliced from G_T when extra dimensions lie outside it
+    for extra in (0, 3):
+        m = sum(dims) + extra
+        basis = random_unitary(rng, m)[:, : sum(dims)]
+        s, t = random_complex(rng, m), random_complex(rng, m)
+        res = _chain_compression(basis, dims, s @ basis, t @ basis)[:2]
+        blocks = np.split(basis, list(accumulate(dims))[:-1], axis=1)
+        for got, ref in zip(res, reference_structure_residuals(blocks, s, t)):
+            assert abs(got - ref) <= 64 * m * np.finfo(np.float64).eps * ref
+            assert (got > 0.0) == (len(dims) > 2)
+        tiny = _chain_compression(basis, dims, 2.0**-600 * (s @ basis), 2.0**-600 * (t @ basis))[:2]
+        assert tiny == tuple(2.0**-600 * r for r in res)
 
 
 def test_diagonal_t_is_validated(rng):
@@ -603,5 +607,5 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
     assert main(["filtration", *paths, "--out", str(tmp_path / "f.json")]) == 0
-    # ||S|| and ||T||, each once, on verify's first read
+    # ||S|| and ||T||, each once, measured by verify for the structure tolerance
     assert calls == [(m, m), (m, m)]
