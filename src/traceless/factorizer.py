@@ -49,14 +49,18 @@ class FactorizationCertificate:
     ``ratio`` is ||B|| * ||C||_2 / ||A||_2 and ``bound`` the calibrated
     sqrt(RATIO_WINDOW + log m) envelope; ``valid`` certifies the residual,
     normality of B, and the lattice bound on ||B||.  ``op_norm_b`` is the
-    eigenframe bound (1 + unitarity_defect) max |b_i| >= ||B||, and the
-    normality of B is certified from ``unitarity_defect`` as well.
+    upper end of the eigenframe interval (1 -+ unitarity_defect) peak that
+    holds ||B||, and the normality of B is certified from
+    ``unitarity_defect`` as well.  For ``factor``, peak = max |b_i| and the
+    defect is ||Q*Q - I||_2; for ``witness_factorization``, peak is the
+    largest modulus of B's computed eigenvalues, the defect the interval's
+    relative half-width, and ``q`` is None.
     """
 
     m: int
     b: np.ndarray
     c: np.ndarray
-    q: np.ndarray
+    q: np.ndarray | None
     residual: float
     op_norm_b: float
     hs_norm_c: float
@@ -70,7 +74,7 @@ class FactorizationCertificate:
     diag_residual: float = 0.0
     reduction_converged: bool = True
     best_trial: int = 0
-    unitarity_defect: float = 0.0  # ||Q*Q - I||_2, which op_norm_b and normality rest on
+    unitarity_defect: float = 0.0  # the interval's relative half-width, which op_norm_b and normality rest on
 
 
 def c_from_b(atilde, b) -> np.ndarray:
@@ -175,9 +179,13 @@ def factor(a, trials: int = DEFAULT_TRIALS, seed: int = 0) -> FactorizationCerti
     qh = q.conj().T
     b = q @ (bvec[:, None] * qh)  # Q diag(b) Q*
     c = q @ ctilde @ qh
+    # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|, and
+    # sigma_min(Q)^2 >= 1 - defect, so ||B|| >= (1 - defect) max |b_i|
+    defect = unit_defect(q) if m > 1 else 0.0
     return certified_factorization(
-        a, b, c, q, bvec, bracket=commutator(b, c), seed=seed, trials=trials, best_trial=best_trial,
-        reduction_converged=red.converged, diag_residual=red.diag_residual,
+        a, b, c, float(np.max(np.abs(bvec))), defect, bracket=commutator(b, c), q=q, seed=seed,
+        trials=trials, best_trial=best_trial, reduction_converged=red.converged,
+        diag_residual=red.diag_residual,
     )
 
 
@@ -185,31 +193,37 @@ def certified_factorization(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    q: np.ndarray,
-    bvec: np.ndarray,
+    peak: float,
+    defect: float,
     *,
     bracket: np.ndarray,
     seed: int,
     trials: int,
+    q: np.ndarray | None = None,
     best_trial: int = 0,
     reduction_converged: bool = True,
     diag_residual: float = 0.0,
 ) -> FactorizationCertificate:
-    """Certify B = Q diag(bvec) Q* and C as a factorization of A, in B's eigenframe.
+    """Certify B and C as a factorization of A, from B's eigenframe interval.
 
-    With the unitarity defect delta = ||Q*Q - I||_2 (one GEMM),
-    ||B|| <= (1 + delta) max |b_i| is the certified ``op_norm_b``, and
-    2 delta (1 + delta) <= NORMALITY_TOL implies ||BB* - B*B||_2 <=
-    NORMALITY_TOL max |b_i|^2, which is at most NORMALITY_TOL op_norm_b^2.
+    The caller proves (1 - defect) peak <= ||B|| <= (1 + defect) peak for a
+    normal B: ``factor`` from B = Q diag(b) Q*, with peak = max |b_i| and
+    defect = ||Q*Q - I||_2 (one GEMM), the witness from B's spectrum.
+    (1 + defect) peak is the certified ``op_norm_b``.  For B = Q diag(b) Q*,
+    2 defect (1 + defect) <= NORMALITY_TOL implies ||BB* - B*B||_2 <=
+    NORMALITY_TOL max |b_i|^2, which is at most NORMALITY_TOL op_norm_b^2; the
+    witness's circulant B is exactly normal, and the same gate on its
+    half-width only asks a narrow interval.  For ``factor`` both bounds hold
+    for Q diag(b) Q*, not for the rounded product stored as B.
     The residual ||A - [B, C]||_2 is measured on ``bracket``, the caller's
-    [B, C] of the given B and C, and ||C||_2 on C, by ``certify``'s rule.
-    The remaining keywords are recorded as given;
-    ``reduction_converged`` also gates ``valid``.
+    [B, C] of the given B and C, and ||C||_2 on C, by ``certify``'s rule;
+    ``bracket`` is overwritten with A - [B, C].  A 1-d ``a`` is the diagonal
+    of a diagonal A.  The remaining keywords, ``q`` (B's eigenframe, or
+    None) among them, are recorded as given; ``reduction_converged`` also
+    gates ``valid``.
     """
     m = a.shape[0]
-    # ||Q||^2 = ||Q* Q|| <= 1 + defect, so ||B|| <= (1 + defect) max |b_i|
-    defect = unit_defect(q) if m > 1 else 0.0
-    check = _certify_bracket(a, bracket, c, (1.0 + defect) * float(np.max(np.abs(bvec))))
+    check = _certify_bracket(a, bracket, c, (1.0 + defect) * peak)
     op_b = check.op_norm_b
     bound = math.sqrt(RATIO_WINDOW + math.log(m)) if m > 1 else math.sqrt(RATIO_WINDOW)
 

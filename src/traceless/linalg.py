@@ -176,10 +176,20 @@ def certify(a, b, c, op_norm_b: float) -> CommutatorCheck:
 
 
 def _certify_bracket(a: np.ndarray, bracket: np.ndarray, c, op_norm_b: float) -> CommutatorCheck:
-    """``certify`` with [B, C] already formed as ``bracket``, and A already a square matrix."""
-    residual = hs_norm(a - bracket)
+    """``certify`` with [B, C] already formed as ``bracket``, which is overwritten with A - [B, C].
+
+    A is a square matrix, or, 1-d, the diagonal of a diagonal one, which is
+    subtracted in place with the same bits as the dense difference.
+    """
+    if a.ndim == 1:
+        np.negative(bracket, out=bracket)
+        bracket[np.diag_indices(len(a))] += a
+        hs_a = hs_norm(a[None, :])
+    else:
+        np.subtract(a, bracket, out=bracket)
+        hs_a = hs_norm(a)
+    residual = hs_norm(bracket)
     hs_c = hs_norm(c)
-    hs_a = hs_norm(a)
     return CommutatorCheck(
         residual=residual,
         op_norm_b=op_norm_b,

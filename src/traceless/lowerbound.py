@@ -57,7 +57,12 @@ ISOMETRY_NORM_TOL = 1e-10  # the bounds on ||V|| and ||W|| must be at most 1 + I
 
 
 def extremal_matrix(m: int) -> np.ndarray:
-    """diag(1 - 1/m, -1/m, ..., -1/m): the lower-bound witness.
+    """diag(1 - 1/m, -1/m, ..., -1/m): the lower-bound witness."""
+    return np.diag(_witness_diagonal(m))
+
+
+def _witness_diagonal(m: int) -> np.ndarray:
+    """The diagonal of ``extremal_matrix(m)``.
 
     The head entry is the compensated negative of the tail so the diagonal
     sums to zero to the last ulp (exactly, for power-of-two m).
@@ -68,7 +73,7 @@ def extremal_matrix(m: int) -> np.ndarray:
     head = -math.fsum([d] * (m - 1))
     diag = np.full(m, d, dtype=complex)
     diag[0] = head
-    return np.diag(diag)
+    return diag
 
 
 def witness_factorization(points, seed: int = 0) -> FactorizationCertificate:
@@ -83,10 +88,12 @@ def witness_factorization(points, seed: int = 0) -> FactorizationCertificate:
 
     B is the circulant whose first column is fft(z)/m, so it is exactly
     normal; C takes one FFT down the columns and one inverse FFT along the
-    rows.  The pair is certified as ``factor`` certifies its own, with F as
-    the eigenframe, but its [B, C] is formed by FFTs, as the DFT
-    diagonalizes B, and not by two m x m products; ``seed`` is only
-    recorded.  The points of ``factor``'s first trial at seed s give
+    rows.  The pair is certified by ``factor``'s rule, but in B's spectrum:
+    ||B|| lies in the interval that ``_circulant_norm_interval`` proves from
+    a direct DFT sum, and [B, C] is formed by FFTs, as the DFT diagonalizes
+    B, and not by two m x m products.  No DFT matrix is formed, so the
+    certificate's ``q`` is None; ``seed`` is only recorded.  The points of
+    ``factor``'s first trial at seed s give
     ``factor(extremal_matrix(m), trials=1, seed=s)`` up to rounding.
     """
     z = np.asarray(points, dtype=complex).ravel()
@@ -106,14 +113,15 @@ def _witness_certificate(z: np.ndarray, ctilde: np.ndarray, seed: int) -> Factor
 
     B is filled from beta = fft(z)/m by index, so it is circ(beta) exactly,
     and the residual is measured on the stored B and C, as ``factor``
-    measures its own.
+    measures its own; A enters as its diagonal, so no m x m A is formed.
     """
     m = len(z)
+    diagonal = _witness_diagonal(m)
     beta = np.fft.fft(z) / m
     b = _circulant(beta)
     c = np.fft.ifft(np.fft.fft(ctilde, axis=0, norm="ortho"), axis=1, norm="ortho")
-    f = np.fft.fft(np.eye(m), norm="ortho")
-    return certified_factorization(extremal_matrix(m), b, c, f, z, bracket=_circulant_commutator(beta, c),
+    peak, delta = _circulant_norm_interval(beta)
+    return certified_factorization(diagonal, b, c, peak, delta, bracket=_circulant_commutator(beta, c),
                                    seed=seed, trials=1)
 
 
@@ -133,6 +141,57 @@ def _circulant_commutator(beta: np.ndarray, c: np.ndarray) -> np.ndarray:
     bc = np.fft.ifft(lam[:, None] * np.fft.fft(c, axis=0), axis=0)
     bc -= np.fft.fft(np.fft.ifft(c, axis=1) * lam, axis=1)
     return bc
+
+
+def _circulant_norm_interval(beta: np.ndarray) -> tuple[float, float]:
+    """(p, delta) with (1 - delta) p <= ||circ(beta)|| <= (1 + delta) p, in O(m^2) flops and no FFT.
+
+    circ(beta), B[j, k] = beta[(j - k) mod m], is normal with eigenvalues
+    lambda_k = sum_j beta_j w^(jk), w = exp(-2 pi i/m), so ||B|| = max |lambda_k|.
+    An FFT would give them in O(m log m), but numpy's mixed-radix and
+    Bluestein paths have no error bound to quote; a direct sum has one at
+    every m.  With j = j1 W + j0, W = ceil(sqrt(m)) and beta zero-padded to
+    n1 = ceil(m / W) rows of W, it is
+        lambda_k = sum_j1 w^(k j1 W) sum_j0 beta_(j1 W + j0) w^(k j0):
+    one (m x W) by (W x n1) product and a sum of n1 terms per k, with every
+    twiddle read from the table w^t, t = 0..m-1, so only m x W and m x n1
+    index arrays are formed.  Its error, with u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3):
+      * each table entry is within mu = 32u of w^t: the angle 2 pi t / m
+        takes three roundings, 2 pi gamma_3 < 19u, and cos and sin are
+        taken within 4 ulps, 8u each;
+      * a computed product of two entries is then within 2 mu + mu^2;
+      * the inner sum is two real inner products of length 2W, in any order
+        and with or without fused multiply-adds, so it errs by at most
+        sqrt(2) gamma_2W sum |beta_j| |w-hat|; the product by the outer
+        twiddle adds sqrt(2) gamma_2 and the outer sum gamma_(n1 - 1).
+    So |lambda-hat_k - lambda_k| <= (sqrt(2) (2W + n1 + 1) + 64) u ||beta||_1
+    to first order in u, and eps = (1.5 (2W + n1) + 67) u s, s the computed
+    ||beta||_1, covers it with the second-order terms for m < 2^32.
+    delta = eps / p + 8u, p the computed max |lambda-hat_k|, also covers
+    the rounding of |.|, of delta and of (1 + delta) p.
+    """
+    m = len(beta)
+    width = math.isqrt(m - 1) + 1  # W = ceil(sqrt(m))
+    rows = -(-m // width)
+    padded = np.zeros(rows * width, dtype=complex)
+    padded[:m] = beta
+    table = _dft_twiddles(m)
+    k = np.arange(m)
+    inner = table[np.multiply.outer(k, np.arange(width)) % m] @ padded.reshape(rows, width).T
+    inner *= table[np.multiply.outer(k, width * np.arange(rows)) % m]
+    peak = float(np.max(np.abs(inner.sum(axis=1))))
+    eps = (1.5 * (2 * width + rows) + 67.0) * 2.0**-53 * float(np.sum(np.abs(beta)))
+    return peak, eps / peak + 8.0 * 2.0**-53
+
+
+def _dft_twiddles(m: int) -> np.ndarray:
+    """The table w^t = cos(2 pi t/m) - i sin(2 pi t/m), t = 0..m-1."""
+    angle = 2.0 * np.pi * np.arange(m) / m
+    table = np.empty(m, dtype=complex)
+    table.real = np.cos(angle)
+    table.imag = -np.sin(angle)
+    return table
 
 
 def _triangular(n: int) -> int:
@@ -488,10 +547,10 @@ def lower_bound_report(
 
     A ``certificate`` passed in is verified in its own frame instead,
     seeded at e_1, where M M* - I/m = A, and rescaled by its op_norm_b =
-    (1 + delta) max |b_i| (C absorbs the factor), with delta = ||Q*Q - I||_2
-    its ``unitarity_defect``.  As sigma_min(Q)^2 >= 1 - delta, the rescaled
-    ||B|| is at least (1 - delta)/(1 + delta), the lower end the trace check
-    and ``block_tol`` take; the trace check refuses a lower end not within
+    (1 + delta) peak (C absorbs the factor), with delta its
+    ``unitarity_defect``.  Its interval (1 -+ delta) peak holds ||B||, so the
+    rescaled ||B|| is at least (1 - delta)/(1 + delta), the lower end the
+    trace check and ``block_tol`` take; the trace check refuses a lower end not within
     UNIT_NORM_TOL of 1.  Each branch builds its filtration and its
     ``norm_b`` alone, and one ``verify_trace_inequality`` call follows both:
     it measures [B, C] against the seed's witness, as a certificate may be

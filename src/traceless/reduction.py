@@ -119,8 +119,10 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
     it is set to exactly 0 and leaves the live set, and its partner takes the
     pair's 2x2 trace.  If no pair of a round allows that, the largest live
     entry takes its most coupled partner that does: a live one if any, else a
-    finished slot, whose 0 puts 0 in the block's numerical range.  The rounds
-    end when no partner does, at one live entry, or after 2m rounds.
+    finished slot, whose 0 puts 0 in the block's numerical range, but none
+    that such a move zeroed since a round's pairs last turned: refilling one
+    could only carry the live entries around a cycle.  The rounds end when no
+    partner does, at one live entry, or after 2m rounds.
 
     Only an entry the rounds cannot zero leaves the diagonal above
     DIAG_TOL * ||A||_2; the best-effort result is then returned with
@@ -159,6 +161,7 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
             w, transposed, _ = _rotate(w, qh, transposed, pairs, d[pairs].mean(axis=1))
             sweeps_done += 1
 
+    vacated = []  # the slots zeroed by fallbacks since a round's pairs last turned: none is refilled
     for _ in range(2 * m):
         size = np.abs(np.diag(w))
         order = np.argsort(-size, kind="stable")[: np.count_nonzero(size)]  # the live entries
@@ -166,14 +169,17 @@ def zero_diagonal_reduce(a) -> DiagonalizationResult:
             break  # at roundoff, rotations would only add rounding error
         pairs = np.stack([order[: len(order) // 2], order[::-1][: len(order) // 2]], axis=1)
         w, transposed, done = _rotate(w, qh, transposed, pairs, 0.0)
-        if not len(done):  # the largest live entry takes its most coupled partner that allows it
-            i, rest = order[0], np.delete(np.arange(m), order[0])
+        fallback = not len(done)
+        if fallback:  # the largest live entry takes its most coupled partner that allows it
+            i = order[0]
+            rest = np.delete(np.arange(m), [i, *vacated])
             key = np.lexsort((-np.abs(w[i, rest]) - np.abs(w[rest, i]), size[rest] == 0))  # live ones first
-            pairs = np.stack([np.full(m - 1, i), rest[key]], axis=1)
+            pairs = np.stack([np.full(len(rest), i), rest[key]], axis=1)
             w, transposed, done = _rotate(w, qh, transposed, pairs, 0.0, most=1)
         if not len(done):
             break  # no partner has a rotation, so every later round would be this one
         w[done, done] = 0.0
+        vacated = vacated + done.tolist() if fallback else []
     w = w.T.copy() if transposed else w
 
     resid = float(np.max(np.abs(np.diag(w))))

@@ -84,11 +84,17 @@ def trial0_points(m: int, seed: int) -> np.ndarray:
 
 
 def assert_norm_interval(cert):
-    """The measured ||B|| lies in the certificate's interval (1 -+ delta) max |b_i|, up to 8 ulps."""
+    """The measured ||B|| lies in the certificate's interval (1 -+ delta) peak, up to 8 ulps."""
     eps = np.finfo(np.float64).eps
-    peak, delta = float(np.max(np.abs(gaussian_points(cert.m)))), cert.unitarity_defect
+    delta = cert.unitarity_defect
     norm = operator_norm(cert.b)
-    assert (1.0 - delta) * peak * (1.0 - 8 * eps) <= norm <= (1.0 + delta) * peak * (1.0 + 8 * eps)
+    assert norm <= cert.op_norm_b * (1.0 + 8 * eps)
+    assert cert.op_norm_b * (1.0 - delta) / (1.0 + delta) <= norm * (1.0 + 8 * eps)
+    if cert.q is None:  # the witness: the interval (1 -+ delta) p from B's spectrum
+        peak, half_width = traceless.lowerbound._circulant_norm_interval(cert.b[:, 0])
+        assert delta == half_width
+    else:  # factor: the interval (1 -+ delta) max |b_i| from B's eigenframe Q
+        peak = float(np.max(np.abs(gaussian_points(cert.m))))
     assert cert.op_norm_b == (1.0 + delta) * peak  # the upper end is the certificate's own bound
 
 
@@ -100,8 +106,10 @@ class TestWitnessFactorization:
         cert = witness_factorization(trial0_points(m, seed), seed=seed)
         for mine, theirs in ((cert.b, ref.b), (cert.c, ref.c)):
             assert hs_norm(mine - theirs) <= 1e-14 * hs_norm(theirs)
-        assert cert.op_norm_b == ref.op_norm_b
-        assert (cert.valid, cert.seed, cert.trials) == (True, seed, 1)
+        # both intervals hold ||B||: the witness's from B's spectrum, factor's from Q
+        assert_norm_interval(cert)
+        assert_norm_interval(ref)
+        assert (cert.valid, cert.seed, cert.trials, cert.q) == (True, seed, 1, None)
 
     @pytest.mark.parametrize("m", [2, 3, 7, 16, 33, 64, 128, 256])
     def test_certificate_in_eigenframe(self, m):
@@ -116,13 +124,32 @@ class TestWitnessFactorization:
     @pytest.mark.parametrize("m", [2, 9, 16, 64, 256])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_norm_interval_holds_measured_norm(self, kind, m, seed):
-        # the report trusts (1 - delta) max |b_i| <= ||B|| <= (1 + delta) max |b_i|
+        # the report trusts (1 - delta) peak <= ||B|| <= (1 + delta) peak
         # without an SVD; here one SVD checks it, for both kinds of certificate
         if kind == "witness":
             cert = witness_factorization(trial0_points(m, seed), seed=seed)
         else:
             cert = factor(extremal_matrix(m), trials=4, seed=seed)
         assert_norm_interval(cert)
+
+    @pytest.mark.parametrize("m", [*range(2, 65), 100, 127, 243, 257, 509, 512, 1000, 1021, 1024])
+    def test_spectral_interval_holds_at_every_fft_length(self, m):
+        # B's interval comes from a direct DFT sum, so it holds whatever path
+        # numpy's FFT takes for m: powers of two, mixed radices, and primes
+        # (127, 257, 509, 1021) that go through Bluestein's algorithm
+        cert = witness_factorization(trial0_points(m, 0))
+        assert_norm_interval(cert)
+        assert cert.unitarity_defect <= 1e-12 and cert.valid
+
+    def test_twiddles_within_their_stated_error(self):
+        # the interval assumes each table entry within 32 u of exp(-2 pi i t/m)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 120
+        for m in (3, 7, 100, 127, 1021, 1024):
+            table = traceless.lowerbound._dft_twiddles(m)
+            for t, entry in enumerate(table.tolist()):
+                exact = mpmath.exp(-2j * mpmath.pi * t / m)
+                assert abs(mpmath.mpc(entry.real, entry.imag) - exact) <= 32 * 2.0**-53
 
     def test_wide_norm_interval_refused(self):
         # a defect of 1e-9 leaves ||B / op_norm_b|| only known within 2e-9 of 1
@@ -554,6 +581,36 @@ def test_fft_bracket_matches_the_commutator(m):
     assert cert.residual == hs_norm(extremal_matrix(m) - bracket)
 
 
+@pytest.mark.parametrize("m", [16, 100, 256])
+def test_default_report_forms_no_dft_matrix(monkeypatch, m):
+    # B's interval comes from its spectrum and the witness's A from its
+    # diagonal: no F = fft(I)/sqrt(m), no m x m unit_defect, no dense A
+    defects, identities = [], []
+    orig_defect, orig_fft = traceless.linalg.unit_defect, np.fft.fft
+
+    def defect(x):
+        defects.append(np.shape(x))
+        return orig_defect(x)
+
+    def fft(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, np.eye(len(a))):
+            identities.append(a.shape)
+        return orig_fft(a, *args, **kwargs)
+
+    def dense(*args):
+        raise AssertionError("the report formed the dense witness")
+
+    for mod in (traceless.linalg, traceless.factorizer, traceless.filtration, traceless.lowerbound):
+        monkeypatch.setattr(mod, "unit_defect", defect)
+    monkeypatch.setattr(np.fft, "fft", fft)
+    monkeypatch.setattr(traceless.lowerbound, "extremal_matrix", dense)
+    report = lower_bound_report(m, seed=0)
+    assert report.all_strict_passed and report.certificate.q is None
+    assert defects and (m, m) not in defects  # the isometry bounds' block factors only
+    assert identities == []
+
+
 @pytest.mark.parametrize("m, seed", [(2, 0), (16, 1), (100, 2), (256, 0)])
 def test_default_report_is_the_witness_at_unit_scale(m, seed):
     # the points are divided by their largest modulus beta = normalization, so
@@ -565,7 +622,7 @@ def test_default_report_is_the_witness_at_unit_scale(m, seed):
     assert report.normalization == beta
     peak = float(np.max(np.abs(unit_points(m, seed))))
     assert abs(peak - 1.0) <= np.finfo(np.float64).eps
-    assert cert.op_norm_b == (1.0 + cert.unitarity_defect) * peak
+    assert_norm_interval(cert)
     ref = factor(extremal_matrix(m), trials=1, seed=seed)
     for mine, theirs in ((cert.b * beta, ref.b), (cert.c / beta, ref.c)):
         assert hs_norm(mine - theirs) <= 1e-14 * hs_norm(theirs)
@@ -585,8 +642,9 @@ def test_default_report_is_the_witness_at_unit_scale(m, seed):
     lower = certified_lower_norm_b(cert, rescaled=False)
     assert verify_trace_inequality(filt, lower) == report.trace_records
     # the standard frame's chain has the same dims, and its rhs agree to rounding
+    delta = cert.unitarity_defect  # the lower end of the certificate's interval
     std = verify_trace_inequality(build_filtration(cert.c, cert.b, seed_vector(m)),
-                                  (1.0 - cert.unitarity_defect) * peak)
+                                  cert.op_norm_b * (1.0 - delta) / (1.0 + delta))
     assert [r.rank_cum for r in std] == [r.rank_cum for r in report.trace_records]
     assert max(abs(a.rhs - b.rhs) for a, b in zip(std, report.trace_records)) <= 1e-12
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import traceless.reduction
+
 from traceless import NonzeroTraceError, extremal_matrix, factor
 from traceless.linalg import hs_norm, singular_profile
 from traceless.reduction import _attaining_rotations, zero_diagonal_reduce
@@ -215,6 +217,12 @@ def _complex_diagonal(m: int) -> np.ndarray:
     return np.diag(d - d.mean())
 
 
+def _normal_diagonal(m: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return np.diag(d - d.mean())
+
+
 def _rotated_jordan(m: int) -> np.ndarray:
     u = random_unitary(np.random.default_rng(5), m)
     return u @ np.eye(m, k=1) @ u.conj().T
@@ -341,6 +349,8 @@ DRIFTED = {
     # at m = 2 the one pair cannot put 0 on an entry and no slot is finished
     "complex-diagonal-2": lambda: _complex_diagonal(2),
     "complex-diagonal-3": lambda: _complex_diagonal(3),
+    # after the first round no pair of its two live entries can be zeroed
+    "normal-diagonal-4": lambda: _normal_diagonal(4, 1),
 }
 
 
@@ -419,6 +429,19 @@ class TestSkippedWork:
         res = zero_diagonal_reduce(a)
         _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
         assert res.sweeps <= _log2_ceil(a.shape[0])
+
+    def test_fallbacks_refill_no_vacated_slot(self, monkeypatch):
+        # each fallback moves a live entry onto a finished slot that no fallback
+        # has emptied since the pairs last turned, so when the live entries' own
+        # pair can never be zeroed the fallbacks run out of slots; refilling one
+        # carried them around the slots for all 2m rounds, in 15 rotation steps
+        a = DRIFTED["normal-diagonal-4"]().astype(complex)
+        a[0, 0] += 0.9e-10 * hs_norm(a)
+        steps, rotate = [], traceless.reduction._rotate
+        monkeypatch.setattr(traceless.reduction, "_rotate", lambda *args, **kw: steps.append(kw) or rotate(*args, **kw))
+        res = zero_diagonal_reduce(a)
+        _assert_reduced(a, res.q, res.atilde, res.diag_residual, res.converged)
+        assert len(steps) < 15
 
     @pytest.mark.parametrize("name", ["complex-diagonal-2", "complex-diagonal-3"])
     def test_equal_entries_make_no_sweep(self, monkeypatch, name):
