@@ -16,6 +16,7 @@ and M: d_n + dim M candidates per degree span what the monomials span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -26,10 +27,10 @@ from .linalg import as_matrix, commutator, gram_defect, hs_norm, operator_norm, 
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
-DEGREE_CAP_FACTOR = 2  # degree cap = 2m; an m-dim space stabilizes far earlier
 STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks and the report's block_tol
 RANK_TOL = 1e-8  # times m: a candidate is a new direction iff its new part exceeds RANK_TOL m of its norm
 SEED_TOL = 1e-10  # times max(1, dim M): the seed basis M must have ||M*M - I||_2 within it
+PANELS = 8  # the compression makes one GEMM per panel of basis columns, cut at block boundaries
 
 
 @dataclass
@@ -45,14 +46,17 @@ class Filtration:
     block_residual_s: float
     block_residual_t: float
     invariance_residual: float
-    # read-only copies of those S and T (T 1-d if given as a diagonal), so that changing the
-    # caller's arrays changes nothing here
+    # read-only S and T (T 1-d if given as a diagonal): copies, so that changing the
+    # caller's arrays changes nothing here, except where the lower-bound report hands
+    # over arrays that it owns
     s: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
     # read-only view of the blocks side by side
     basis: np.ndarray = field(repr=False)
-    # read-only G_S = basis* S basis from the build's residual check: block (i, j) is B_i* S B_j
+    # read-only G_S = basis* S basis: block (i, j) is B_i* S B_j
     compression_s: np.ndarray = field(repr=False)
+    # read-only Gram basis* basis, the identity up to rounding, exactly Hermitian
+    gram: np.ndarray = field(repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -83,11 +87,6 @@ class Filtration:
         return pairs
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """basis* basis, the identity up to rounding, computed on first use."""
-        return self.basis.conj().T @ self.basis
-
-    @cached_property
     def basis_defect(self) -> float:
         """delta_H = ||basis* basis - I||_2, read from ``gram`` on first use."""
         return gram_defect(self.gram)
@@ -102,52 +101,87 @@ class Filtration:
         return self.total_dim == self.basis.shape[0]
 
 
-def _project_once(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Remove the components of ``vecs`` in span(basis): one classical Gram-Schmidt pass.
+def _project_once(basis: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One classical Gram-Schmidt pass: ``vecs`` less their components in span(basis), and basis* vecs.
 
     basis* vecs is formed as (vecs* basis)*, which conjugates the few
     columns of ``vecs`` instead of copying the basis.
     """
-    return vecs - basis @ (vecs.conj().T @ basis).conj().T
+    coef = (vecs.conj().T @ basis).conj().T
+    return vecs - basis @ coef, coef
 
 
 def _project_out(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Remove basis components twice (classical reorthogonalization: "twice is enough").
 
-    The build uses it only within a degree, against the few directions that
-    degree has accepted so far; against the whole basis each candidate gets
-    one pass before its rank decision and one before the block's QR.
+    The build uses it only within a degree, against the directions that
+    degree has accepted before a rejected candidate; against the whole basis
+    each candidate gets one pass before its rank decision and one before the
+    block's QR.
     """
-    return _project_once(basis, _project_once(basis, vecs))
+    return _project_once(basis, _project_once(basis, vecs)[0])[0]
 
 
-def _far_block_residual(panels, starts) -> float:
-    """The largest ||P_i op P_j||_2 over i > j + 1, from the far block columns of G = basis* op basis.
+def _new_directions(cands: np.ndarray, norms0: np.ndarray, rank_tol: float, out: np.ndarray) -> int:
+    """Write the new directions among the columns of ``cands`` into ``out``; return how many.
 
-    Blocks start at column ``starts``, and ``panels[j]`` is block column j
-    of G from block row j + 2 on, transposed or adjoint: d_j rows, one
-    column per basis column from block j + 2 on.  The entries are squared
-    only after scaling by the power of two that brings the panels' largest
-    real or imaginary part into [0.5, 1), as in ``hs_norm``: that scaling is
-    exact, so the squares neither under- nor overflow and a power-of-two
-    scale of op scales the residual by the same power, bit for bit.
+    Candidate j is new iff its part orthogonal to the candidates accepted
+    before it exceeds ``rank_tol`` times ``norms0[j]``, and ``out`` has a
+    column left.  One Householder QR decides a run of candidates: |R_jj| is
+    the norm of column j's part orthogonal to the columns before it, and
+    while all of those were accepted, that is the rule.  After a rejection
+    the candidates that follow are projected twice against the accepted
+    directions and the QR restarts on them.  The accepted directions are
+    the QR's orthonormal columns.
     """
-    parts = [np.ascontiguousarray(panel).view(float) for panel in panels]  # re and im side by side
-    if not parts:
+    na = 0
+    while cands.shape[1] and na < out.shape[1]:
+        if na:
+            cands = _project_out(out[:, :na], cands)
+        q, r = np.linalg.qr(cands)
+        new = np.abs(r.diagonal()) > rank_tol * norms0[: r.shape[0]]
+        run = min(len(new) if new.all() else int(np.argmin(new)), out.shape[1] - na)
+        out[:, na : na + run] = q[:, :run]
+        na += run
+        cands, norms0 = cands[:, run + 1 :], norms0[run + 1 :]  # past the rejected one
+    return na
+
+
+def _panels(starts: list[int]) -> list[tuple[int, int]]:
+    """Block ranges [a, b) of the compression's column panels: PANELS of about equal width, cut at block starts."""
+    nb, last = starts[-1], len(starts) - 1
+    cuts = {int(np.searchsorted(starts, p * nb / PANELS)) for p in range(1, PANELS)}
+    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < last), last]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _far_block_norm(panel: np.ndarray, rows: np.ndarray, cols: np.ndarray, far: np.ndarray) -> float:
+    """The largest Frobenius norm over the blocks of ``panel`` that ``far`` selects; ``panel`` is overwritten.
+
+    ``panel`` is C-contiguous, its block rows start at ``rows`` and its block
+    columns at ``cols``; all its block sums of squares come from one
+    ``reduceat`` per axis.  The entries are squared, in place, only after
+    scaling by the power of two that brings the panel's largest real or
+    imaginary part into [0.5, 1), as in ``hs_norm``: that scaling is exact,
+    so the squares neither under- nor overflow and a power-of-two scale of
+    the operator scales the norm by the same power, bit for bit.
+    """
+    part = panel.view(float)  # re and im side by side
+    peak = max(float(part.max(initial=0.0)), -float(part.min(initial=0.0)))
+    if peak == 0.0:
         return 0.0
-    exp = int(np.frexp(max(float(np.max(np.abs(part))) for part in parts))[1])
-    largest = 0.0
-    for k, part in enumerate(parts):
-        part = np.square(np.ldexp(part, -exp))
-        rows = 2 * (np.asarray(starts[k + 2:]) - starts[k + 2])  # block rows k + 2, ... in the float view
-        largest = max(largest, float(np.max(np.add.reduceat(part.sum(axis=0), rows))))
-    return float(np.ldexp(np.sqrt(largest), exp))
+    exp = int(np.frexp(peak)[1])
+    np.square(np.ldexp(part, -exp, out=part), out=part)
+    sums = np.add.reduceat(np.add.reduceat(part, rows, axis=0), 2 * cols, axis=1)
+    return float(np.ldexp(np.sqrt(np.max(sums[far])), exp))
 
 
 def _bracket(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """[T, S] = TS - ST.  A 1-d T is diag(T): entrywise (t_i - t_j) s_ij, with no m x m product."""
     if t.ndim == 1:
-        return (t[:, None] - t[None, :]) * s
+        out = np.subtract.outer(t, t)
+        out *= s
+        return out
     return commutator(t, s)
 
 
@@ -157,30 +191,74 @@ def _spans(dims) -> list[slice]:
     return [slice(end - d, end) for end, d in zip(ends, dims)]
 
 
-def _chain_compression(basis, dims, image_s, image_t):
-    """Block residuals of S and T, the summed invariance residual, and G_S = basis* S basis.
+def _chain_compression(basis, dims, image_s, t, comp):
+    """Finish G_S, form the Gram, and measure both block residuals and the invariance residual.
 
-    ``basis`` holds the blocks side by side, ``dims`` their widths, and
-    ``image_s``, ``image_t`` are S basis and T basis.  G_S is kept whole:
-    block (n+1, n) is X_n = B_{n+1}* S B_n, block (n, n+1) is the adjoint of
-    Y_n = B_{n+1}* S* B_n, and the partial-isometry residuals read the bands
-    beyond, and S's block residual its far block columns.  The invariance
-    residual is the part of each image outside the span, ||op basis - basis G||_2,
-    so on an incomplete span G_T is formed whole for it, and T's block
-    residual reads G_T too.  On a complete span that part is zero, and only
-    the far block columns of G_T are formed, one at a time as (T B_j)* basis,
-    about half the flops of the whole G_T.
+    ``basis`` holds the blocks side by side, ``dims`` their widths,
+    ``image_s`` is S basis and ``t`` is T, 1-d for a diagonal.  ``comp``
+    holds G_S = basis* S basis in block rows 0..j of each block column j,
+    which the build's first Gram-Schmidt pass formed, except for the last
+    block column of a complete span; this fills the rest of it in place.
+    Returns S's and T's block residuals, the largest ||P_i op P_j||_2 over
+    i > j + 1, the summed invariance residual ||op basis - basis G||_2 and
+    the Gram basis* basis.
+
+    The basis columns are cut into ``_panels``.  For a panel from block a
+    on, one GEMM forms basis[:, start_a:]* [S B | B | T B] over the panel's
+    columns B: G_S's rows below the blocks that the first pass formed, the
+    Gram's lower block triangle, mirrored into its upper one so that the
+    Gram is exactly Hermitian, and T's far blocks; each of S's and T's
+    panels then gives its far-block norms from one ``reduceat`` per axis.
+    A 1-d T scales the panel's rows, so T basis is never formed whole.  On
+    an incomplete span each image keeps a part outside the span, and the
+    invariance residual needs the whole of G_S and G_T: there the rows of
+    G_T above the panel are formed as well, and G_S is whole once the
+    panel's rows are in.  On a complete span that part is zero.
     """
-    starts = [span.start for span in _spans(dims)]
-    far = list(zip(starts, starts[1:] + [basis.shape[1]], starts[2:]))  # block column j from row j + 2 on
-    comp = basis.conj().T @ image_s
-    res_s = _far_block_residual([comp[row:, lo:hi].T for lo, hi, row in far], starts)
-    if basis.shape[1] == basis.shape[0]:
-        panels_t = [image_t[:, lo:hi].conj().T @ basis[:, row:] for lo, hi, row in far]
-        return res_s, _far_block_residual(panels_t, starts), 0.0, comp
-    comp_t = basis.conj().T @ image_t
-    outside = hs_norm(image_s - basis @ comp) + hs_norm(image_t - basis @ comp_t)
-    return res_s, _far_block_residual([comp_t[row:, lo:hi].T for lo, hi, row in far], starts), outside, comp
+    m, nb = basis.shape
+    starts = [0, *accumulate(dims)]
+    last, complete = len(dims) - 1, nb == m
+    gram = np.empty((nb, nb), dtype=complex, order="F")
+    res_s = res_t = 0.0
+    outside_s, outside_t = [], []
+    for a, b in _panels(starts):
+        c0, c1 = starts[a], starts[b]
+        w = c1 - c0
+        stack = np.empty((m, 3 * w), dtype=complex, order="F")  # conj([S B | B | T B])
+        np.conjugate(image_s[:, c0:c1], out=stack[:, :w])
+        np.conjugate(basis[:, c0:c1], out=stack[:, w : 2 * w])
+        if t.ndim == 1:
+            np.multiply(stack[:, w : 2 * w], t.conj()[:, None], out=stack[:, 2 * w :])
+        else:
+            np.conjugate(t @ basis[:, c0:c1], out=stack[:, 2 * w :])
+        r = stack.T @ basis[:, c0:]  # the adjoints of G_S, Gram and G_T in these columns, from row c0 on
+        r_s, r_g, r_t = r[:w], r[w : 2 * w], r[2 * w :]
+        for q in range(a, b):
+            lo, hi = starts[q] - c0, starts[q + 1] - c0
+            row = c0 if complete and q == last else starts[q + 1]  # below the first pass's rows
+            comp[row:, c0 + lo : c0 + hi] = r_s[lo:hi, row - c0 :].conj().T
+        if complete and b == last + 1:  # the last block column's rows above the panel
+            lo = starts[last] - c0
+            comp[:c0, starts[last] :] = (stack[:, lo:w].T @ basis[:, :c0]).conj().T
+        gram[c0:, c0:c1] = r_g.conj().T
+        gram[c0:c1, c1:] = r_g[:, w:]
+        diag = gram[c0:c1, c0:c1]
+        lower = np.tril(diag, -1)
+        diag[...] = lower + lower.conj().T + np.diag(diag.diagonal().real)
+        if not complete:
+            upper_t = stack[:, 2 * w :].T @ basis[:, :c0]
+            g_t = np.hstack([upper_t, r_t]).conj().T  # G_T's column panel
+            outside_s.append(hs_norm(image_s[:, c0:c1] - basis @ comp[:, c0:c1]))
+            outside_t.append(hs_norm(stack[:, 2 * w :].conj() - basis @ g_t))
+        rows = np.asarray(starts[a:b]) - c0
+        cols = np.asarray(starts[a : last + 1]) - c0
+        far = np.arange(last + 1 - a)[None, :] > np.arange(b - a)[:, None] + 1  # block i > block j + 1
+        if far.any():
+            res_s = max(res_s, _far_block_norm(r_s, rows, cols, far))
+            res_t = max(res_t, _far_block_norm(r_t, rows, cols, far))
+        del stack, r, r_s, r_g, r_t  # before the next panel's are made
+    inv = math.hypot(*outside_s) + math.hypot(*outside_t)
+    return res_s, res_t, inv, gram
 
 
 def build_filtration(s, t, m_basis) -> Filtration:
@@ -199,8 +277,8 @@ def build_filtration(s, t, m_basis) -> Filtration:
     changes a span or a rank decision, and both keep image magnitudes tame,
     so no norm of S or T is needed.  The power of two is exact, so S = 2^k C
     builds the very basis of S = C.  The
-    build stops when a degree adds nothing, the span is complete, or the
-    degree cap 2m is reached.
+    build stops when a degree adds nothing or the span is complete; each
+    other degree adds a direction, so it takes fewer than m degrees.
 
     A 1-d ``t`` is read as diag(t), and ``Filtration.t`` keeps it 1-d: the
     T-chain and T basis are then row scalings, and the build applies T by
@@ -210,10 +288,25 @@ def build_filtration(s, t, m_basis) -> Filtration:
     the blocks are adjacent column ranges of it (``basis``) and nothing is
     re-stacked.  Each block's image S H_n goes into a second one as the
     block is accepted; the next degree's candidates are read from it, and
-    so is S basis for the residual check, which does not form it again.
-    That check's compression basis* S basis is kept (``compression_s``) for
-    the boundary blocks of S, the partial-isometry residuals and the
-    partial sums.
+    so is S basis for the compression, which does not form it again.  The
+    first Gram-Schmidt pass of degree n + 1 forms basis* S H_n, up to the
+    exact power of two: block column n of G_S = basis* S basis down to
+    block n, which goes into a third buffer.  ``_chain_compression`` forms
+    the rest of G_S with the Gram and T's far blocks; G_S is kept
+    (``compression_s``) for the boundary blocks of S, the partial-isometry
+    residuals and the partial sums.
+
+    S and T are copied, so changing the caller's arrays later changes
+    nothing in the filtration.
+    """
+    return _build_filtration(np.array(s, dtype=complex), np.array(t, dtype=complex), m_basis)
+
+
+def _build_filtration(s, t, m_basis) -> Filtration:
+    """``build_filtration``, keeping S and T themselves, made read-only, where they are complex arrays.
+
+    For a caller that owns S and T and hands them over, as the lower-bound
+    report does with its C-tilde: nothing is copied.
     """
     s = as_matrix(s, square=True)
     diagonal = np.ndim(t) == 1
@@ -236,14 +329,13 @@ def build_filtration(s, t, m_basis) -> Filtration:
 
     buf = np.empty((m, m), dtype=complex, order="F")  # basis columns buf[:, :nb]
     img = np.empty((m, m), dtype=complex, order="F")  # S buf[:, :nb], formed block by block
+    comp = np.empty((m, m), dtype=complex, order="F")  # G_S, its upper blocks from the first passes
     buf[:, :dim_m] = mb
     img[:, :dim_m] = s @ buf[:, :dim_m]
     nb = dim_m
     dims = [dim_m]
     t_chain = mb  # T^(n-1) M, each column scaled to unit norm (or zero)
-    for _degree in range(1, DEGREE_CAP_FACTOR * m + 1):
-        if nb >= m:
-            break
+    while nb < m:
         basis = buf[:, :nb]
         t_chain = t[:, None] * t_chain if diagonal else t @ t_chain
         # each column times the power of two that brings its largest modulus into
@@ -254,41 +346,35 @@ def build_filtration(s, t, m_basis) -> Filtration:
         t_chain = np.ldexp(t_chain.view(float), np.repeat(-exps, 2)).view(complex)
         norms = np.linalg.norm(t_chain, axis=0)
         t_chain /= np.where(norms > 0.0, norms, 1.0)  # zero columns stay zero
-        cands = img[:, nb - dims[-1] : nb].T  # row-major, so its float view interleaves re and im
+        newest = nb - dims[-1]
+        cands = img[:, newest:nb].T  # row-major, so its float view interleaves re and im
         imgs = np.column_stack([np.ldexp(cands.view(float), -exp_s).view(complex).T, t_chain])
         norms0 = np.linalg.norm(imgs, axis=0)
-        work = _project_once(basis, imgs)
+        work, coef = _project_once(basis, imgs)
+        # basis* S H_(n-1), back at the scale of S: block column n - 1 of G_S down to block n - 1
+        comp[:nb, newest:nb] = np.ldexp(coef[:, : dims[-1]].T.view(float), exp_s).view(complex).T
         # One pass leaves a column's part in span(basis) at about u sqrt(nb) of its
-        # norm, far below the threshold; the in-degree projections below are
-        # orthogonal, so they can only shrink a column, and their rounding is
-        # relative to the column's own norm, far below the 1e-6 margin.  A
-        # column already at or below the threshold (less the margin) is thus
+        # norm, far below the threshold; the in-degree decisions below measure
+        # parts orthogonal to more columns, so they can only be smaller, and their
+        # rounding is relative to the column's own norm, far below the 1e-6 margin.
+        # A column already at or below the threshold (less the margin) is thus
         # rejected here, as those steps would reject it; so are zero images.
         keep = np.linalg.norm(work, axis=0) > (1.0 - 1e-6) * rank_tol * norms0
-        na = 0
-        for vec, norm0 in zip(work[:, keep].T, norms0[keep]):
-            if na:
-                acc = buf[:, nb : nb + na]
-                vec = _project_out(acc, vec)
-            norm = float(np.linalg.norm(vec))
-            if norm > rank_tol * norm0 and nb + na < m:
-                buf[:, nb + na] = vec / norm
-                na += 1
+        na = _new_directions(work[:, keep], norms0[keep], rank_tol, buf[:, nb:])
         if not na:
             break
-        # normalized, an accepted column keeps a part in span(basis) of at most
-        # about u sqrt(nb) / (RANK_TOL m); the second pass takes it back to rounding
-        block, _ = np.linalg.qr(_project_once(basis, buf[:, nb : nb + na]))
+        # an accepted column keeps a part in span(basis) of at most about
+        # u sqrt(nb) / (RANK_TOL m); the second pass takes it back to rounding
+        block, _ = np.linalg.qr(_project_once(basis, buf[:, nb : nb + na])[0])
         buf[:, nb : nb + na] = block
         img[:, nb : nb + na] = s @ buf[:, nb : nb + na]
         nb += na
         dims.append(na)
 
-    basis = buf[:, :nb]
-    res_s, res_t, inv_res, comp = _chain_compression(
-        basis, dims, img[:, :nb], t[:, None] * basis if diagonal else t @ basis)
-    s, t = s.copy(), t.copy()
-    s.flags.writeable = t.flags.writeable = basis.flags.writeable = comp.flags.writeable = False
+    basis, comp = buf[:, :nb], comp[:nb, :nb]
+    res_s, res_t, inv_res, gram = _chain_compression(basis, dims, img[:, :nb], t, comp)
+    for arr in (s, t, basis, comp, gram):
+        arr.flags.writeable = False
     return Filtration(
         dims=dims,
         rank_tolerance=rank_tol,
@@ -299,6 +385,7 @@ def build_filtration(s, t, m_basis) -> Filtration:
         t=t,
         basis=basis,
         compression_s=comp,
+        gram=gram,
     )
 
 

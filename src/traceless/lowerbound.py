@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorizer import FactorizationCertificate, _fisher_yates, c_from_b, certified_factorization
-from .filtration import STRUCTURE_TOL, Filtration, _bracket, build_filtration
+from .factorizer import FactorizationCertificate, _fisher_yates, certified_factorization
+from .filtration import STRUCTURE_TOL, Filtration, _bracket, _build_filtration
 from .lattice import gaussian_points
-from .linalg import _circulant, hs_norm, residual_ok, unit_defect
+from .linalg import _circulant, _root_sum_squares, hs_norm, residual_ok
 
 __all__ = [
     "extremal_matrix",
@@ -101,11 +101,22 @@ def witness_factorization(points, seed: int = 0) -> FactorizationCertificate:
 
 
 def _witness_ctilde(z: np.ndarray) -> np.ndarray:
-    """C-tilde = c_from_b((J - I)/m, z): the witness's C in the eigenframe of B = F diag(z) F*."""
+    """C-tilde = c_from_b((J - I)/m, z): the witness's C in the eigenframe of B = F diag(z) F*.
+
+    It is formed in one buffer: (1/m + 0j) / (z_i - z_j) off the diagonal,
+    the same complex division as c_from_b's, so the same bits, and zero on
+    it.  z_i - z_j is 0 only where z_i = z_j, so distinct points are checked
+    on z sorted.
+    """
     m = len(z)
-    atilde = np.full((m, m), 1.0 / m)
-    np.fill_diagonal(atilde, 0.0)
-    return c_from_b(atilde, z)
+    ordered = np.sort(z)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("diagonal values must be pairwise distinct")
+    ctilde = np.subtract.outer(z, z)
+    np.fill_diagonal(ctilde, 1.0)
+    np.divide(1.0 / m + 0j, ctilde, out=ctilde)
+    np.fill_diagonal(ctilde, 0.0)
+    return ctilde
 
 
 def _witness_certificate(z: np.ndarray, ctilde: np.ndarray, seed: int) -> FactorizationCertificate:
@@ -248,11 +259,7 @@ def verify_trace_inequality(filt: Filtration, norm_b: float) -> list[TraceIneqRe
     m = filt.s.shape[0]
     if abs(norm_b - 1.0) > UNIT_NORM_TOL:
         raise ValueError("B is not normalized to unit operator norm")
-    seed = filt.blocks[0]
-    residual = seed @ seed.conj().T  # M M* - I/m - [B, C], formed in place
-    residual[np.diag_indices(m)] -= 1.0 / m
-    residual -= _bracket(filt.t, filt.s)
-    if not residual_ok(hs_norm(residual), norm_b, hs_norm(filt.s), WITNESS_RESIDUAL_TOL):
+    if not residual_ok(_witness_residual(filt), norm_b, hs_norm(filt.s), WITNESS_RESIDUAL_TOL):
         raise ValueError("[B, C] does not reproduce the witness matrix")
     nuclear = [float(np.sum(x[1])) + float(np.sum(y[1])) for x, y in filt.boundary_svds]
     records = []
@@ -275,6 +282,15 @@ def verify_trace_inequality(filt: Filtration, norm_b: float) -> list[TraceIneqRe
             )
         )
     return records
+
+
+def _witness_residual(filt: Filtration) -> float:
+    """||M M* - I/m - [B, C]||_2, formed in [B, C]'s buffer; M M* - I/m is the only other m x m array."""
+    seed = filt.blocks[0]
+    target = seed @ seed.conj().T
+    target[np.diag_indices(len(target))] -= 1.0 / len(target)
+    residual = _bracket(filt.t, filt.s)
+    return hs_norm(np.subtract(target, residual, out=residual))
 
 
 def construct_partial_isometries(filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
@@ -312,9 +328,18 @@ def construct_partial_isometries(filt: Filtration) -> tuple[np.ndarray, np.ndarr
 
 
 def _polar_bound(factors) -> float:
-    """Upper bound on max_n ||U_n V_n^H|| over thin SVD factors (U_n, sigma_n, V_n^H)."""
+    """Upper bound on max_n ||U_n V_n^H|| over thin SVD factors (U_n, sigma_n, V_n^H).
+
+    Each factor's ||U^H U - I||_2 or ||V^H V - I||_2 comes from its r x r
+    Gram with 1 taken off the diagonal in place, summed as ``hs_norm`` sums:
+    ``unit_defect``'s number without its conversions, copies and identity.
+    """
+    def defect(gram: np.ndarray) -> float:
+        gram.flat[:: len(gram) + 1] -= 1.0
+        return _root_sum_squares(gram.ravel().view(float))
+
     return math.sqrt(max(
-        ((1.0 + unit_defect(u_)) * (1.0 + unit_defect(vh_.conj().T)) for u_, _, vh_ in factors),
+        ((1.0 + defect(u_.conj().T @ u_)) * (1.0 + defect(vh_ @ vh_.conj().T)) for u_, _, vh_ in factors),
         default=0.0,
     ))
 
@@ -326,7 +351,7 @@ def isometry_norm_bounds(filt: Filtration) -> tuple[float, float]:
     blocks lie in disjoint block rows and columns, so ||K|| is the largest
     ||U_n V_n^H||, and ||V|| <= (1 + delta_H) max_n ||U_n V_n^H|| with
     delta_H = ||basis* basis - I||_2, the filtration's ``basis_defect``, read
-    from its Gram (``filt.gram``, one GEMM over all the blocks, shared with
+    from its Gram (``filt.gram``, formed by the build and shared with
     ``partial_isometry_residuals``).
     Each ||U_n V_n^H||^2 is at most (1 + ||U_n^H U_n - I||_2)(1 + ||V_n^H V_n - I||_2),
     read from the shared boundary-block SVDs; W is bounded alike from the
@@ -345,8 +370,9 @@ def partial_isometry_residuals(filt: Filtration) -> tuple[float, float]:
     Gram = basis* basis (``filt.gram``) and G_S = basis* C basis
     (``filt.compression_s``): the same product as B_n* (V C) B_n, with its
     factors grouped differently.  So P = Gram K is formed one column block
-    at a time, then only the diagonal blocks of P G_S, and every product is
-    block sized; W alike, with the factors of Y_n and G_S*.  The right
+    at a time, in place in one buffer, then only the diagonal blocks of
+    P G_S, and every product is block sized; W alike, with the factors of
+    Y_n and G_S*, in the same buffer.  The right
     sides |X_n| = R* diag(sigma) R (R the right singular factor) come from
     the shared boundary-block SVDs.
     """
@@ -356,9 +382,11 @@ def partial_isometry_residuals(filt: Filtration) -> tuple[float, float]:
     gram, comp, spans, d0 = filt.gram, filt.compression_s, filt.spans, filt.dims[0]
     # block column n of G_S and of G_S* from block row 1 on: B_{k+1}* C B_n and B_{k+1}* C* B_n
     columns = (lambda lo: comp[d0:, lo], lambda lo: comp[lo, d0:].conj().T)
+    p = np.empty((gram.shape[0], gram.shape[0] - d0), dtype=complex)  # P's block columns from block 1 on
     res = []
     for factors, column in zip(zip(*svds), columns):  # the SVDs of every X_n, then of every Y_n
-        p = np.hstack([gram[:, lo] @ (u_ @ vh_).conj().T for lo, (u_, _, vh_) in zip(spans, factors)])
+        for lo, hi, (u_, _, vh_) in zip(spans, spans[1:], factors):
+            np.matmul(gram[:, lo], (u_ @ vh_).conj().T, out=p[:, hi.start - d0 : hi.stop - d0])
         res.append(max(
             hs_norm(p[lo] @ column(lo) - vh_.conj().T @ (s_[:, None] * vh_))
             for lo, (_, s_, vh_) in zip(spans, factors)
@@ -529,10 +557,13 @@ def lower_bound_report(
 
     Every number the chain checks is unitarily invariant, so the chain runs
     in B's eigenframe: F* (B, C) F = (D, C-tilde) with D = diag(z), z the
-    unit points, C-tilde the certificate's own (formed once), and F* e_1 =
-    1/sqrt(m), the all-ones vector over sqrt(m).  The filtration is built
-    from (C-tilde, z) seeded there, so T = D is a row scaling and the
-    build applies it by no m x m product.  The witness there is the seed's
+    unit points, C-tilde the certificate's own, and F* e_1 = 1/sqrt(m), the
+    all-ones vector over sqrt(m).  The filtration is built from (C-tilde, z)
+    seeded there, so T = D is a row scaling and the build applies it by no
+    m x m product.  C-tilde is formed once: the build keeps it with no
+    copy, and the certificate is taken from it after the checks, once the
+    filtration is dropped, so the certificate's m x m arrays and the
+    filtration's are never held together.  The witness there is the seed's
     M M* - I/m = (J - I)/m, and the trace check forms [D, C-tilde]
     entrywise, so no commutator is formed beyond the certificate's, which
     takes its [B, C] by FFTs with no m x m product.  No SVD measures
@@ -571,21 +602,27 @@ def lower_bound_report(
         scale = float(np.max(np.abs(points)))
         unit = points / scale
         ctilde = _witness_ctilde(unit)
-        cert = _witness_certificate(unit, ctilde, seed)
-        filt = build_filtration(ctilde, unit, np.full((m, 1), 1.0 / math.sqrt(m), dtype=complex))
-        del ctilde  # filt.s is its read-only copy
+        # the report owns C-tilde, so the build keeps it, read-only, with no copy
+        filt = _build_filtration(ctilde, unit, np.full((m, 1), 1.0 / math.sqrt(m), dtype=complex))
         norm_b = (1.0 - 2.0**-51) * float(np.max(np.abs(unit)))  # the lower end of ||D|| = max |z_i|
     else:
-        cert = certificate
-        if cert.m != m:
-            raise ValueError(f"certificate is for m={cert.m}, expected {m}")
-        scale = cert.op_norm_b
+        if certificate.m != m:
+            raise ValueError(f"certificate is for m={certificate.m}, expected {m}")
+        scale = certificate.op_norm_b
         e1 = np.zeros((m, 1), dtype=complex)
         e1[0, 0] = 1.0
-        filt = build_filtration(cert.c * scale, cert.b / scale, e1)
+        filt = _build_filtration(certificate.c * scale, certificate.b / scale, e1)
         # the certified lower end of ||B / op_norm_b||, whose upper end is 1
-        delta = cert.unitarity_defect
+        delta = certificate.unitarity_defect
         norm_b = (1.0 - delta) / (1.0 + delta)
+    report = _check_chain(filt, scale, norm_b)
+    del filt  # the certificate's FFT passes below never meet the filtration's m x m arrays
+    report.certificate = certificate if certificate is not None else _witness_certificate(unit, ctilde, seed)
+    return report
+
+
+def _check_chain(filt: Filtration, scale: float, norm_b: float) -> LowerBoundReport:
+    """Every check of ``lower_bound_report`` on its filtration, with no certificate yet."""
     trace_records = verify_trace_inequality(filt, norm_b)
     res_v, res_w = partial_isometry_residuals(filt)
     v_norm, w_norm = isometry_norm_bounds(filt)
@@ -594,7 +631,7 @@ def lower_bound_report(
 
     dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
     return LowerBoundReport(
-        m=m,
+        m=filt.s.shape[0],
         normalization=scale,
         trace_records=trace_records,
         partial_sums=psums,
@@ -610,6 +647,5 @@ def lower_bound_report(
         block_residual=max(filt.block_residual_s, filt.block_residual_t),
         block_tol=STRUCTURE_TOL * (psums[0].sum + norm_b),
         invariance_residual=filt.invariance_residual,
-        certificate=cert,
         basis_defect=filt.basis_defect,
     )

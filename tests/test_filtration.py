@@ -7,11 +7,12 @@ import pytest
 import traceless.filtration
 from traceless.cli import main
 import traceless.lowerbound
-from traceless.factorizer import factor
+from traceless.factorizer import _fisher_yates, factor
 from traceless.filtration import (
     RANK_TOL,
     STRUCTURE_TOL,
     _chain_compression,
+    _new_directions,
     build_filtration,
     verify_filtration_structure,
 )
@@ -197,7 +198,8 @@ class TestVerifyFiltrationStructure:
                     s_tri += pi @ c @ pj
                     t_tri += pi @ b @ pj
         basis = np.column_stack(filt.blocks)
-        res_s, res_t, _, _ = _chain_compression(basis, filt.dims, s_tri @ basis, t_tri @ basis)
+        comp = basis.conj().T @ s_tri @ basis
+        res_s, res_t, _, _ = _chain_compression(basis, filt.dims, s_tri @ basis, t_tri, comp)
         assert max(res_s, res_t) <= 1e-12
 
 
@@ -393,9 +395,11 @@ def reference_invariance_residual(basis, s, t, m):
 
 
 def build_compression(filt, s, t):
-    # the build's own operands: S's image formed block by block, as the build forms it
+    # the build's own operands: S's image formed block by block, as the build forms it,
+    # and G_S with the blocks that the build's first Gram-Schmidt passes formed
     basis = np.column_stack(filt.blocks)
-    return _chain_compression(basis, filt.dims, np.column_stack([s @ blk for blk in filt.blocks]), t @ basis)
+    image_s = np.column_stack([s @ blk for blk in filt.blocks])
+    return _chain_compression(basis, filt.dims, image_s, t, np.array(filt.compression_s))
 
 
 def assert_matches_references(blocks, s, t):
@@ -403,7 +407,8 @@ def assert_matches_references(blocks, s, t):
     m = s.shape[0]
     tol = 100 * m * np.finfo(np.float64).eps * (operator_norm(s) + operator_norm(t))
     basis = np.column_stack(blocks)
-    res_s, res_t, inv, _ = _chain_compression(basis, [b.shape[1] for b in blocks], s @ basis, t @ basis)
+    comp = basis.conj().T @ s @ basis
+    res_s, res_t, inv, _ = _chain_compression(basis, [b.shape[1] for b in blocks], s @ basis, t, comp)
     ref_s, ref_t = reference_structure_residuals(blocks, s, t)
     ref_inv = reference_invariance_residual(basis, s, t, m)
     assert abs(res_s - ref_s) <= tol
@@ -563,12 +568,13 @@ def test_far_blocks_alone_give_the_block_residual(rng, dims):
         m = sum(dims) + extra
         basis = random_unitary(rng, m)[:, : sum(dims)]
         s, t = random_complex(rng, m), random_complex(rng, m)
-        res = _chain_compression(basis, dims, s @ basis, t @ basis)[:2]
+        comp = basis.conj().T @ s @ basis
+        res = _chain_compression(basis, dims, s @ basis, t, comp.copy())[:2]
         blocks = np.split(basis, list(accumulate(dims))[:-1], axis=1)
         for got, ref in zip(res, reference_structure_residuals(blocks, s, t)):
             assert abs(got - ref) <= 64 * m * np.finfo(np.float64).eps * ref
             assert (got > 0.0) == (len(dims) > 2)
-        tiny = _chain_compression(basis, dims, 2.0**-600 * (s @ basis), 2.0**-600 * (t @ basis))[:2]
+        tiny = _chain_compression(basis, dims, 2.0**-600 * (s @ basis), 2.0**-600 * t, 2.0**-600 * comp)[:2]
         assert tiny == tuple(2.0**-600 * r for r in res)
 
 
@@ -609,3 +615,164 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
     assert main(["filtration", *paths, "--out", str(tmp_path / "f.json")]) == 0
     # ||S|| and ||T||, each once, measured by verify for the structure tolerance
     assert calls == [(m, m), (m, m)]
+
+
+def growing_dims(n: int) -> list[int]:
+    """Block widths 1, 2, 3, ... summing to n, the last one cut short, as the witness's grow."""
+    dims = []
+    while sum(dims) < n:
+        dims.append(min(len(dims) + 1, n - sum(dims)))
+    return dims
+
+
+def first_pass_blocks(g_s, dims, complete):
+    """G_S where the build's first passes form it, NaN elsewhere.
+
+    The first pass of degree n + 1 gives block column n down to block n; a
+    complete span stops before the pass of its last block.
+    """
+    first = np.full_like(g_s, np.nan)
+    ends = list(accumulate(dims))
+    for j, (end, d) in enumerate(zip(ends, dims)):
+        if not (complete and j == len(dims) - 1):
+            first[:end, end - d : end] = g_s[:end, end - d : end]
+    return first
+
+
+def far_block_residual(g, dims):
+    ends = list(accumulate(dims))
+    spans = [slice(end - d, end) for end, d in zip(ends, dims)]
+    return max((hs_norm(g[si, sj]) for i, si in enumerate(spans) for j, sj in enumerate(spans) if i > j + 1),
+               default=0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 64, 100, 257])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_panel_pass_matches_the_direct_products(rng, m, diagonal):
+    # the compression's panels against the whole products basis* S basis,
+    # basis* basis and basis* T basis, on a complete span and an incomplete one:
+    # it keeps the first passes' blocks of G_S, forms the rest, forms an exactly
+    # Hermitian Gram, and takes the far blocks' residuals; power-of-two scales
+    # of S and T scale them bit for bit
+    eps = np.finfo(np.float64).eps
+    for n in (m, m - 1 - m // 8):
+        dims = growing_dims(n)
+        basis = random_unitary(rng, m)[:, :n]
+        s = random_complex(rng, m)
+        t = rng.standard_normal(m) + 1j * rng.standard_normal(m) if diagonal else random_complex(rng, m)
+        t_op = np.diag(t) if diagonal else t
+        g_s, g_b, g_t = (basis.conj().T @ op @ basis for op in (s, np.eye(m), t_op))
+        first = first_pass_blocks(g_s, dims, complete=n == m)
+        comp = first.copy()
+        res_s, res_t, inv, gram = _chain_compression(basis, dims, s @ basis, t, comp)
+        known = ~np.isnan(first)
+        assert np.array_equal(comp[known], first[known])
+        tol = 64 * m * eps
+        assert hs_norm(comp - g_s) <= tol * hs_norm(g_s)
+        assert np.array_equal(gram, gram.conj().T)
+        assert hs_norm(gram - g_b) <= tol * hs_norm(g_b)
+        for got, g in ((res_s, g_s), (res_t, g_t)):
+            ref = far_block_residual(g, dims)
+            assert abs(got - ref) <= tol * ref
+            assert (got > 0.0) == (len(dims) > 2)
+        ref_inv = reference_invariance_residual(basis, s, t_op, m)
+        assert inv == 0.0 if n == m else abs(inv - ref_inv) <= tol * ref_inv
+        for k in (2.0**600, 2.0**-600):
+            scaled = k * first
+            res = _chain_compression(basis, dims, k * (s @ basis), k * t, scaled)
+            assert res[:2] == (k * res_s, k * res_t)
+            assert np.array_equal(scaled, k * comp) and np.array_equal(res[3], gram)
+
+
+def test_build_gram_is_hermitian_and_read_only():
+    b, c = normalized_witness_factors(64)
+    filt = build_filtration(c, b, seed_vector(64))
+    assert np.array_equal(filt.gram, filt.gram.conj().T) and not filt.gram.flags.writeable
+    direct = filt.basis.conj().T @ filt.basis
+    assert hs_norm(filt.gram - direct) <= 64 * 64 * np.finfo(np.float64).eps * hs_norm(direct)
+
+
+# The build's rank decisions before one QR decided each degree, kept as a
+# reference: each candidate in turn, projected twice against the directions
+# its degree accepted before it, is new iff what is left exceeds rank_tol of
+# its norm.
+def column_loop_directions(cands, norms0, rank_tol, out):
+    na = 0
+    for vec, norm0 in zip(cands.T, norms0):
+        if na:
+            vec = traceless.filtration._project_out(out[:, :na], vec)
+        norm = float(np.linalg.norm(vec))
+        if norm > rank_tol * norm0 and na < out.shape[1]:
+            out[:, na] = vec / norm
+            na += 1
+    return na
+
+
+def dims_both_ways(monkeypatch, s, t, mb):
+    """The build's dims with its QR decisions, and with the column loop."""
+    qr_dims = build_filtration(s, t, mb).dims
+    with monkeypatch.context() as patched:
+        patched.setattr(traceless.filtration, "_new_directions", column_loop_directions)
+        loop_dims = build_filtration(s, t, mb).dims
+    return qr_dims, loop_dims
+
+
+def test_qr_decisions_give_the_column_loop_dims_on_the_witness(monkeypatch):
+    # the report's pair in B's eigenframe, (C-tilde, z) seeded at 1/sqrt(m)
+    for m in range(2, 130):
+        points = gaussian_points(m)[_fisher_yates(np.random.default_rng(0), m)]
+        z = points / float(np.max(np.abs(points)))
+        ones = np.full((m, 1), 1.0 / np.sqrt(m), dtype=complex)
+        qr_dims, loop_dims = dims_both_ways(monkeypatch, traceless.lowerbound._witness_ctilde(z), z, ones)
+        assert qr_dims == loop_dims, m
+
+
+@pytest.mark.parametrize("m, width", [(12, 1), (12, 3), (40, 1), (40, 3), (64, 2)])
+def test_qr_decisions_give_the_column_loop_dims_on_random_pairs(rng, monkeypatch, m, width):
+    s, t = random_complex(rng, m), random_complex(rng, m)
+    mb, _ = np.linalg.qr(random_complex(rng, m)[:, :width])
+    qr_dims, loop_dims = dims_both_ways(monkeypatch, s, t, mb)
+    assert qr_dims == loop_dims
+    assert sum(qr_dims) == m
+
+
+def test_qr_decisions_restart_after_a_rejection(rng, monkeypatch):
+    # S kills m_1 - m_2 for seed columns m_1, m_2, so S m_2 = S m_1 to rounding:
+    # degree 1 rejects its second candidate within the degree, and the QR
+    # restarts on the candidates after it, projected against S m_1's direction
+    m = 12
+    mb, _ = np.linalg.qr(random_complex(rng, m)[:, :3])
+    v = (mb[:, 0] - mb[:, 1]) / np.sqrt(2.0)
+    s = random_complex(rng, m)
+    s -= np.outer(s @ v, v.conj())
+    t = random_complex(rng, m)
+    restarts = []
+    orig = traceless.filtration._project_out
+
+    def counted(basis, vecs):
+        restarts.append(vecs.shape[1])
+        return orig(basis, vecs)
+
+    monkeypatch.setattr(traceless.filtration, "_project_out", counted)
+    qr_dims = build_filtration(s, t, mb).dims
+    monkeypatch.undo()
+    assert restarts and restarts[0] == 4  # S m_3 and the T-chain's three columns
+    qr_again, loop_dims = dims_both_ways(monkeypatch, s, t, mb)
+    assert qr_dims == qr_again == loop_dims
+    assert qr_dims[:2] == [3, 5]
+    # one candidate set, directly: the exact repeat of x is rejected, z decided after it
+    x, y, z = random_complex(rng, m)[:, :3].T
+    cands = np.column_stack([x, y, x, z])
+    norms0 = np.linalg.norm(cands, axis=0)
+    calls = []
+    orig_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape[1]) or orig_qr(a, *args))
+    out = np.empty((m, m), dtype=complex)
+    assert _new_directions(cands, norms0, RANK_TOL * m, out) == 3
+    monkeypatch.undo()
+    assert calls == [4, 1]
+    ref = np.empty((m, m), dtype=complex)
+    assert column_loop_directions(cands, norms0, RANK_TOL * m, ref) == 3
+    got, want = out[:, :3], ref[:, :3]
+    assert hs_norm(got.conj().T @ got - np.eye(3)) <= 1e-14
+    assert hs_norm(got @ got.conj().T - want @ want.conj().T) <= 1e-12

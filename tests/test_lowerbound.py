@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ import traceless.reduction
 from traceless.factorizer import _fisher_yates, c_from_b, factor
 from traceless.filtration import STRUCTURE_TOL, build_filtration, verify_filtration_structure
 from traceless.lattice import gaussian_points
-from traceless.linalg import commutator, hs_norm, nuclear_norm, operator_norm, singular_profile
+from traceless.linalg import commutator, hs_norm, nuclear_norm, operator_norm, singular_profile, unit_defect
 from traceless.lowerbound import (
     construct_partial_isometries,
     extremal_matrix,
@@ -532,8 +533,8 @@ def count_commutators(monkeypatch) -> list:
 def test_commutator_calls_per_report(monkeypatch):
     calls = count_commutators(monkeypatch)
     operators = []
-    build = traceless.lowerbound.build_filtration
-    monkeypatch.setattr(traceless.lowerbound, "build_filtration",
+    build = traceless.lowerbound._build_filtration
+    monkeypatch.setattr(traceless.lowerbound, "_build_filtration",
                         lambda s, t, m_basis: operators.append((s, t)) or build(s, t, m_basis))
     report = lower_bound_report(64, seed=0)
     assert report.all_strict_passed
@@ -551,8 +552,8 @@ def test_default_report_refuses_a_wrong_c(monkeypatch):
     # superdiagonal, [diag(z), E] has entries z_i - z_(i+1), all nonzero: a C
     # that does not reproduce the witness is refused with no commutator, and
     # the certificate's FFT bracket sees it too
-    orig = traceless.lowerbound.c_from_b
-    monkeypatch.setattr(traceless.lowerbound, "c_from_b", lambda *args: orig(*args) + 0.1 * np.eye(16, k=1))
+    orig = traceless.lowerbound._witness_ctilde
+    monkeypatch.setattr(traceless.lowerbound, "_witness_ctilde", lambda z: orig(z) + 0.1 * np.eye(16, k=1))
     calls = count_commutators(monkeypatch)
     with pytest.raises(ValueError, match="reproduce the witness"):
         lower_bound_report(16, seed=0)
@@ -601,13 +602,13 @@ def test_default_report_forms_no_dft_matrix(monkeypatch, m):
     def dense(*args):
         raise AssertionError("the report formed the dense witness")
 
-    for mod in (traceless.linalg, traceless.factorizer, traceless.filtration, traceless.lowerbound):
+    for mod in (traceless.linalg, traceless.factorizer, traceless.filtration):
         monkeypatch.setattr(mod, "unit_defect", defect)
     monkeypatch.setattr(np.fft, "fft", fft)
     monkeypatch.setattr(traceless.lowerbound, "extremal_matrix", dense)
     report = lower_bound_report(m, seed=0)
     assert report.all_strict_passed and report.certificate.q is None
-    assert defects and (m, m) not in defects  # the isometry bounds' block factors only
+    assert defects == [(m, 1)]  # the build's check of its seed only
     assert identities == []
 
 
@@ -849,8 +850,8 @@ def test_partial_sums_reuse_the_build_spectrum(monkeypatch):
 def test_invariance_residual_is_judged(monkeypatch):
     # a chain whose total span is not invariant fails the strict checks, as
     # verify_filtration_structure fails it, whatever else holds
-    orig = traceless.lowerbound.build_filtration
-    monkeypatch.setattr(traceless.lowerbound, "build_filtration",
+    orig = traceless.lowerbound._build_filtration
+    monkeypatch.setattr(traceless.lowerbound, "_build_filtration",
                         lambda *args: dataclasses.replace(orig(*args), invariance_residual=1.0))
     report = lower_bound_report(16, seed=0)
     assert report.invariance_residual == 1.0 > report.block_tol
@@ -894,3 +895,36 @@ def test_trace_inequality_takes_norm_b_and_makes_no_svd(monkeypatch):
     records = verify_trace_inequality(filt, norm_b)
     assert calls == []
     assert all(r.passed for r in records)
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 100, 257])
+def test_witness_ctilde_is_c_from_b_bit_for_bit(m):
+    # one division pass over the outer difference, the same complex division as c_from_b
+    z = unit_points(m, 0)
+    atilde = np.full((m, m), 1.0 / m)
+    np.fill_diagonal(atilde, 0.0)
+    assert traceless.lowerbound._witness_ctilde(z).tobytes() == c_from_b(atilde, z).tobytes()
+
+
+def test_polar_bound_is_the_unit_defect_bound():
+    # the lean per-factor defects give the bound that unit_defect gives, bit for bit
+    filt = report_filtration(lower_bound_report(64).certificate, rescaled=False)
+    for side in zip(*filt.boundary_svds):
+        ref = math.sqrt(max((1.0 + unit_defect(u_)) * (1.0 + unit_defect(vh_.conj().T)) for u_, _, vh_ in side))
+        assert traceless.lowerbound._polar_bound(side) == ref
+
+
+def test_report_peak_memory():
+    # at most 7 m x m complex arrays at once: the build keeps C-tilde with no
+    # copy, forms G_S, the Gram and T's far blocks panel by panel, P is filled
+    # in place, the trace check's residual takes one buffer besides M M* - I/m,
+    # and the certificate is formed after the filtration is dropped
+    m = 256
+    lower_bound_report(m)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        assert lower_bound_report(m).all_strict_passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * m * m * np.dtype(complex).itemsize
