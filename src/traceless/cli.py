@@ -13,8 +13,8 @@ witness-chain tolerances in ``lowerbound``.
 
 Exit codes: 0 success, 1 verification failed, 2 parse/usage error,
 3 nonzero trace, 4 numerical failure or an invalid certificate.  ``main``
-maps ``NonzeroTraceError`` to 3, any other ``ValueError`` to 2 and
-``LinAlgError`` to 4.
+maps ``NonzeroTraceError`` to 3, any other ``ValueError`` to 2, and
+``LinAlgError`` and ``MemoryError`` (an input too large to hold) to 4.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ def cmd_verify(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     report = lower_bound_report(args.m, seed=args.seed)
-    payload = _pick(report, "m", "normalization", "dims", "dims_ok", "filtration_complete",
-                    "block_residual", "block_tol", "iso_residual_v", "iso_residual_w", "v_norm",
-                    "w_norm", "partial_sums", "partial_sums_triangular", "hs_lower",
-                    "all_strict_passed", trace_inequality="trace_records")
+    payload = _pick(report, "m", "normalization", "dims", "structure", "filtration_complete",
+                    "iso_residual_v", "iso_residual_w", "v_norm", "w_norm", "partial_sums",
+                    "partial_sums_triangular", "hs_lower", "all_strict_passed",
+                    trace_inequality="trace_records")
     _emit_json(payload, args.out)
     return EXIT_OK if report.all_strict_passed else EXIT_FAIL
 
@@ -192,7 +192,7 @@ def cmd_filtration(args) -> int:
     t = _read_matrix_or_exit(args.t)
     mb = _read_matrix_or_exit(args.m_basis)
     filt = build_filtration(s, t, mb)
-    report = verify_filtration_structure(filt)
+    report = verify_filtration_structure(filt, operator_norm(s), operator_norm(t))
     payload = dataclasses.asdict(report)
     payload.update(rank_tolerance=filt.rank_tolerance, all_ok=report.all_ok)
     _emit_json(payload, args.out)
@@ -260,8 +260,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRACE if isinstance(exc, NonzeroTraceError) else EXIT_PARSE
-    except np.linalg.LinAlgError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        print(f"error: {kind}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -23,14 +23,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, gram_defect, hs_norm, operator_norm, unit_defect
+from .linalg import as_matrix, commutator, gram_defect, hs_norm, unit_defect
 
 __all__ = ["Filtration", "StructureReport", "build_filtration", "verify_filtration_structure"]
 
-STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks and the report's block_tol
+STRUCTURE_TOL = 1e-8  # relative tolerance of verify_filtration_structure's three checks
 RANK_TOL = 1e-8  # times m: a candidate is a new direction iff its new part exceeds RANK_TOL m of its norm
 SEED_TOL = 1e-10  # times max(1, dim M): the seed basis M must have ||M*M - I||_2 within it
-PANELS = 8  # the compression makes one GEMM per panel of basis columns, cut at block boundaries
+PANELS = 8  # one GEMM per panel of basis columns (cut at block boundaries); the hypothesis check's most row panels
 
 
 @dataclass
@@ -405,23 +405,18 @@ class StructureReport:
     structure_ok: bool | None
     invariance_residual: float
     invariance_ok: bool | None
-    dims: list[int] = field(default_factory=list)
-    dims_ok: bool = True
-    hypothesis_tol: float = 0.0
-    structure_tol: float = 0.0
-    invariance_tol: float = 0.0
+    dims: list[int]
+    dims_ok: bool
+    hypothesis_tol: float
+    structure_tol: float
+    invariance_tol: float
 
     @property
     def all_ok(self) -> bool:
-        return bool(
-            self.hypothesis_ok
-            and self.structure_ok
-            and self.invariance_ok
-            and self.dims_ok
-        )
+        return bool(self.hypothesis_ok and self.structure_ok and self.invariance_ok and self.dims_ok)
 
 
-def verify_filtration_structure(filt: Filtration) -> StructureReport:
+def verify_filtration_structure(filt: Filtration, norm_s: float, norm_t: float) -> StructureReport:
     """Check the range hypothesis and the filtration's structural claims.
 
     Hypothesis: ([S,T] + lambda I) maps everything into M, the span of the
@@ -431,22 +426,29 @@ def verify_filtration_structure(filt: Filtration) -> StructureReport:
     Conclusions: dims[n] <= (n+1) dim M, block-tridiagonality of S and T,
     and invariance of the chain's total span under both operators; their
     residuals are the build's own, and their tolerance is STRUCTURE_TOL
-    (||S|| + ||T||), with the two norms measured here.
+    (``norm_s`` + ``norm_t``), with ||S|| and ||T|| as the caller knows them,
+    measured or certified; the check measures no norm.
     A filtration built from a 1-d T is checked with T = diag(T), applied
-    entrywise; its norm is the largest |t_i|.
+    entrywise.  [S, T] is shifted, and its part in M taken off, in place,
+    in up to PANELS row panels, so no other m x m array is held.  A panel
+    has at least two rows, so numpy forms its product by GEMM, as it would
+    the whole M M* [S, T]; one row would go by GEMV, whose rounding differs.
     """
     mb, m, dim_m = filt.blocks[0], filt.s.shape[0], filt.dims[0]
-    hyp_op = -_bracket(filt.t, filt.s)  # [S, T]; IEEE negation is exact
+    hyp_op = _bracket(filt.t, filt.s)
+    np.negative(hyp_op, out=hyp_op)  # [S, T]; IEEE negation is exact
     if dim_m < m:
         lam = (np.trace(mb.conj().T @ hyp_op @ mb) - np.trace(hyp_op)) / (m - dim_m)
         hyp_op[np.diag_indices(m)] += lam
-    hypothesis_residual = hs_norm(hyp_op - mb @ (mb.conj().T @ hyp_op))
     hypothesis_tol = STRUCTURE_TOL * hs_norm(hyp_op)
+    coef, panels = mb.conj().T @ hyp_op, max(1, min(PANELS, m // 2))  # M* ([S, T] + lambda I)
+    for rows, seed_rows in zip(np.array_split(hyp_op, panels), np.array_split(mb, panels)):
+        rows -= seed_rows @ coef  # a view of hyp_op
+    hypothesis_residual = hs_norm(hyp_op)
     hypothesis_ok = hypothesis_residual <= hypothesis_tol
 
     res_s, res_t, inv_res = filt.block_residual_s, filt.block_residual_t, filt.invariance_residual
-    norm_t = float(np.max(np.abs(filt.t))) if filt.t.ndim == 1 else operator_norm(filt.t)
-    structure_tol = invariance_tol = STRUCTURE_TOL * (operator_norm(filt.s) + norm_t)
+    structure_tol = invariance_tol = STRUCTURE_TOL * (norm_s + norm_t)
     dims_ok = all(d <= (n + 1) * dim_m for n, d in enumerate(filt.dims))
 
     return StructureReport(

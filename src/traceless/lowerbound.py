@@ -22,12 +22,12 @@ measures the inequalities at explicit tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .factorizer import FactorizationCertificate, _fisher_yates, certified_factorization
-from .filtration import STRUCTURE_TOL, Filtration, _bracket, _build_filtration
+from .filtration import Filtration, StructureReport, _bracket, _build_filtration, verify_filtration_structure
 from .lattice import gaussian_points
 from .linalg import _circulant, _root_sum_squares, hs_norm, residual_ok
 
@@ -474,7 +474,7 @@ def verify_hs_lower_bound(filt: Filtration, trace_records, norm_b: float) -> HsL
       1. quarter_log_sum(m) <= sum_n rhs_n^2 / (2(n+1)), as rhs_n >= 1 - T_n/m
          (``normbd_passed``) for every n with T_n < m.
       2. That sum <= (1 + delta_H)^2 ||C||_2^2, delta_H = ||basis* basis - I||_2:
-         with d_n <= n+1 (``dims_ok``), ||X_n||_1 <= sqrt(n+1) ||X_n||_2, so
+         with d_n <= n+1 (``structure.dims_ok``), ||X_n||_1 <= sqrt(n+1) ||X_n||_2, so
          rhs_n^2 <= 2(n+1)(||X_n||_2^2 + ||Y_n||_2^2); X_n and Y_n* are distinct
          blocks of basis* C basis, whose ||.||_2 is at most (1 + delta_H) ||C||_2.
       3. Hence ratio^2 = ||B||^2 ||C||_2^2 / ||A||_2^2 >= quarter_log_sum(m),
@@ -513,14 +513,14 @@ class LowerBoundReport:
     iso_residual_w: float
     v_norm: float
     w_norm: float
-    dims: list[int] = field(default_factory=list)
-    dims_ok: bool = True
+    structure: StructureReport  # the filtration lemma's hypothesis and conclusions, dims among them
     filtration_complete: bool = True
-    block_residual: float = 0.0
-    block_tol: float = 0.0
-    invariance_residual: float = 0.0
     certificate: FactorizationCertificate | None = None
     basis_defect: float = 0.0  # ||basis* basis - I||_2 of the filtration, behind v_norm and w_norm
+
+    @property
+    def dims(self) -> list[int]:
+        return self.structure.dims
 
     @property
     def all_strict_passed(self) -> bool:
@@ -532,10 +532,8 @@ class LowerBoundReport:
             and self.iso_residual_w <= ISOMETRY_TOL
             and self.v_norm <= 1.0 + ISOMETRY_NORM_TOL
             and self.w_norm <= 1.0 + ISOMETRY_NORM_TOL
-            and self.dims_ok
+            and self.structure.all_ok
             and self.filtration_complete
-            and self.block_residual <= self.block_tol
-            and self.invariance_residual <= self.block_tol
             and self.hs_lower.passed
         )
 
@@ -569,19 +567,19 @@ def lower_bound_report(
     takes its [B, C] by FFTs with no m x m product.  No SVD measures
     ||B||: ||B|| = ||D|| = max |z_i| exactly, and numpy's complex abs
     (hypot) is within one ulp, so the computed peak p = max |z_i| has
-    ||D|| >= (1 - 2^-52) p; the trace check and ``block_tol`` take
+    ||D|| >= (1 - 2^-52) p; the trace check and the structure check take
     (1 - 2^-51) p, whose rounding keeps it below that, which can only
     tighten each tolerance.  No SVD
-    measures ||C|| either: ``block_tol`` takes the certified lower end
-    max sigma_1(X_n or Y_n) / (1 + delta_H), ``partial_sums[0].sum``, so
-    the report factors no m x m matrix.
+    measures ||C|| either: the structure check takes the certified lower
+    end max sigma_1(X_n or Y_n) / (1 + delta_H), ``partial_sums[0].sum``,
+    so the report factors no m x m matrix.
 
     A ``certificate`` passed in is verified in its own frame instead,
     seeded at e_1, where M M* - I/m = A, and rescaled by its op_norm_b =
     (1 + delta) peak (C absorbs the factor), with delta its
     ``unitarity_defect``.  Its interval (1 -+ delta) peak holds ||B||, so the
     rescaled ||B|| is at least (1 - delta)/(1 + delta), the lower end the
-    trace check and ``block_tol`` take; the trace check refuses a lower end not within
+    trace check and the structure check take; the trace check refuses a lower end not within
     UNIT_NORM_TOL of 1.  Each branch builds its filtration and its
     ``norm_b`` alone, and one ``verify_trace_inequality`` call follows both:
     it measures [B, C] against the seed's witness, as a certificate may be
@@ -628,8 +626,6 @@ def _check_chain(filt: Filtration, scale: float, norm_b: float) -> LowerBoundRep
     v_norm, w_norm = isometry_norm_bounds(filt)
     psums, psums_triangular = verify_partial_sums(filt)
     hs_lower = verify_hs_lower_bound(filt, trace_records, norm_b)
-
-    dims_ok = all(d <= n + 1 for n, d in enumerate(filt.dims))
     return LowerBoundReport(
         m=filt.s.shape[0],
         normalization=scale,
@@ -641,11 +637,7 @@ def _check_chain(filt: Filtration, scale: float, norm_b: float) -> LowerBoundRep
         iso_residual_w=res_w,
         v_norm=v_norm,
         w_norm=w_norm,
-        dims=list(filt.dims),
-        dims_ok=dims_ok,
+        structure=verify_filtration_structure(filt, psums[0].sum, norm_b),
         filtration_complete=filt.complete(),
-        block_residual=max(filt.block_residual_s, filt.block_residual_t),
-        block_tol=STRUCTURE_TOL * (psums[0].sum + norm_b),
-        invariance_residual=filt.invariance_residual,
         basis_defect=filt.basis_defect,
     )

@@ -94,9 +94,12 @@ def test_criterion_4_filtration_conclusions(witness_reports):
     for (m, seed), rep in witness_reports.items():
         assert all(d <= n + 1 for n, d in enumerate(rep.dims)), (m, seed, rep.dims)
         assert sum(rep.dims) == m, (m, seed, rep.dims)
-        assert rep.block_residual <= rep.block_tol, (m, seed)
-        assert rep.invariance_residual <= 1e-8, (m, seed)
-    worst_block = max(r.block_residual for r in witness_reports.values())
+        structure = rep.structure
+        assert structure.hypothesis_ok, (m, seed)
+        assert max(structure.structure_residual_s, structure.structure_residual_t) <= structure.structure_tol, (m, seed)
+        assert structure.invariance_residual <= 1e-8, (m, seed)
+    worst_block = max(max(r.structure.structure_residual_s, r.structure.structure_residual_t)
+                      for r in witness_reports.values())
     print(f"\nPASS 4: filtrations complete with dims <= n+1 for m in {WITNESS_SIZES}, "
           f"max block residual {worst_block:.1e}")
 

@@ -208,6 +208,17 @@ class TestLowerBoundCommand:
         code, _, _ = run(capsys, "lowerbound", "-m", "1")
         assert code == 2
 
+    def test_out_of_memory_exit_4(self, capsys, monkeypatch):
+        # an m whose m x m arrays do not fit (-m 100000 asks for 149 GiB each) is a
+        # numerical failure, not a failed verification; the report here only raises
+        def out_of_memory(m, seed):
+            raise MemoryError(f"Unable to allocate an array for m={m}")
+
+        monkeypatch.setattr(traceless.cli, "lower_bound_report", out_of_memory)
+        code, out, err = run(capsys, "lowerbound", "-m", "100000")
+        assert code == 4 and out == ""
+        assert err == "error: out of memory: Unable to allocate an array for m=100000\n"
+
     def test_trials_flag_removed_exit_2(self, capsys):
         # the witness factorization takes no permutation trials
         code, out, err = run(capsys, "lowerbound", "-m", "4", "--trials", "4")
@@ -383,16 +394,20 @@ def test_option_lists_are_pinned():
 TRACE_ROW = ["lhs", "n", "normbd_bound", "normbd_passed", "passed", "rank_cum", "rhs", "slack"]
 PARTIAL_SUM_ROW = ["bound", "l", "passed", "sum"]
 HS_LOWER = ["c_bound", "passed", "quarter_log_sum", "ratio_sq", "rhs_sum"]
+# one structure check serves both commands: lowerbound nests its record, filtration prints it at the top
+STRUCTURE = ["dims", "dims_ok", "hypothesis_ok", "hypothesis_residual", "hypothesis_tol", "invariance_ok",
+             "invariance_residual", "invariance_tol", "structure_ok", "structure_residual_s",
+             "structure_residual_t", "structure_tol"]
 JSON_KEYS = {
     "factor": {"": ["b_path", "bound", "c_path", "diag_residual", "hs_norm_a", "hs_norm_c", "m",
                     "op_norm_b", "q_path", "ratio", "residual", "rng", "seed", "trials", "valid"]},
     "verify": {"": ["hs_norm_a", "hs_norm_c", "op_norm_b", "ratio", "residual", "residual_ok",
                     "sanity_hs_le_2_opb_hsc"]},
     "lowerbound": {
-        "": ["all_strict_passed", "block_residual", "block_tol", "dims", "dims_ok",
-             "filtration_complete", "hs_lower", "iso_residual_v", "iso_residual_w",
-             "m", "normalization", "partial_sums", "partial_sums_triangular",
-             "trace_inequality", "v_norm", "w_norm"],
+        "": ["all_strict_passed", "dims", "filtration_complete", "hs_lower", "iso_residual_v",
+             "iso_residual_w", "m", "normalization", "partial_sums", "partial_sums_triangular",
+             "structure", "trace_inequality", "v_norm", "w_norm"],
+        "structure": STRUCTURE,
         "trace_inequality": TRACE_ROW,
         "partial_sums": PARTIAL_SUM_ROW,
         "partial_sums_triangular": PARTIAL_SUM_ROW,
@@ -400,10 +415,7 @@ JSON_KEYS = {
     },
     "lattice": {"": ["bound_value", "excess_over_pi_log_m", "expectation", "m", "pair_energy",
                      "radius_bound"]},
-    "filtration": {"": ["all_ok", "dims", "dims_ok", "hypothesis_ok", "hypothesis_residual",
-                        "hypothesis_tol", "invariance_ok", "invariance_residual", "invariance_tol",
-                        "rank_tolerance", "structure_ok", "structure_residual_s",
-                        "structure_residual_t", "structure_tol"]},
+    "filtration": {"": sorted(STRUCTURE + ["all_ok", "rank_tolerance"])},
 }
 
 

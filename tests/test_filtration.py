@@ -1,10 +1,14 @@
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+import traceless
+import traceless.cli
 import traceless.filtration
+import traceless.linalg
 from traceless.cli import main
 import traceless.lowerbound
 from traceless.factorizer import _fisher_yates, factor
@@ -30,6 +34,11 @@ def seed_vector(m: int) -> np.ndarray:
     e1 = np.zeros((m, 1), dtype=complex)
     e1[0, 0] = 1.0
     return e1
+
+
+def measured_structure(filt):
+    """``verify_filtration_structure`` at the measured ||S|| and ||T||, as the ``filtration`` command judges."""
+    return verify_filtration_structure(filt, operator_norm(filt.s), operator_norm(filt.t))
 
 
 def normalized_witness_factors(m: int, seed: int = 0):
@@ -142,20 +151,20 @@ class TestVerifyFiltrationStructure:
         m = 9
         b, c = normalized_witness_factors(m)
         for s_op, t_op in ((c, scale * b), (scale * b, c)):
-            report = verify_filtration_structure(build_filtration(s_op, t_op, seed_vector(m)))
+            report = measured_structure(build_filtration(s_op, t_op, seed_vector(m)))
             assert report.all_ok
             assert report.hypothesis_residual <= 1e-12 * scale
             assert report.hypothesis_tol == pytest.approx(STRUCTURE_TOL * scale, rel=1e-12)
         s, t = random_complex(rng, m), random_complex(rng, m)
-        report = verify_filtration_structure(build_filtration(scale * s, t, seed_vector(m)))
+        report = measured_structure(build_filtration(scale * s, t, seed_vector(m)))
         assert not report.hypothesis_ok and not report.all_ok
         # a seed spanning everything needs no shift: every operator maps into it
-        assert verify_filtration_structure(build_filtration(s, t, np.eye(m))).all_ok
+        assert measured_structure(build_filtration(s, t, np.eye(m))).all_ok
 
     def test_m2_witness_all_pass(self):
         b, c = normalized_witness_factors(2)
         filt = build_filtration(c, b, seed_vector(2))
-        report = verify_filtration_structure(filt)
+        report = measured_structure(filt)
         assert report.hypothesis_ok
         assert report.hypothesis_residual <= 1e-10
         assert report.structure_ok and report.invariance_ok and report.dims_ok
@@ -167,7 +176,7 @@ class TestVerifyFiltrationStructure:
         m = 5
         s, t = random_complex(rng, m), random_complex(rng, m)
         filt = build_filtration(s, t, seed_vector(m))
-        report = verify_filtration_structure(filt)
+        report = measured_structure(filt)
         assert not report.hypothesis_ok
         assert report.structure_ok is None  # flagged as skipped
         assert report.invariance_ok is None
@@ -177,11 +186,11 @@ class TestVerifyFiltrationStructure:
     def test_checks_are_scale_free(self, rng, scale):
         m = 5
         s, t = random_complex(rng, m), random_complex(rng, m)
-        report = verify_filtration_structure(build_filtration(scale * s, scale * t, seed_vector(m)))
+        report = measured_structure(build_filtration(scale * s, scale * t, seed_vector(m)))
         assert not report.hypothesis_ok and not report.all_ok
         b, c = normalized_witness_factors(9)
         filt = build_filtration(c, scale * b, seed_vector(9))
-        report = verify_filtration_structure(filt)
+        report = measured_structure(filt)
         assert report.all_ok
 
     def test_tridiagonal_by_construction(self):
@@ -343,37 +352,76 @@ def test_build_measures_no_norm_of_t(rng, monkeypatch):
     # S H_n is scaled by a power of two and the T-chain column by column, so the
     # build measures no norm of S or T, for a matrix T or a 1-d one;
     # test_operator_norm_calls_per_report shows the same of the report
-    def unreachable(mat):
+    def unreachable(*args, **kwargs):
         raise AssertionError("the build measured an operator norm")
 
-    monkeypatch.setattr(traceless.filtration, "operator_norm", unreachable)
+    monkeypatch.setattr(traceless.linalg, "operator_norm", unreachable)
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
     s, t = random_complex(rng, 9), random_complex(rng, 9)
     for t_in in (t, np.diagonal(t).copy()):
         assert build_filtration(s, t_in, seed_vector(9)).complete()
 
 
 @pytest.mark.parametrize("kind", ["matrix", "1-d", "zero"])
-def test_structure_tol_measures_both_norms(rng, monkeypatch, kind):
-    # verify_filtration_structure measures ||S|| by one SVD, and ||T|| by one
-    # more for a matrix T; a 1-d T is diag(T), whose norm is its largest modulus
+def test_structure_tol_takes_both_norms(rng, monkeypatch, kind):
+    # verify_filtration_structure takes ||S|| and ||T|| from its caller, as the
+    # trace check takes ||B||: the tolerance is STRUCTURE_TOL (norm_s + norm_t)
+    # bit for bit, and the check calls neither operator_norm nor an SVD, for a
+    # matrix T, a 1-d one or a zero one
     s, t = random_complex(rng, 9), random_complex(rng, 9)
     t = {"matrix": t, "1-d": np.diagonal(t).copy(), "zero": np.zeros((9, 9))}[kind]
     filt = build_filtration(s, t, seed_vector(9))
+    norm_s, norm_t = operator_norm(s), operator_norm(np.diag(t) if t.ndim == 1 else t)
     calls = []
 
-    def counted(mat):
-        calls.append(mat.shape)
-        return operator_norm(mat)
+    def counted(orig):
+        def wrapper(*args, **kwargs):
+            calls.append(orig.__name__)
+            return orig(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
-    report = verify_filtration_structure(filt)
-    norm_t = float(np.max(np.abs(t))) if t.ndim == 1 else operator_norm(t)
-    assert report.structure_tol == report.invariance_tol == STRUCTURE_TOL * (operator_norm(s) + norm_t)
-    assert calls == [(9, 9)] * (1 if t.ndim == 1 else 2)
-    if kind == "1-d":
-        assert abs(norm_t - operator_norm(np.diag(t))) <= 8 * np.finfo(np.float64).eps * norm_t
+    # wrap the names wherever callers look them up, as the benchmark tracer does
+    for mod in (traceless, traceless.linalg, traceless.filtration):
+        if getattr(mod, "operator_norm", None) is operator_norm:
+            monkeypatch.setattr(mod, "operator_norm", counted(operator_norm))
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    report = verify_filtration_structure(filt, norm_s, norm_t)
+    assert calls == []
+    assert report.structure_tol == report.invariance_tol == STRUCTURE_TOL * (norm_s + norm_t)
     if kind == "zero":
-        assert report.structure_tol == STRUCTURE_TOL * operator_norm(s)
+        assert report.structure_tol == STRUCTURE_TOL * norm_s
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 5, 9, 17, 40])
+def test_hypothesis_residual_is_the_one_product_form(rng, m, k, diagonal):
+    # the check takes M M* [S, T] off [S, T] in row panels, in place; the
+    # reference forms it in one product and subtracts, and both give the same bits
+    s, t = random_complex(rng, m), rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    filt = build_filtration(s, t if diagonal else np.diag(t), np.linalg.qr(random_complex(rng, m)[:, :k])[0])
+    mb = filt.blocks[0]  # the seed as the check reads it, a view of the basis
+    h = -traceless.filtration._bracket(filt.t, filt.s)  # [S, T], entrywise for a 1-d T
+    h[np.diag_indices(m)] += (np.trace(mb.conj().T @ h @ mb) - np.trace(h)) / (m - k)
+    report = verify_filtration_structure(filt, 1.0, 1.0)
+    assert report.hypothesis_residual == hs_norm(h - mb @ (mb.conj().T @ h))
+    assert report.hypothesis_tol == STRUCTURE_TOL * hs_norm(h)
+
+
+def test_structure_check_holds_one_square_array():
+    # [S, T] is shifted and projected in place, so the check's traced peak is
+    # [S, T] itself, one row panel of M M* [S, T] and hs_norm's finiteness mask
+    m = 256
+    z = gaussian_points(m) / float(np.max(np.abs(gaussian_points(m))))
+    filt = build_filtration(traceless.lowerbound._witness_ctilde(z), z, np.full((m, 1), m**-0.5, dtype=complex))
+    verify_filtration_structure(filt, 1.0, 1.0)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        assert verify_filtration_structure(filt, 1.0, 1.0).hypothesis_ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m * m * np.dtype(complex).itemsize
 
 
 # The per-pair and projector forms of the residuals, kept as references for
@@ -451,7 +499,7 @@ def test_hostile_scale_of_t(k, shift):
     scaled = build_filtration(s, k * b, seed_vector(64))
     assert 0.0 < scaled.block_residual_t < np.inf
     assert scaled.dims == base.dims
-    assert verify_filtration_structure(scaled).all_ok == verify_filtration_structure(base).all_ok
+    assert measured_structure(scaled).all_ok == measured_structure(base).all_ok
 
 
 def test_power_of_two_scale_of_t_is_exact():
@@ -491,7 +539,7 @@ def test_hostile_scale_of_s(k):
     for res in (scaled.block_residual_s, scaled.block_residual_t):
         assert 0.0 < res < np.inf
     assert scaled.dims == base.dims
-    assert verify_filtration_structure(scaled).all_ok == verify_filtration_structure(base).all_ok
+    assert measured_structure(scaled).all_ok == measured_structure(base).all_ok
 
 
 @pytest.mark.parametrize("pair", ["witness", "random"])
@@ -543,8 +591,9 @@ def test_structure_check_takes_a_diagonal_t(m, monkeypatch):
     z = gaussian_points(m) / float(np.max(np.abs(gaussian_points(m))))
     ctilde = traceless.lowerbound._witness_ctilde(z)
     ones = np.full((m, 1), 1.0 / np.sqrt(m), dtype=complex)
-    mat = verify_filtration_structure(build_filtration(ctilde, np.diag(z), ones))
+    mat = measured_structure(build_filtration(ctilde, np.diag(z), ones))
     filt = build_filtration(ctilde, z, ones)
+    norm_s, norm_t = operator_norm(ctilde), float(np.max(np.abs(z)))  # ||diag(z)||, up to rounding
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the 1-d T was densified")
@@ -552,7 +601,7 @@ def test_structure_check_takes_a_diagonal_t(m, monkeypatch):
     # [S, T] for a 1-d T is formed entrywise, with no m x m diag(T) and no product with it
     monkeypatch.setattr(np, "diag", unreachable)
     monkeypatch.setattr(traceless.filtration, "commutator", unreachable)
-    vec = verify_filtration_structure(filt)
+    vec = verify_filtration_structure(filt, norm_s, norm_t)
     monkeypatch.undo()
     assert vec.all_ok and mat.all_ok
     assert vec.dims == mat.dims == exact_witness_dims(m, PRIMES[0])
@@ -590,9 +639,9 @@ def test_diagonal_t_is_validated(rng):
 def test_verify_reuses_build_numbers_exactly(m):
     b, c = normalized_witness_factors(m)
     filt = build_filtration(c, b, seed_vector(m))
-    report = verify_filtration_structure(filt)
+    report = verify_filtration_structure(filt, operator_norm(c), operator_norm(b))
     assert report.all_ok
-    # the build's residuals and norms, equal to a fresh compression bit for bit
+    # the build's residuals, equal to a fresh compression bit for bit, and the norms given
     fresh = build_compression(filt, c, b)[:3]
     assert (report.structure_residual_s, report.structure_residual_t, report.invariance_residual) == fresh
     assert report.structure_tol == report.invariance_tol == STRUCTURE_TOL * (operator_norm(c) + operator_norm(b))
@@ -605,15 +654,15 @@ def test_cli_filtration_computes_norms_once(tmp_path, monkeypatch):
     for path, mat in zip(paths, (b, c, seed_vector(m))):
         write_matrix(path, mat)
     calls = []
-    orig = traceless.filtration.operator_norm
+    orig = traceless.cli.operator_norm
 
     def counted(mat):
         calls.append(mat.shape)
         return orig(mat)
 
-    monkeypatch.setattr(traceless.filtration, "operator_norm", counted)
+    monkeypatch.setattr(traceless.cli, "operator_norm", counted)
     assert main(["filtration", *paths, "--out", str(tmp_path / "f.json")]) == 0
-    # ||S|| and ||T||, each once, measured by verify for the structure tolerance
+    # ||S|| and ||T||, each once, measured by the command for the structure tolerance
     assert calls == [(m, m), (m, m)]
 
 

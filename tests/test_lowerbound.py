@@ -449,7 +449,8 @@ def test_report_passes_with_margin_at_scale(m, seed):
     # tolerance, and 8e-3 at m=512, where the dims also left the exact ones
     report = lower_bound_report(m, trials=32, seed=seed)
     assert report.all_strict_passed and report.hs_lower.passed
-    assert report.block_residual <= 0.01 * report.block_tol
+    structure = report.structure
+    assert max(structure.structure_residual_s, structure.structure_residual_t) <= 0.01 * structure.structure_tol
     assert report.dims == exact_witness_dims(m, 2147483629)
 
 
@@ -468,21 +469,21 @@ def test_operator_norm_calls_per_report(monkeypatch):
     report = lower_bound_report(16, trials=8, seed=0)
     assert report.all_strict_passed
     # the certificate bounds ||B|| on both sides in its eigenframe, ||V|| and
-    # ||W|| are bounded from the Gram defects, block_tol takes the certified
-    # lower end of ||C||, and the build scales by powers of two and column norms
+    # ||W|| are bounded from the Gram defects, the structure check takes the
+    # certified lower end of ||C||, and the build scales by powers of two and column norms
     assert calls == []
 
 
-@pytest.mark.parametrize("m, seed", [(64, 0), (256, 3)])
+@pytest.mark.parametrize("m, seed", [(64, 0), (64, 3), (256, 0), (256, 3)])
 def test_block_tol_takes_the_certified_lower_end(m, seed):
-    # block_tol uses (1 - 2^-51) max |z_i| for ||B|| = ||diag(z)|| and the
-    # certified partial sum at l = 1 for ||C||, each at most the exact norm,
-    # so the tolerance is no looser than a measured one
+    # the structure check's tolerance uses (1 - 2^-51) max |z_i| for
+    # ||B|| = ||diag(z)|| and the certified partial sum at l = 1 for ||C||,
+    # each at most the exact norm, so it is no looser than a measured one
     report = lower_bound_report(m, seed=seed)
     lower = certified_lower_norm_b(report.certificate, rescaled=False)
     filt = report_filtration(report.certificate, rescaled=False)
     norm_c = report.partial_sums[0].sum
-    assert report.block_tol == STRUCTURE_TOL * (norm_c + lower)
+    assert report.structure.structure_tol == report.structure.invariance_tol == STRUCTURE_TOL * (norm_c + lower)
     assert norm_c <= operator_norm(filt.s)
     # ||diag(z)||^2 is the largest re(z_i)^2 + im(z_i)^2, here in exact rationals
     assert Fraction(lower) ** 2 <= max(Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in filt.t.tolist())
@@ -814,7 +815,8 @@ def test_generator_changed_in_place_after_build(rng):
     filt = build_filtration(s, t, seed_vector(12))
     kept = filt.s.copy(), filt.t.copy(), [tuple(x.copy() for x in pair) for pair in filt.boundary]
     kept_comp = filt.compression_s.copy()
-    report = verify_filtration_structure(filt)
+    norms = operator_norm(filt.s), operator_norm(filt.t)
+    report = verify_filtration_structure(filt, *norms)
     residuals = partial_isometry_residuals(filt)
     stored = [filt.s, filt.t, filt.basis, filt.compression_s, *filt.blocks]
     stored += [x for pair in filt.boundary for x in pair]
@@ -827,7 +829,7 @@ def test_generator_changed_in_place_after_build(rng):
     assert np.array_equal(filt.compression_s, kept_comp)
     for pair, kept_pair in zip(filt.boundary, kept[2], strict=True):
         assert all(np.array_equal(x, y) for x, y in zip(pair, kept_pair))
-    assert verify_filtration_structure(filt) == report
+    assert verify_filtration_structure(filt, *norms) == report
     assert partial_isometry_residuals(filt) == residuals
 
 
@@ -854,8 +856,33 @@ def test_invariance_residual_is_judged(monkeypatch):
     monkeypatch.setattr(traceless.lowerbound, "_build_filtration",
                         lambda *args: dataclasses.replace(orig(*args), invariance_residual=1.0))
     report = lower_bound_report(16, seed=0)
-    assert report.invariance_residual == 1.0 > report.block_tol
+    assert report.structure.invariance_residual == 1.0 > report.structure.invariance_tol
+    assert report.structure.invariance_ok is False
     assert not report.all_strict_passed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("m", [2, 3, 16, 64, 128, 256])
+def test_structure_verdict_keeps_the_report_rule(m, seed):
+    # the structure check decides the verdict as this reference rule does: block
+    # residuals and the invariance residual within STRUCTURE_TOL (||C|| + ||B||)
+    # at the certified lower ends, and d_n <= n+1, besides every other check
+    report = lower_bound_report(m, seed=seed)
+    filt = report_filtration(report.certificate, rescaled=False)
+    tol = STRUCTURE_TOL * (report.partial_sums[0].sum + certified_lower_norm_b(report.certificate, rescaled=False))
+    rule = bool(
+        all(r.passed and r.normbd_passed for r in report.trace_records)
+        and all(r.passed for r in report.partial_sums + report.partial_sums_triangular)
+        and max(report.iso_residual_v, report.iso_residual_w) <= traceless.lowerbound.ISOMETRY_TOL
+        and max(report.v_norm, report.w_norm) <= 1.0 + traceless.lowerbound.ISOMETRY_NORM_TOL
+        and all(d <= n + 1 for n, d in enumerate(filt.dims))
+        and filt.complete()
+        and max(filt.block_residual_s, filt.block_residual_t) <= tol
+        and filt.invariance_residual <= tol
+        and report.hs_lower.passed
+    )
+    assert report.all_strict_passed == rule
+    assert report.dims == filt.dims and report.structure.structure_tol == tol
 
 
 def test_single_block_gives_zero_isometries():
